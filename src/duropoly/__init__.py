@@ -26,7 +26,6 @@ from .mechanism import (
 from .sim import MonteCarloSummary, PathRecord, PathStep, iter_paths, monte_carlo, simulate_path
 from .value import (
     RDecomposition,
-    ValueSurface,
     buyer_rent,
     decompose_R,
     eval_R,
@@ -55,7 +54,6 @@ __all__ = [
     "TableExhausted",
     "compute_cutoffs",
     "indifference_gap",
-    "ValueSurface",
     "RDecomposition",
     "eval_R",
     "decompose_R",

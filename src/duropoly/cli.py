@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import MarketParams
-from .cutoffs import StoppingRule, compute_cutoffs
+from .cutoffs import compute_cutoffs
 from .mechanism import build_mechanism, posted_price_view
 from .sim import iter_paths, monte_carlo
-from .value import ValueSurface, buyer_rent, eval_R, seller_revenue
+from .value import buyer_rent, eval_R, seller_revenue
 from .verify import deviation_scan, structure_checks
 
 SWEEP_DEFAULT_PATHS = 200
@@ -72,13 +72,8 @@ def _build_config(args) -> RunConfig:
     )
 
 
-def _solve_pieces(cfg: RunConfig):
-    table = compute_cutoffs(cfg.params, StoppingRule())
-    return table, ValueSurface(table)
-
-
 def cmd_solve(cfg: RunConfig) -> int:
-    table, s = _solve_pieces(cfg)
+    table = compute_cutoffs(cfg.params)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
@@ -86,29 +81,29 @@ def cmd_solve(cfg: RunConfig) -> int:
     table.write_json(out / "cutoffs.json")
 
     mech = build_mechanism(table, cfg.params.mu0)
+    view = posted_price_view(mech, table)
     with open(out / "mechanism.json", "w", encoding="utf-8") as fh:
-        json.dump(mech.to_json(table), fh, indent=2)
+        json.dump(mech.to_json(view), fh, indent=2)
 
     grid = np.linspace(0.0, 1.0, cfg.grid_n)
-    values = eval_R(s, grid, cfg.params.mu0)
+    values = eval_R(table, grid, cfg.params.mu0)
     with open(out / "value_table.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mu_prime", "mu0", "R"])
         for m, v in zip(grid, values):
             writer.writerow([_fmt(m), _fmt(cfg.params.mu0), _fmt(v)])
 
-    view = posted_price_view(mech, table)
     n = table.delay_class(cfg.params.mu0)
     print(
         f"prior {cfg.params.mu0:g}: class n={n}, price {view.price:.6g}, "
-        f"revenue {seller_revenue(s, cfg.params.mu0):.6g}, "
-        f"rent {buyer_rent(s, cfg.params.mu0):.6g}"
+        f"revenue {seller_revenue(table, cfg.params.mu0):.6g}, "
+        f"rent {buyer_rent(table, cfg.params.mu0):.6g}"
     )
     return 0
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    table, s = _solve_pieces(cfg)
+    table = compute_cutoffs(cfg.params)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     tol = cfg.tolerances.get("deviation_gap")
@@ -117,11 +112,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     failures = []
     max_gap = 0.0
     for m0 in priors:
-        rep = deviation_scan(s, table, float(m0), grid_n=cfg.grid_n, tolerance=tol)
+        rep = deviation_scan(table, float(m0), grid_n=cfg.grid_n, tolerance=tol)
         max_gap = max(max_gap, rep.worst_gap)
         if not rep.passed:
             failures.append({"prior": float(m0), "gap": rep.worst_gap, "kind": "deviation"})
-    structure = structure_checks(s, table, grid_n=cfg.grid_n)
+    structure = structure_checks(table, grid_n=cfg.grid_n)
     if not structure.all_ok:
         failures.append({"kind": "structure", "report": dataclasses.asdict(structure)})
 
@@ -143,14 +138,14 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, type_draw: str, paths_csv: str | None) -> int:
-    table, s = _solve_pieces(cfg)
+    table = compute_cutoffs(cfg.params)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    summary = monte_carlo(table, s, cfg.params.mu0, type_draw, cfg.mc_paths, cfg.seed)
+    summary = monte_carlo(table, cfg.params.mu0, type_draw, cfg.mc_paths, cfg.seed)
     # the 3-standard-error check against the analytic value applies to pooled
     # revenue only; conditioning on one type changes the benchmark
-    analytic = seller_revenue(s, cfg.params.mu0) if type_draw == "prior" else None
+    analytic = seller_revenue(table, cfg.params.mu0) if type_draw == "prior" else None
 
     payload = {
         "n_paths": summary.n_paths,
@@ -170,7 +165,7 @@ def cmd_simulate(cfg: RunConfig, type_draw: str, paths_csv: str | None) -> int:
         with open(paths_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["path", "buyer_type", "trade_period", "discounted_revenue", "discounted_buyer_payoff"])
-            paths = iter_paths(table, s, cfg.params.mu0, type_draw, cfg.mc_paths, cfg.seed)
+            paths = iter_paths(table, cfg.params.mu0, type_draw, cfg.mc_paths, cfg.seed)
             for i, rec in enumerate(paths):
                 writer.writerow([
                     i, rec.buyer_type,
@@ -190,7 +185,7 @@ def cmd_simulate(cfg: RunConfig, type_draw: str, paths_csv: str | None) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, sweep_paths: int) -> int:
-    table, s = _solve_pieces(cfg)
+    table = compute_cutoffs(cfg.params)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
@@ -200,12 +195,12 @@ def cmd_sweep(cfg: RunConfig, sweep_paths: int) -> int:
         writer.writerow(["mu0", "analytic_revenue", "mc_revenue", "rent"])
         for m0 in priors:
             m0 = float(m0)
-            summary = monte_carlo(table, s, m0, "prior", sweep_paths, cfg.seed)
+            summary = monte_carlo(table, m0, "prior", sweep_paths, cfg.seed)
             writer.writerow([
                 _fmt(m0),
-                _fmt(seller_revenue(s, m0)),
+                _fmt(seller_revenue(table, m0)),
                 _fmt(summary.mean_revenue),
-                _fmt(buyer_rent(s, m0)),
+                _fmt(buyer_rent(table, m0)),
             ])
     print(f"sweep: {len(priors)} priors written to {out / 'sweep.csv'}")
     return 0

@@ -4,24 +4,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Bayes updates accumulate rounding; beliefs this close to an endpoint snap to it.
+# Bayes updates accumulate rounding; beliefs this far outside [0, 1] clamp to it.
 BELIEF_TOL = 1e-12
 
 
 def belief(value: float) -> float:
     """Validate a probability weight on the high valuation.
 
-    Values within 1e-12 of 0 or 1 are clamped to the endpoint; anything
-    outside [-1e-12, 1 + 1e-12] is rejected.
+    Values in [-1e-12, 0) or (1, 1 + 1e-12] are clamped to the endpoint;
+    anything further outside [0, 1] is rejected.  Interior values pass
+    unchanged, however close to an endpoint: cutoffs can lie there.
     """
     v = float(value)
     if math.isnan(v):
         raise ValueError("belief must be a number, got NaN")
     if v < -BELIEF_TOL or v > 1.0 + BELIEF_TOL:
         raise ValueError(f"belief {value!r} lies outside [0, 1]")
-    if abs(v) <= BELIEF_TOL:
+    if v <= 0.0:
         return 0.0
-    if abs(v - 1.0) <= BELIEF_TOL:
+    if v >= 1.0:
         return 1.0
     return v
 

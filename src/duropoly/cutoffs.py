@@ -3,8 +3,8 @@
 The belief interval [0, 1] splits into classes D_n = [mu_bar_n, mu_bar_{n+1});
 a seller whose prior sits in D_n lets n periods pass before trading with the
 low-valuation buyer.  Each cutoff beyond mu_bar_1 = v_low / v_high is the root
-of a one-period-more vs one-period-less indifference equation, found by
-bisection.
+of a one-period-more vs one-period-less indifference equation.  That equation
+is affine in the belief, so each root has a closed form.
 """
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ import numpy as np
 
 from .core import MarketParams, belief, mu_bar_1
 
-BISECT_TOL = 1e-13
-BISECT_MAX_ITER = 60
 # Within this distance of belief 1 (scaled by 1 - delta) the indifference
 # equation is so steep that no float64 belief can hold its residual below
 # 1e-10 * v_high, so the table stops and reports ReachedOne instead of
@@ -60,6 +58,11 @@ class CutoffTable:
     cutoffs: tuple[float, ...]
     horizon_reason: HorizonReason
 
+    def __post_init__(self):
+        c = self.cutoffs
+        if len(c) < 2 or c[0] != 0.0 or c[1] < 0.0 or any(b <= a for a, b in zip(c[1:], c[2:])):
+            raise ValueError(f"need cutoffs 0 = mu_bar_0 <= mu_bar_1 < mu_bar_2 < ..., got {c}")
+
     @property
     def degenerate(self) -> bool:
         """v_low = 0 collapses the partition: every positive prior delays at
@@ -73,8 +76,7 @@ class CutoffTable:
         d = self.params.delta
         out = [0.0]
         for k in range(1, len(self.cutoffs)):
-            c, prev = self.cutoffs[k], self.cutoffs[k - 1]
-            out.append((c - prev) / (1.0 - prev) + d * (1.0 - c) / (1.0 - prev) * out[-1])
+            out.append(_alpha_step(d, self.cutoffs[k], self.cutoffs[k - 1], out[-1]))
         return tuple(out)
 
     @cached_property
@@ -124,6 +126,12 @@ class CutoffTable:
             json.dump(self.to_json(), fh, indent=2)
 
 
+def _alpha_step(d: float, mu, prev: float, alpha_prev: float):
+    """alpha at belief mu in the class whose delay posterior is the cutoff
+    prev, given alpha_prev, the alpha at prev."""
+    return (mu - prev) / (1.0 - prev) + d * (1.0 - mu) / (1.0 - prev) * alpha_prev
+
+
 def _split_value(p: MarketParams, mu, c: float, alpha_c: float, gamma_c: float):
     """Value at prior mu of splitting between posterior 1 (sell) and posterior
     c (delay), with continuation alpha_c * v_high + gamma_c * vhat(mu).
@@ -136,11 +144,20 @@ def _split_value(p: MarketParams, mu, c: float, alpha_c: float, gamma_c: float):
     return ((mu - c) * p.v_high + p.delta * r_scaled) / (1.0 - c)
 
 
+def _gap(p: MarketParams, mu: float, cuts, alphas, n: int) -> float:
+    """Split value with delay posterior cuts[n] minus that with cuts[n - 1];
+    affine in mu."""
+    d = p.delta
+    hi = _split_value(p, mu, cuts[n], alphas[n], (1.0 - cuts[n]) * d**n)
+    lo = _split_value(p, mu, cuts[n - 1], alphas[n - 1], (1.0 - cuts[n - 1]) * d ** (n - 1))
+    return hi - lo
+
+
 def indifference_gap(p: MarketParams, table_prefix: CutoffTable, n: int, mu: float) -> float:
     """Value of delaying n+1 periods minus the value of delaying n periods.
 
-    Strictly increasing in mu, negative at mu_bar_n, and zero exactly at
-    mu_bar_{n+1}; the sign scan of this function is what pins each cutoff.
+    Affine and strictly increasing in mu, negative at mu_bar_n, and zero
+    exactly at mu_bar_{n+1}; this is the equation that pins each cutoff.
     """
     if table_prefix.degenerate:
         raise ValueError("indifference gap is undefined when v_low = 0")
@@ -150,21 +167,19 @@ def indifference_gap(p: MarketParams, table_prefix: CutoffTable, n: int, mu: flo
     m = belief(mu)
     if m == 1.0:
         raise ValueError("indifference gap has a pole at belief 1")
-    alphas, gammas = table_prefix.alphas, table_prefix.gammas
-    hi = _split_value(p, m, cuts[n], alphas[n], gammas[n])
-    lo = _split_value(p, m, cuts[n - 1], alphas[n - 1], gammas[n - 1])
-    return hi - lo
+    return _gap(p, m, cuts, table_prefix.alphas, n)
 
 
 def compute_cutoffs(p: MarketParams, stop: StoppingRule = StoppingRule()) -> CutoffTable:
     """Build the cutoff table for one parameter set.
 
-    Starts from mu_bar_0 = 0 and mu_bar_1 = v_low / v_high, then finds each
-    mu_bar_{n+1} as the unique root of the indifference gap on (mu_bar_n, 1)
-    by bisection (absolute tolerance 1e-13, at most 60 halvings).  Stops when
-    the last cutoff is within stop.proximity_to_one of 1, when the remaining
-    interval is too close to 1 for float64 to resolve the root (see
-    RESOLUTION_GUARD), or when stop.max_cutoffs entries have been produced.
+    Starts from mu_bar_0 = 0 and mu_bar_1 = v_low / v_high.  The gap between
+    delaying n+1 and n periods is affine in the belief, so mu_bar_{n+1} is
+    its exact root g(0) / (g(0) - g(1)).  Stops when the last cutoff is
+    within stop.proximity_to_one of 1, when the remaining interval is too
+    close to 1 for float64 to resolve the root (see RESOLUTION_GUARD), when
+    the gap does not turn positive before belief 1, or when stop.max_cutoffs
+    entries have been produced.
 
     v_low = 0 short-circuits to the two-entry table (0, 0): every positive
     prior then delays at posterior 0 forever on the low-type path.
@@ -176,7 +191,6 @@ def compute_cutoffs(p: MarketParams, stop: StoppingRule = StoppingRule()) -> Cut
     cuts = [0.0, mu_bar_1(p)]
     alphas = [0.0, mu_bar_1(p)]
     guard = RESOLUTION_GUARD * (1.0 - d)
-    reason = None
 
     while True:
         last = cuts[-1]
@@ -188,33 +202,16 @@ def compute_cutoffs(p: MarketParams, stop: StoppingRule = StoppingRule()) -> Cut
             break
 
         n = len(cuts) - 1
-        c_hi, a_hi, g_hi = cuts[n], alphas[n], (1.0 - cuts[n]) * d**n
-        c_lo, a_lo, g_lo = cuts[n - 1], alphas[n - 1], (1.0 - cuts[n - 1]) * d ** (n - 1)
-
-        def gap(m):
-            return _split_value(p, m, c_hi, a_hi, g_hi) - _split_value(p, m, c_lo, a_lo, g_lo)
-
-        a, b = last, 1.0 - BISECT_TOL
-        fa, fb = gap(a), gap(b)
-        if fa >= 0.0:
-            raise RuntimeError(f"indifference gap not negative at cutoff {n} (got {fa})")
-        if fb <= 0.0:
-            # monotone increasing with no interior sign change: indifference
-            # never occurs before belief 1
+        g_last = _gap(p, last, cuts, alphas, n)
+        if g_last >= 0.0:
+            raise RuntimeError(f"indifference gap not negative at cutoff {n} (got {g_last})")
+        g0, g1 = _gap(p, 0.0, cuts, alphas, n), _gap(p, 1.0, cuts, alphas, n)
+        root = g0 / (g0 - g1) if g1 > 0.0 else 1.0
+        if root >= 1.0:
+            # no sign change before belief 1 (to float precision): no further cutoff
             reason = HorizonReason.REACHED_ONE
             break
-        for _ in range(BISECT_MAX_ITER):
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            if gap(mid) < 0.0:
-                a = mid
-            else:
-                b = mid
-        fa, fb = gap(a), gap(b)
-        root = a if abs(fa) < abs(fb) else b
-
-        alphas.append((root - last) / (1.0 - last) + d * (1.0 - root) / (1.0 - last) * alphas[-1])
+        alphas.append(_alpha_step(d, root, last, alphas[-1]))
         cuts.append(root)
 
     return CutoffTable(p, tuple(cuts), reason)

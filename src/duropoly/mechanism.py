@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .core import MarketParams, belief
 from .cutoffs import CutoffTable
-from .value import ValueSurface, buyer_rent
+from .value import buyer_rent
 
 INDIFFERENCE_TOL = 1e-12
 
@@ -39,8 +39,8 @@ class Mechanism:
     trade_prob: dict  # {posterior: probability of trade}
     transfer: dict  # {posterior: payment}
 
-    def to_json(self, table: CutoffTable) -> dict:
-        view = posted_price_view(self, table)
+    def to_json(self, view: PostedPrice) -> dict:
+        """JSON form; view is this mechanism's posted_price_view."""
         return {
             "prior": self.prior,
             "n": self.n,
@@ -171,8 +171,7 @@ def posted_price_view(m: Mechanism, table: CutoffTable) -> PostedPrice:
 
     reject_posterior = min(post for post in m.trade_prob if m.trade_prob[post] == 0.0)
     price = m.transfer[1.0]
-    s = ValueSurface(table)
-    gap = (p.v_high - price) - p.delta * buyer_rent(s, reject_posterior)
+    gap = (p.v_high - price) - p.delta * buyer_rent(table, reject_posterior)
     if abs(gap) > INDIFFERENCE_TOL * p.v_high:
         raise MechanismConsistencyError(
             f"high-type indifference off by {gap} at prior {m.prior}"
@@ -186,7 +185,7 @@ def posted_price_view(m: Mechanism, table: CutoffTable) -> PostedPrice:
     )
 
 
-def check_binding_constraints(m: Mechanism, s: ValueSurface) -> ConstraintResiduals:
+def check_binding_constraints(m: Mechanism, table: CutoffTable) -> ConstraintResiduals:
     """Evaluate both binding constraints at a constructed mechanism.
 
     Participation of the low type:  sum_mu' beta(mu'|low) (v_low q - t).
@@ -194,7 +193,7 @@ def check_binding_constraints(m: Mechanism, s: ValueSurface) -> ConstraintResidu
     times (v_high q + (1 - q) delta * rent(mu') - t), where rent is the
     high type's continuation at the induced posterior.
     """
-    p = s.params
+    p = table.params
     support = sorted(set(m.trade_prob) | set(m.transfer))
     pc = 0.0
     ic = 0.0
@@ -204,6 +203,6 @@ def check_binding_constraints(m: Mechanism, s: ValueSurface) -> ConstraintResidu
         b_low = m.device["low"].get(post, 0.0)
         b_high = m.device["high"].get(post, 0.0)
         pc += b_low * (p.v_low * q - t)
-        cont = 0.0 if q == 1.0 else p.delta * buyer_rent(s, post)
+        cont = 0.0 if q == 1.0 else p.delta * buyer_rent(table, post)
         ic += (b_high - b_low) * (p.v_high * q + (1.0 - q) * cont - t)
     return ConstraintResiduals(participation_low=pc, truthtelling_high=ic)

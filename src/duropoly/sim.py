@@ -9,7 +9,6 @@ import numpy as np
 from .core import belief
 from .cutoffs import CutoffTable
 from .mechanism import class_price
-from .value import ValueSurface
 
 RNG_ALGORITHM = "pcg64(seed); uniform row i of a pre-drawn matrix is path i's substream"
 
@@ -62,7 +61,6 @@ class _RowStream:
 
 def simulate_path(
     table: CutoffTable,
-    s: ValueSurface,
     mu0: float,
     buyer_type: str,
     rng,
@@ -128,7 +126,6 @@ def _draw_budget(table: CutoffTable, mu0: float) -> int:
 
 def iter_paths(
     table: CutoffTable,
-    s: ValueSurface,
     mu0: float,
     type_draw: str,
     n_paths: int,
@@ -154,12 +151,11 @@ def iter_paths(
             btype = "high" if stream.random() < m0 else "low"
         else:
             btype = "high" if type_draw == "fixed_high" else "low"
-        yield simulate_path(table, s, m0, btype, stream, horizon)
+        yield simulate_path(table, m0, btype, stream, horizon)
 
 
 def monte_carlo(
     table: CutoffTable,
-    s: ValueSurface,
     mu0: float,
     type_draw: str,
     n_paths: int,
@@ -175,7 +171,7 @@ def monte_carlo(
     payoff = np.empty(n_paths)
     is_high = np.empty(n_paths, dtype=bool)
     times = np.empty(n_paths, dtype=int)
-    for i, rec in enumerate(iter_paths(table, s, mu0, type_draw, n_paths, seed, horizon)):
+    for i, rec in enumerate(iter_paths(table, mu0, type_draw, n_paths, seed, horizon)):
         revenue[i] = rec.discounted_revenue
         payoff[i] = rec.discounted_buyer_payoff
         is_high[i] = rec.buyer_type == "high"

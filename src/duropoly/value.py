@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MarketParams, belief, virtual_value
-from .cutoffs import CutoffTable, HorizonReason, TableExhausted
+from .core import belief, virtual_value
+from .cutoffs import CutoffTable, HorizonReason, TableExhausted, _alpha_step
 
 CUTOFF_MATCH_TOL = 1e-12
 
@@ -27,15 +27,6 @@ class RDecomposition:
 
     alpha: float
     gamma: float
-
-
-@dataclass(frozen=True)
-class ValueSurface:
-    table: CutoffTable
-
-    @property
-    def params(self) -> MarketParams:
-        return self.table.params
 
 
 def _alpha_gamma(table: CutoffTable, mu_prime):
@@ -62,7 +53,7 @@ def _alpha_gamma(table: CutoffTable, mu_prime):
     prev = np.maximum(idx - 1, 0)
     c = cuts[prev]
     a_prev = np.asarray(table.alphas)[prev]
-    alpha_hi = (m - c) / (1.0 - c) + d * (1.0 - m) / (1.0 - c) * a_prev
+    alpha_hi = _alpha_step(d, m, c, a_prev)
     alpha = np.where(idx == 0, m, alpha_hi)
     # scalar pow per class keeps this bit-identical to the rent formulas
     d_pow = np.asarray([d**k for k in range(len(cuts))])
@@ -70,7 +61,7 @@ def _alpha_gamma(table: CutoffTable, mu_prime):
     return (float(alpha[0]), float(gamma[0])) if scalar else (alpha, gamma)
 
 
-def eval_R(s: ValueSurface, mu_prime, mu0: float):
+def eval_R(table: CutoffTable, mu_prime, mu0: float):
     """Continuation value of inducing posterior mu_prime when the prior is mu0.
 
     Below mu_bar_1 this is the one-shot virtual surplus; in class D_n it
@@ -78,45 +69,45 @@ def eval_R(s: ValueSurface, mu_prime, mu0: float):
     exactly, the delay branch applies (ties favor delay).
     """
     m0 = belief(mu0)
-    vhat = virtual_value(s.params, m0)  # rejects mu0 = 1
-    alpha, gamma = _alpha_gamma(s.table, mu_prime)
-    return alpha * s.params.v_high + gamma * vhat
+    vhat = virtual_value(table.params, m0)  # rejects mu0 = 1
+    alpha, gamma = _alpha_gamma(table, mu_prime)
+    return alpha * table.params.v_high + gamma * vhat
 
 
-def decompose_R(s: ValueSurface, mu_prime: float) -> RDecomposition:
+def decompose_R(table: CutoffTable, mu_prime: float) -> RDecomposition:
     """Coefficients (alpha, gamma) with R(mu', mu0) = alpha v_high + gamma vhat(mu0)."""
-    alpha, gamma = _alpha_gamma(s.table, belief(mu_prime))
+    alpha, gamma = _alpha_gamma(table, belief(mu_prime))
     return RDecomposition(alpha=alpha, gamma=gamma)
 
 
-def seller_revenue(s: ValueSurface, mu0: float) -> float:
+def seller_revenue(table: CutoffTable, mu0: float) -> float:
     """Equilibrium revenue R(mu0, mu0); exactly mu0 * v_high when v_low = 0."""
     m0 = belief(mu0)
-    return float(eval_R(s, m0, m0))
+    return float(eval_R(table, m0, m0))
 
 
-def buyer_rent(s: ValueSurface, mu0: float) -> float:
+def buyer_rent(table: CutoffTable, mu0: float) -> float:
     """High type's equilibrium payoff delta^n * (v_high - v_low) on class D_n.
 
     The low type's rent is identically zero.  With v_low = 0 the high type
     pays her full valuation and the rent is zero at every belief.
     """
     m0 = belief(mu0)
-    if s.table.degenerate:
+    if table.degenerate:
         return 0.0
-    n = s.table.delay_class(m0)
-    return s.params.delta**n * s.params.delta_v
+    n = table.delay_class(m0)
+    return table.params.delta**n * table.params.delta_v
 
 
-def rent_correspondence(s: ValueSurface, mu0: float) -> tuple[float, float]:
+def rent_correspondence(table: CutoffTable, mu0: float) -> tuple[float, float]:
     """High-type rent set at mu0: a singleton off cutoffs, the closed interval
     [delta^i dv, delta^(i-1) dv] at cutoff i >= 1 (matched within 1e-12)."""
     m0 = belief(mu0)
-    if s.table.degenerate:
+    if table.degenerate:
         return (0.0, 0.0)
-    p = s.params
-    for i in range(1, len(s.table.cutoffs)):
-        if abs(m0 - s.table.cutoffs[i]) <= CUTOFF_MATCH_TOL:
+    p = table.params
+    for i in range(1, len(table.cutoffs)):
+        if abs(m0 - table.cutoffs[i]) <= CUTOFF_MATCH_TOL:
             return (p.delta**i * p.delta_v, p.delta ** (i - 1) * p.delta_v)
-    r = buyer_rent(s, m0)
+    r = buyer_rent(table, m0)
     return (r, r)

@@ -18,7 +18,7 @@ import numpy as np
 from .core import belief, virtual_value
 from .cutoffs import CutoffTable, indifference_gap
 from .mechanism import Split, equilibrium_split
-from .value import ValueSurface, eval_R
+from .value import eval_R
 
 RESIDUAL_TOL_PER_VHIGH = 1e-10
 ENVELOPE_FIXPOINT_MAX_PASSES = 8
@@ -123,17 +123,16 @@ def concave_envelope(points) -> list[EnvelopePoint]:
     return [EnvelopePoint(float(xi), float(yi), float(ei)) for xi, yi, ei in zip(x, y, env)]
 
 
-def _stage_values(s: ValueSurface, grid: np.ndarray, mu0: float):
+def _stage_values(table: CutoffTable, grid: np.ndarray, mu0: float):
     """Sell-now and discounted-delay values at every grid posterior."""
-    p = s.params
+    p = table.params
     vhat0 = virtual_value(p, mu0)
     sale = grid * p.v_high + (1.0 - grid) * vhat0
-    delay = p.delta * eval_R(s, grid, mu0)
+    delay = p.delta * eval_R(table, grid, mu0)
     return sale, delay
 
 
 def deviation_scan(
-    s: ValueSurface,
     table: CutoffTable,
     mu0: float,
     grid_n: int = 1001,
@@ -151,13 +150,13 @@ def deviation_scan(
     m0 = belief(mu0)
     if m0 == 1.0:
         raise ValueError("deviation scan has a pole at prior 1")
-    p = s.params
+    p = table.params
     tol = 1e-8 * p.v_high if tolerance is None else tolerance
 
     grid = np.unique(
         np.concatenate([np.linspace(0.0, 1.0, grid_n), np.asarray(table.cutoffs), [m0]])
     )
-    sale, delay = _stage_values(s, grid, m0)
+    sale, delay = _stage_values(table, grid, m0)
     w = np.maximum(sale, delay)
 
     i_left = np.where(grid <= m0)[0]
@@ -184,11 +183,11 @@ def deviation_scan(
         q_sale=float(sale[ib] >= delay[ib]),
     )
 
-    equilibrium = float(eval_R(s, m0, m0))
+    equilibrium = float(eval_R(table, m0, m0))
 
     # diagnostic: concavify max(sale, delta * cav R); where upper
     # semicontinuity fails this can exceed the scan value at knife edges
-    cav_r = np.asarray([q.envelope for q in concave_envelope(zip(grid, eval_R(s, grid, m0)))])
+    cav_r = np.asarray([q.envelope for q in concave_envelope(zip(grid, eval_R(table, grid, m0)))])
     obj = np.maximum(sale, p.delta * cav_r)
     env = concave_envelope(zip(grid, obj))
     envelope_value = env[at_prior].envelope
@@ -204,7 +203,7 @@ def deviation_scan(
     )
 
 
-def structure_checks(s: ValueSurface, table: CutoffTable, grid_n: int = 1001) -> StructureReport:
+def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
     """Structural sanity of the policy over a prior grid.
 
     Checks that delay posteriors are always cutoffs, that the delay posterior
@@ -214,7 +213,7 @@ def structure_checks(s: ValueSurface, table: CutoffTable, grid_n: int = 1001) ->
     and that every computed cutoff satisfies its defining indifference to
     1e-10 * v_high.
     """
-    p = s.params
+    p = table.params
     priors = np.linspace(0.0, 1.0, grid_n)[:-1]
     cutset = set(table.cutoffs)
 

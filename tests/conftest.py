@@ -1,6 +1,6 @@
 import pytest
 
-from duropoly import MarketParams, ValueSurface, compute_cutoffs
+from duropoly import MarketParams, compute_cutoffs
 
 # exact roots of the first two affine indifference equations for (1, 2, 0.8)
 MU2_08 = 7.0 / 9.0
@@ -18,11 +18,6 @@ def table08(p08):
 
 
 @pytest.fixture(scope="session")
-def s08(table08):
-    return ValueSurface(table08)
-
-
-@pytest.fixture(scope="session")
 def p095():
     return MarketParams(1.0, 2.0, 0.95)
 
@@ -33,11 +28,6 @@ def table095(p095):
 
 
 @pytest.fixture(scope="session")
-def s095(table095):
-    return ValueSurface(table095)
-
-
-@pytest.fixture(scope="session")
 def pdeg():
     return MarketParams(0.0, 1.0, 0.9)
 
@@ -45,8 +35,3 @@ def pdeg():
 @pytest.fixture(scope="session")
 def tabledeg(pdeg):
     return compute_cutoffs(pdeg)
-
-
-@pytest.fixture(scope="session")
-def sdeg(tabledeg):
-    return ValueSurface(tabledeg)

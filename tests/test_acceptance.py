@@ -12,7 +12,6 @@ import pytest
 from duropoly import (
     CutoffTable,
     MarketParams,
-    ValueSurface,
     build_mechanism,
     check_binding_constraints,
     class_price,
@@ -58,9 +57,8 @@ def test_criterion_2_deviation_scans():
     for v_low, v_high, delta in ((1.0, 2.0, 0.8), (1.0, 2.0, 0.95), (0.0, 1.0, 0.9)):
         p = MarketParams(v_low, v_high, delta)
         table = compute_cutoffs(p)
-        s = ValueSurface(table)
         for m0 in np.linspace(0.01, 0.99, 101):
-            rep = deviation_scan(s, table, float(m0), grid_n=1001)
+            rep = deviation_scan(table, float(m0), grid_n=1001)
             ok &= rep.worst_gap <= 1e-8 * p.v_high
     # negative control: a table with the second cutoff shifted must fail
     p = MarketParams(1.0, 2.0, 0.8)
@@ -68,9 +66,9 @@ def test_criterion_2_deviation_scans():
     cuts = list(good.cutoffs)
     cuts[2] += 0.01
     bad = CutoffTable(p, tuple(cuts), good.horizon_reason)
-    bad_rep = deviation_scan(ValueSurface(bad), bad, good.cutoffs[2] + 0.005)
+    bad_rep = deviation_scan(bad, good.cutoffs[2] + 0.005)
     ok &= not bad_rep.passed
-    ok &= not structure_checks(ValueSurface(bad), bad, grid_n=201).cutoff_residuals_ok
+    ok &= not structure_checks(bad, grid_n=201).cutoff_residuals_ok
     report(2, "no profitable one-shot deviation at 101 priors x 3 parameter "
               "sets; the perturbed table fails", ok)
 
@@ -97,10 +95,9 @@ def test_criterion_3_posted_price_identity():
 def test_criterion_4_binding_constraints():
     p = MarketParams(1.0, 2.0, 0.8)
     table = compute_cutoffs(p)
-    s = ValueSurface(table)
     worst = 0.0
     for m0 in np.linspace(0.0, 1.0, 1002)[:-1]:
-        res = check_binding_constraints(build_mechanism(table, float(m0)), s)
+        res = check_binding_constraints(build_mechanism(table, float(m0)), table)
         worst = max(worst, abs(res.participation_low), abs(res.truthtelling_high))
     ok = worst < 1e-12 * p.v_high
     report(4, f"participation and truth-telling residuals below 1e-12 v_high "
@@ -109,9 +106,9 @@ def test_criterion_4_binding_constraints():
 
 def test_criterion_5_full_surplus(tmp_path):
     p = MarketParams(0.0, 1.0, 0.9)
-    s = ValueSurface(compute_cutoffs(p))
+    table = compute_cutoffs(p)
     ok = all(
-        seller_revenue(s, float(m0)) == float(m0) * p.v_high
+        seller_revenue(table, float(m0)) == float(m0) * p.v_high
         for m0 in np.linspace(0.0, 0.99, 101)
     )
     code = cli_main(["sweep", "--v-low", "0", "--v-high", "1", "--delta", "0.9",
@@ -129,22 +126,21 @@ def test_criterion_5_full_surplus(tmp_path):
 def test_criterion_6_path_invariant_rents():
     p = MarketParams(1.0, 2.0, 0.8)
     table = compute_cutoffs(p)
-    s = ValueSurface(table)
     m0 = 0.85
     assert table.delay_class(m0) == 2
     want = p.delta**2 * p.delta_v
 
     worst = 0.0
-    for rec in iter_paths(table, s, m0, "fixed_high", 100_000, seed=123):
+    for rec in iter_paths(table, m0, "fixed_high", 100_000, seed=123):
         worst = max(worst, abs(rec.discounted_buyer_payoff - want))
     ok = worst < 1e-12
 
-    low = monte_carlo(table, s, m0, "fixed_low", 5_000, seed=9)
+    low = monte_carlo(table, m0, "fixed_low", 5_000, seed=9)
     ok &= low.mean_rent_low == 0.0 and low.se_revenue < 1e-15
 
-    pooled = monte_carlo(table, s, m0, "prior", 100_000, seed=11)
-    ok &= abs(pooled.mean_revenue - eval_R(s, m0, m0)) <= 3.0 * pooled.se_revenue
-    ok &= pooled == monte_carlo(table, s, m0, "prior", 100_000, seed=11)
+    pooled = monte_carlo(table, m0, "prior", 100_000, seed=11)
+    ok &= abs(pooled.mean_revenue - eval_R(table, m0, m0)) <= 3.0 * pooled.se_revenue
+    ok &= pooled == monte_carlo(table, m0, "prior", 100_000, seed=11)
     report(6, f"1e5 high-type paths all earn delta^2 dv (worst dev {worst:.1e}), "
               "low types earn 0, Monte Carlo mean matches the analytic value "
               "reproducibly", ok)
@@ -153,15 +149,14 @@ def test_criterion_6_path_invariant_rents():
 def test_criterion_7_value_structure():
     p = MarketParams(1.0, 2.0, 0.8)
     table = compute_cutoffs(p)
-    s = ValueSurface(table)
     cuts = table.cutoffs
     rng = np.random.default_rng(21)
 
     ok = True
     for _ in range(100):
         mp, m0 = float(rng.random()), float(rng.random() * 0.99)
-        d = decompose_R(s, mp)
-        ok &= abs(eval_R(s, mp, m0) - (d.alpha * p.v_high + d.gamma * virtual_value(p, m0))) < 1e-12
+        d = decompose_R(table, mp)
+        ok &= abs(eval_R(table, mp, m0) - (d.alpha * p.v_high + d.gamma * virtual_value(p, m0))) < 1e-12
         ok &= d.alpha <= mp + 1e-12
 
     eps = 1e-7
@@ -170,12 +165,12 @@ def test_criterion_7_value_structure():
             c = cuts[k]
             if 1.0 - c < 2 * eps or c - cuts[k - 1] < 2 * eps:
                 continue
-            jump = eval_R(s, c + eps, m0) - eval_R(s, c - eps, m0)
+            jump = eval_R(table, c + eps, m0) - eval_R(table, c - eps, m0)
             ok &= (jump >= -1e-9 * p.v_high) == (m0 >= c)
 
     for m0 in np.linspace(0.0, 1.0, 1001)[:-1]:
         m0 = float(m0)
-        ok &= seller_revenue(s, m0) <= max(p.v_low, m0 * p.v_high) + 1e-12
+        ok &= seller_revenue(table, m0) <= max(p.v_low, m0 * p.v_high) + 1e-12
     report(7, "linearity, alpha <= mu', jump directions at cutoffs, and the "
               "commitment bound all hold", ok)
 
@@ -183,12 +178,11 @@ def test_criterion_7_value_structure():
 def test_criterion_8_envelope_figures():
     p = MarketParams(1.0, 2.0, 0.8)
     table = compute_cutoffs(p)
-    s = ValueSurface(table)
     ok = True
     for m0, kink in ((0.6, 0.0), (0.85, table.cutoffs[1])):
         grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1001), table.cutoffs, [m0]]))
         sale = grid * p.v_high + (1.0 - grid) * virtual_value(p, m0)
-        w = np.maximum(sale, p.delta * eval_R(s, grid, m0))
+        w = np.maximum(sale, p.delta * eval_R(table, grid, m0))
         env = concave_envelope(zip(grid, w))
         values = np.asarray([q.envelope for q in env])
         raws = np.asarray([q.raw for q in env])

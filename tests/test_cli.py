@@ -24,7 +24,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
 def test_solve_artifacts_round_trip(tmp_path):
     run("solve", "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.6,
         "--grid", 101, "--out", tmp_path)
-    from duropoly import MarketParams, ValueSurface, build_mechanism, compute_cutoffs, eval_R
+    from duropoly import MarketParams, build_mechanism, compute_cutoffs, eval_R, posted_price_view
 
     table = compute_cutoffs(MarketParams(1, 2, 0.8))
     with open(tmp_path / "cutoffs.csv") as fh:
@@ -32,15 +32,15 @@ def test_solve_artifacts_round_trip(tmp_path):
     assert tuple(float(r["mu_bar"]) for r in rows) == table.cutoffs
 
     mech = json.loads((tmp_path / "mechanism.json").read_text())
-    want = build_mechanism(table, 0.6).to_json(table)
+    built = build_mechanism(table, 0.6)
+    want = built.to_json(posted_price_view(built, table))
     assert mech == want
 
-    s = ValueSurface(table)
     with open(tmp_path / "value_table.csv") as fh:
         vrows = list(csv.DictReader(fh))
     assert len(vrows) == 101
     for r in vrows[::10]:
-        assert float(r["R"]) == eval_R(s, float(r["mu_prime"]), 0.6)
+        assert float(r["R"]) == eval_R(table, float(r["mu_prime"]), 0.6)
 
 
 def test_solve_degenerate_summary(tmp_path, capsys):
@@ -49,6 +49,14 @@ def test_solve_degenerate_summary(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "revenue 0.3" in out and "price 1" in out and "rent 0" in out
+
+
+def test_solve_huge_scale(tmp_path, capsys):
+    # the first cutoff is 1e-300; the posted-price check needs its class
+    code = run("solve", "--v-low", 1, "--v-high", 1e300, "--delta", 0.5,
+               "--mu0", 0.5, "--out", tmp_path)
+    assert code == 0
+    assert "class n=" in capsys.readouterr().out
 
 
 def test_invalid_params_exit_2(tmp_path, capsys):

@@ -82,12 +82,34 @@ def test_gap_input_validation(p08, table08, tabledeg, pdeg):
         indifference_gap(pdeg, tabledeg, 1, 0.5)
 
 
-def test_bisection_matches_sign_scan(p08, table08):
+def test_closed_form_matches_sign_scan(p08, table08):
     cuts = table08.cutoffs
     for n in range(1, min(5, len(cuts) - 1)):
         root = scan_cutoff(p08, cuts, n, n_points=100_000)
         assert root is not None
         assert abs(root - cuts[n + 1]) < 1e-8
+
+
+@pytest.mark.parametrize("delta", [0.001, 0.5, 0.8])
+@pytest.mark.parametrize("v_low,v_high", [(1e-100, 1.0), (1e-13, 1.0), (0.99, 1.0), (1.0, 1e300)])
+def test_cutoffs_at_domain_edges(v_low, v_high, delta):
+    # cutoffs as small as 1e-300 and values as large as 1e300 must still resolve
+    p = MarketParams(v_low, v_high, delta)
+    table = compute_cutoffs(p)
+    cuts = table.cutoffs
+    assert all(a < b for a, b in zip(cuts[1:], cuts[2:])) and cuts[-1] < 1.0
+    for n in range(1, len(cuts) - 1):
+        assert abs(indifference_gap(p, table, n, cuts[n + 1])) < 1e-10 * v_high
+
+
+def test_table_rejects_non_increasing_cutoffs(p08, table08):
+    cuts = table08.cutoffs
+    for bad in ((0.0, 0.5, 0.5, 0.9), (0.0, 0.5, 0.4), (0.1, 0.5, 0.7), (0.0,)):
+        with pytest.raises(ValueError):
+            CutoffTable(p08, bad, HorizonReason.REACHED_ONE)
+    # the degenerate table keeps mu_bar_0 = mu_bar_1 = 0
+    CutoffTable(p08, (0.0, 0.0), HorizonReason.REACHED_ONE)
+    CutoffTable(p08, cuts, table08.horizon_reason)
 
 
 def test_delay_class_examples(table08):

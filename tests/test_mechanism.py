@@ -151,7 +151,7 @@ def test_low_type_excluded(p08, table08):
         assert p08.v_low - mech.transfer[1.0] < 0.0
 
 
-def test_posted_price_view_one_delay(p08, table08, s08):
+def test_posted_price_view_one_delay(p08, table08):
     view = posted_price_view(build_mechanism(table08, 0.6), table08)
     assert p08.v_high - view.price == p08.delta * p08.delta_v
     assert view.accept_prob_high == 1.0
@@ -189,15 +189,15 @@ def test_posted_price_view_detects_tampering(table08):
         posted_price_view(bad, table08)
 
 
-def test_binding_constraints(p08, table08, s08):
+def test_binding_constraints(p08, table08):
     for m0 in (0.3, 0.6, 0.85, 0.97):
-        res = check_binding_constraints(build_mechanism(table08, m0), s08)
+        res = check_binding_constraints(build_mechanism(table08, m0), table08)
         assert abs(res.participation_low) < 1e-12 * p08.v_high
         assert abs(res.truthtelling_high) < 1e-12 * p08.v_high
 
 
-def test_binding_constraints_degenerate(tabledeg, sdeg):
-    res = check_binding_constraints(build_mechanism(tabledeg, 0.5), sdeg)
+def test_binding_constraints_degenerate(tabledeg):
+    res = check_binding_constraints(build_mechanism(tabledeg, 0.5), tabledeg)
     assert res.participation_low == 0.0
     assert abs(res.truthtelling_high) < 1e-12
 
@@ -214,20 +214,20 @@ def test_knife_edge_tie_break(table08):
 
 def test_mechanism_json(table08):
     mech = build_mechanism(table08, 0.85)
-    data = mech.to_json(table08)
+    data = mech.to_json(posted_price_view(mech, table08))
     assert data["prior"] == 0.85
     assert data["n"] == 2
     assert data["posted_price"]["price"] == mech.transfer[1.0]
     assert dict(map(tuple, data["transfer"])) == mech.transfer
 
 
-def test_high_rent_consistent_with_price(p08, table08, s08):
+def test_high_rent_consistent_with_price(p08, table08):
     # accepting now and rejecting once both leave the high type delta^n dv
     for m0 in (0.6, 0.85, 0.93):
         view = posted_price_view(build_mechanism(table08, m0), table08)
         n = table08.delay_class(m0)
-        assert p08.v_high - view.price == pytest.approx(buyer_rent(s08, m0), abs=1e-14)
-        assert buyer_rent(s08, m0) == pytest.approx(
-            p08.delta * buyer_rent(s08, view.reject_posterior), abs=1e-14
+        assert p08.v_high - view.price == pytest.approx(buyer_rent(table08, m0), abs=1e-14)
+        assert buyer_rent(table08, m0) == pytest.approx(
+            p08.delta * buyer_rent(table08, view.reject_posterior), abs=1e-14
         )
         assert n == table08.delay_class(view.reject_posterior) + 1

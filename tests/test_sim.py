@@ -4,160 +4,160 @@ import pytest
 from duropoly import buyer_rent, class_price, monte_carlo, seller_revenue, simulate_path
 
 
-def test_no_delay_prior_trades_immediately(table08, s08):
+def test_no_delay_prior_trades_immediately(table08):
     rng = np.random.default_rng(0)
     for btype in ("low", "high"):
-        rec = simulate_path(table08, s08, 0.3, btype, rng)
+        rec = simulate_path(table08, 0.3, btype, rng)
         assert rec.trade_period == 0
         assert rec.discounted_revenue == 1.0
         assert rec.steps[0].price == 1.0
 
 
-def test_one_delay_high_type(table08, s08):
+def test_one_delay_high_type(table08):
     # the delay posterior is 0, so the high type accepts at once
-    rec = simulate_path(table08, s08, 0.6, "high", np.random.default_rng(1))
+    rec = simulate_path(table08, 0.6, "high", np.random.default_rng(1))
     assert rec.trade_period == 0
     assert rec.discounted_revenue == 1.2
     assert rec.discounted_buyer_payoff == 0.8
 
 
-def test_high_type_rent_path_invariant(table08, s08, p08):
+def test_high_type_rent_path_invariant(table08, p08):
     m0 = 0.85  # class 2
     want = p08.delta**2 * p08.delta_v
     rng = np.random.default_rng(2)
     seen_periods = set()
     for _ in range(2000):
-        rec = simulate_path(table08, s08, m0, "high", rng)
+        rec = simulate_path(table08, m0, "high", rng)
         assert abs(rec.discounted_buyer_payoff - want) < 1e-12
         seen_periods.add(rec.trade_period)
     assert seen_periods <= {0, 1, 2}
     assert len(seen_periods) > 1  # the acceptance time really is random
 
 
-def test_low_type_trades_at_class_period(table08, s08, p08):
+def test_low_type_trades_at_class_period(table08, p08):
     rng = np.random.default_rng(3)
     for m0 in (0.3, 0.6, 0.85):
         n = table08.delay_class(m0)
-        rec = simulate_path(table08, s08, m0, "low", rng)
+        rec = simulate_path(table08, m0, "low", rng)
         assert rec.trade_period == n
         assert rec.discounted_buyer_payoff == 0.0
         assert rec.discounted_revenue == pytest.approx(p08.delta**n * p08.v_low, abs=1e-15)
         assert rec.steps[-1].price == p08.v_low
 
 
-def test_beliefs_walk_down_the_cutoff_chain(table08, s08):
-    rec = simulate_path(table08, s08, 0.85, "low", np.random.default_rng(4))
+def test_beliefs_walk_down_the_cutoff_chain(table08):
+    rec = simulate_path(table08, 0.85, "low", np.random.default_rng(4))
     beliefs = [step.belief for step in rec.steps]
     assert beliefs == [0.85, table08.cutoffs[1], 0.0]
     prices = [step.price for step in rec.steps]
     assert prices == [class_price(table08.params, 2), class_price(table08.params, 1), 1.0]
 
 
-def test_low_type_never_accepts_above_v_low(table08, s08):
+def test_low_type_never_accepts_above_v_low(table08):
     rng = np.random.default_rng(5)
-    rec = simulate_path(table08, s08, 0.95, "low", rng)
+    rec = simulate_path(table08, 0.95, "low", rng)
     for step in rec.steps:
         if step.action == "accept":
             assert step.price <= table08.params.v_low
 
 
-def test_degenerate_low_type_never_trades(tabledeg, sdeg):
-    rec = simulate_path(tabledeg, sdeg, 0.5, "low", np.random.default_rng(6))
+def test_degenerate_low_type_never_trades(tabledeg):
+    rec = simulate_path(tabledeg, 0.5, "low", np.random.default_rng(6))
     assert rec.trade_period is None
     assert rec.discounted_revenue == 0.0
     assert rec.discounted_buyer_payoff == 0.0
 
 
-def test_degenerate_high_type_pays_full_value(tabledeg, sdeg):
-    rec = simulate_path(tabledeg, sdeg, 0.5, "high", np.random.default_rng(7))
+def test_degenerate_high_type_pays_full_value(tabledeg):
+    rec = simulate_path(tabledeg, 0.5, "high", np.random.default_rng(7))
     assert rec.trade_period == 0
     assert rec.discounted_revenue == 1.0
     assert rec.discounted_buyer_payoff == 0.0
 
 
-def test_horizon_truncation(table08, s08):
-    rec = simulate_path(table08, s08, 0.85, "low", np.random.default_rng(8), horizon=1)
+def test_horizon_truncation(table08):
+    rec = simulate_path(table08, 0.85, "low", np.random.default_rng(8), horizon=1)
     assert rec.trade_period is None
     assert len(rec.steps) == 1
     assert rec.discounted_revenue == 0.0
 
 
-def test_simulate_path_input_validation(table08, s08):
+def test_simulate_path_input_validation(table08):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        simulate_path(table08, s08, 0.5, "medium", rng)
+        simulate_path(table08, 0.5, "medium", rng)
     with pytest.raises(ValueError):
-        simulate_path(table08, s08, 1.0, "high", rng)
+        simulate_path(table08, 1.0, "high", rng)
 
 
-def test_monte_carlo_deterministic(table08, s08):
-    a = monte_carlo(table08, s08, 0.6, "prior", 5000, seed=42)
-    b = monte_carlo(table08, s08, 0.6, "prior", 5000, seed=42)
+def test_monte_carlo_deterministic(table08):
+    a = monte_carlo(table08, 0.6, "prior", 5000, seed=42)
+    b = monte_carlo(table08, 0.6, "prior", 5000, seed=42)
     assert a == b
-    c = monte_carlo(table08, s08, 0.6, "prior", 5000, seed=43)
+    c = monte_carlo(table08, 0.6, "prior", 5000, seed=43)
     assert c != a
 
 
-def test_monte_carlo_mean_matches_analytic(table08, s08):
-    mc = monte_carlo(table08, s08, 0.6, "prior", 50_000, seed=0)
-    assert abs(mc.mean_revenue - seller_revenue(s08, 0.6)) <= 3.0 * mc.se_revenue
+def test_monte_carlo_mean_matches_analytic(table08):
+    mc = monte_carlo(table08, 0.6, "prior", 50_000, seed=0)
+    assert abs(mc.mean_revenue - seller_revenue(table08, 0.6)) <= 3.0 * mc.se_revenue
 
 
-def test_monte_carlo_zero_variance_rent(table08, s08, p08):
-    mc = monte_carlo(table08, s08, 0.85, "fixed_high", 20_000, seed=1)
+def test_monte_carlo_zero_variance_rent(table08, p08):
+    mc = monte_carlo(table08, 0.85, "fixed_high", 20_000, seed=1)
     assert mc.mean_rent_high == pytest.approx(p08.delta**2 * p08.delta_v, abs=1e-12)
     assert mc.mean_rent_low == 0.0
     assert set(mc.trade_time_histogram) <= {0, 1, 2}
 
 
-def test_monte_carlo_low_type(table08, s08, p08):
-    mc = monte_carlo(table08, s08, 0.85, "fixed_low", 500, seed=2)
+def test_monte_carlo_low_type(table08, p08):
+    mc = monte_carlo(table08, 0.85, "fixed_low", 500, seed=2)
     assert mc.mean_rent_low == 0.0
     assert mc.trade_time_histogram == {2: 500}
     assert mc.se_revenue < 1e-15  # identical paths, up to summation rounding
 
 
-def test_monte_carlo_revenue_decomposition(table08, s08):
+def test_monte_carlo_revenue_decomposition(table08):
     m0 = 0.85
-    pooled = monte_carlo(table08, s08, m0, "prior", 60_000, seed=3)
-    high = monte_carlo(table08, s08, m0, "fixed_high", 60_000, seed=3)
-    low = monte_carlo(table08, s08, m0, "fixed_low", 1000, seed=3)
+    pooled = monte_carlo(table08, m0, "prior", 60_000, seed=3)
+    high = monte_carlo(table08, m0, "fixed_high", 60_000, seed=3)
+    low = monte_carlo(table08, m0, "fixed_low", 1000, seed=3)
     combo = m0 * high.mean_revenue + (1.0 - m0) * low.mean_revenue
     assert abs(pooled.mean_revenue - combo) <= 3.0 * (pooled.se_revenue + high.se_revenue)
 
 
-def test_monte_carlo_degenerate(tabledeg, sdeg):
-    mc = monte_carlo(tabledeg, sdeg, 0.3, "prior", 20_000, seed=4)
+def test_monte_carlo_degenerate(tabledeg):
+    mc = monte_carlo(tabledeg, 0.3, "prior", 20_000, seed=4)
     assert abs(mc.mean_revenue - 0.3) <= 3.0 * mc.se_revenue
     assert mc.mean_rent_high == 0.0
     assert mc.mean_rent_low == 0.0
     assert set(mc.trade_time_histogram) <= {-1, 0}
 
 
-def test_monte_carlo_input_validation(table08, s08):
+def test_monte_carlo_input_validation(table08):
     with pytest.raises(ValueError):
-        monte_carlo(table08, s08, 0.5, "both", 10, seed=0)
+        monte_carlo(table08, 0.5, "both", 10, seed=0)
     with pytest.raises(ValueError):
-        monte_carlo(table08, s08, 0.5, "prior", 0, seed=0)
+        monte_carlo(table08, 0.5, "prior", 0, seed=0)
 
 
-def test_paths_schedule_independent(table08, s08):
+def test_paths_schedule_independent(table08):
     # path i depends only on (seed, i), not on how many paths are run
     from duropoly import iter_paths
 
-    short = list(iter_paths(table08, s08, 0.85, "prior", 10, seed=6))
-    long = list(iter_paths(table08, s08, 0.85, "prior", 50, seed=6))
+    short = list(iter_paths(table08, 0.85, "prior", 10, seed=6))
+    long = list(iter_paths(table08, 0.85, "prior", 50, seed=6))
     assert short == long[:10]
 
 
-def test_rng_algorithm_recorded(table08, s08):
-    mc = monte_carlo(table08, s08, 0.5, "prior", 10, seed=0)
+def test_rng_algorithm_recorded(table08):
+    mc = monte_carlo(table08, 0.5, "prior", 10, seed=0)
     assert "pcg64" in mc.rng_algorithm
     assert mc.seed == 0
 
 
-def test_high_rent_equals_analytic_everywhere(table08, s08):
+def test_high_rent_equals_analytic_everywhere(table08):
     # the simulated rent is the analytic one, not just on average
     for m0 in (0.55, 0.8, 0.93):
-        mc = monte_carlo(table08, s08, m0, "fixed_high", 3000, seed=5)
-        assert mc.mean_rent_high == pytest.approx(buyer_rent(s08, m0), abs=1e-12)
+        mc = monte_carlo(table08, m0, "fixed_high", 3000, seed=5)
+        assert mc.mean_rent_high == pytest.approx(buyer_rent(table08, m0), abs=1e-12)

@@ -62,21 +62,21 @@ def test_envelope_input_validation():
         concave_envelope([(0.5, 1.0), (0.2, 2.0)])
 
 
-def test_scan_degenerate_full_surplus(sdeg, tabledeg):
-    rep = deviation_scan(sdeg, tabledeg, 0.3)
+def test_scan_degenerate_full_surplus(tabledeg):
+    rep = deviation_scan(tabledeg, 0.3)
     assert rep.best_deviation_value == pytest.approx(0.3, abs=1e-12)
     assert rep.equilibrium_value == 0.3
     assert rep.passed
 
 
-def test_scan_no_delay_prior(s08, table08):
-    rep = deviation_scan(s08, table08, 0.3)
+def test_scan_no_delay_prior(table08):
+    rep = deviation_scan(table08, 0.3)
     assert rep.worst_gap <= rep.tolerance
     assert rep.equilibrium_value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_scan_one_delay_prior(s08, table08):
-    rep = deviation_scan(s08, table08, 0.6)
+def test_scan_one_delay_prior(table08):
+    rep = deviation_scan(table08, 0.6)
     assert rep.worst_gap <= rep.tolerance
     assert rep.equilibrium_value == pytest.approx(1.04, abs=1e-12)
     assert (rep.witness.posterior_delay, rep.witness.posterior_sale) == (0.0, 1.0)
@@ -84,18 +84,18 @@ def test_scan_one_delay_prior(s08, table08):
     assert rep.best_deviation_value == pytest.approx(1.04, abs=1e-12)
 
 
-def test_scan_finer_grid_agrees(s08, table08):
+def test_scan_finer_grid_agrees(table08):
     # the coarse scan's optimum survives a finer exhaustive scan
     for m0 in (0.3, 0.6, 0.85):
-        coarse = deviation_scan(s08, table08, m0, grid_n=1001)
-        fine = deviation_scan(s08, table08, m0, grid_n=2001)
+        coarse = deviation_scan(table08, m0, grid_n=1001)
+        fine = deviation_scan(table08, m0, grid_n=2001)
         assert abs(fine.best_deviation_value - coarse.best_deviation_value) < 1e-10
 
 
-def test_scan_witness_matches_split(s08, table08):
+def test_scan_witness_matches_split(table08):
     grid_step = 1.0 / 1000
     for m0 in (0.2, 0.55, 0.65, 0.85, 0.95):
-        rep = deviation_scan(s08, table08, m0, grid_n=1001)
+        rep = deviation_scan(table08, m0, grid_n=1001)
         split = equilibrium_split(table08, m0)
         assert rep.passed
         if split.weight_delay > 0.0:
@@ -103,20 +103,20 @@ def test_scan_witness_matches_split(s08, table08):
             assert rep.witness.posterior_sale == split.posterior_sale
 
 
-def test_scan_rejects_bad_inputs(s08, table08):
+def test_scan_rejects_bad_inputs(table08):
     with pytest.raises(ValueError):
-        deviation_scan(s08, table08, 0.5, grid_n=50)
+        deviation_scan(table08, 0.5, grid_n=50)
     with pytest.raises(ValueError):
-        deviation_scan(s08, table08, 1.0)
+        deviation_scan(table08, 1.0)
 
 
-def test_two_point_support_suffices(p08, s08, table08):
+def test_two_point_support_suffices(p08, table08):
     for m0 in (0.3, 0.6, 0.85):
         grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 51), table08.cutoffs, [m0]]))
         sale = grid * p08.v_high + (1.0 - grid) * virtual_value(p08, m0)
-        w = np.maximum(sale, p08.delta * eval_R(s08, grid, m0))
+        w = np.maximum(sale, p08.delta * eval_R(table08, grid, m0))
         three = best_three_point(grid, w, m0)
-        two = deviation_scan(s08, table08, m0, grid_n=101).best_deviation_value
+        two = deviation_scan(table08, m0, grid_n=101).best_deviation_value
         # reuse the same coarse grid for the two-point side
         i_l = np.nonzero(grid <= m0)[0]
         i_r = np.nonzero(grid >= m0)[0]
@@ -133,9 +133,9 @@ def test_two_point_support_suffices(p08, s08, table08):
         assert two <= best2 + 1e-10 * p08.v_high
 
 
-def test_structure_checks_pass(s08, table08, s095, table095, sdeg, tabledeg):
-    for s, t in ((s08, table08), (s095, table095), (sdeg, tabledeg)):
-        report = structure_checks(s, t, grid_n=501)
+def test_structure_checks_pass(table08, table095, tabledeg):
+    for t in (table08, table095, tabledeg):
+        report = structure_checks(t, grid_n=501)
         assert report.all_ok, report
 
 
@@ -150,31 +150,26 @@ def _perturbed(table08):
     return CutoffTable(table08.params, tuple(cuts), table08.horizon_reason)
 
 
-def test_negative_control_residuals_fail(s08, table08):
-    from duropoly import ValueSurface
-
+def test_negative_control_residuals_fail(table08):
     bad_table = _perturbed(table08)
-    report = structure_checks(ValueSurface(bad_table), bad_table, grid_n=201)
+    report = structure_checks(bad_table, grid_n=201)
     assert not report.cutoff_residuals_ok
     assert report.max_cutoff_residual > 1e-4
 
 
 def test_negative_control_deviation_fails(table08):
-    from duropoly import ValueSurface
-
     bad_table = _perturbed(table08)
-    bad_s = ValueSurface(bad_table)
     m0 = table08.cutoffs[2] + 0.005  # true class 2, mislabeled class 1
-    rep = deviation_scan(bad_s, bad_table, m0)
+    rep = deviation_scan(bad_table, m0)
     assert not rep.passed
     assert rep.worst_gap > 1e-4
 
 
-def test_envelope_value_recorded(s08, table08):
-    rep = deviation_scan(s08, table08, 0.6)
+def test_envelope_value_recorded(table08):
+    rep = deviation_scan(table08, 0.6)
     assert np.isfinite(rep.envelope_value)
     assert rep.envelope_value >= rep.best_deviation_value - 1e-10
     # at a knife-edge prior the concavified formula may exceed the scan,
     # reflecting the failure of upper semicontinuity; both are reported
-    knife = deviation_scan(s08, table08, table08.cutoffs[2])
+    knife = deviation_scan(table08, table08.cutoffs[2])
     assert knife.envelope_value >= knife.best_deviation_value - 1e-10
