@@ -20,7 +20,7 @@ from .cutoffs import compute_cutoffs
 from .mechanism import build_mechanism, posted_price_view
 from .sim import iter_paths, monte_carlo
 from .value import buyer_rent, eval_R, seller_revenue
-from .verify import deviation_scan, structure_checks
+from .verify import MIN_SCAN_GRID, deviation_scan, structure_checks
 
 SWEEP_DEFAULT_PATHS = 200
 VERIFY_N_PRIORS = 101
@@ -62,9 +62,12 @@ def _build_config(args) -> RunConfig:
     if missing:
         raise ValueError(f"missing parameters: {', '.join(missing)}")
     params = MarketParams(**pdict)
+    grid_n = args.grid if args.grid is not None else int(raw.get("grid_n", 1001))
+    if args.command == "verify" and grid_n < MIN_SCAN_GRID:
+        raise ValueError(f"verify needs a grid of at least {MIN_SCAN_GRID} points, got {grid_n}")
     return RunConfig(
         params=params,
-        grid_n=args.grid if args.grid is not None else int(raw.get("grid_n", 1001)),
+        grid_n=grid_n,
         mc_paths=args.paths if args.paths is not None else int(raw.get("mc_paths", 100_000)),
         seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
         tolerances=dict(raw.get("tolerances", {})),
@@ -110,10 +113,17 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     priors = np.linspace(0.01, 0.99, VERIFY_N_PRIORS)
     failures = []
+    records = []
     max_gap = 0.0
     for m0 in priors:
         rep = deviation_scan(table, float(m0), grid_n=cfg.grid_n, tolerance=tol)
         max_gap = max(max_gap, rep.worst_gap)
+        records.append({
+            "prior": rep.prior,
+            "worst_gap": rep.worst_gap,
+            "posterior_delay": rep.witness.posterior_delay,
+            "posterior_sale": rep.witness.posterior_sale,
+        })
         if not rep.passed:
             failures.append({"prior": float(m0), "gap": rep.worst_gap, "kind": "deviation"})
     structure = structure_checks(table, grid_n=cfg.grid_n)
@@ -130,6 +140,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "n_priors": len(priors),
         "max_gap": max_gap,
         "failures": failures,
+        "priors": records,
     }
     with open(out / "verify_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)

@@ -1,13 +1,12 @@
 """Independent equilibrium verification.
 
-The ground-truth check is an exhaustive one-shot deviation scan: at each
-prior, every Bayes-plausible two-point distribution over a posterior grid is
-valued at the better of selling now and delaying, and the best value found is
-compared against the equilibrium value.  Two-point support is sufficient
-because a distribution with a single mean constraint admits an optimum on at
-most two points.  The concave envelope is also computed, for diagnostics and
-figure reproduction; the continuation values fail upper semicontinuity at
-cutoffs above the prior's class, so the envelope formula is not the check.
+At each prior, every Bayes-plausible distribution over a posterior grid is
+valued at w, the better of selling now and delaying, and the best value is
+compared against the equilibrium value.  A distribution with a single mean
+constraint has an optimum on at most two points, and the best two-point
+split is the upper concave hull of w on the grid at the prior
+(concavification), so the check is one exact monotone-chain hull per prior.
+The grid holds every cutoff, where the optimum lives.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from .mechanism import Split, equilibrium_split
 from .value import eval_R
 
 RESIDUAL_TOL_PER_VHIGH = 1e-10
-ENVELOPE_FIXPOINT_MAX_PASSES = 8
+MIN_SCAN_GRID = 101
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,7 @@ class DeviationReport:
     best_deviation_value: float
     equilibrium_value: float
     worst_gap: float
-    witness: Split | None
-    envelope_value: float
+    witness: Split
     tolerance: float
 
     @property
@@ -66,45 +64,32 @@ class StructureReport:
         )
 
 
-def _hull_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One monotone-chain pass: least concave majorant values on the grid.
+def _upper_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
+    """Indices of the upper concave hull's vertices (Andrew's monotone chain).
 
-    Kept points retain their values exactly; a point below a chord gets the
-    larger of its own value and the chord's interpolation, so the result
-    never drops below the input.  The turn test carries a tolerance scaled to
-    the data so that rounding-level dips (in particular, chord values written
-    by a previous pass) are treated as collinear and kept; affine data comes
-    back unchanged and re-applying the pass to its own output is a no-op.
+    x must be strictly increasing.  A point on or below the chord of its
+    hull neighbours is dropped, so the vertices are the hull's extreme points.
     """
-    n = len(x)
-    # noise bound for the cross product of three on-chord points
-    slack = 64.0 * np.finfo(float).eps * max(1e-300, float(np.max(np.abs(y))))
-    stack = [0]
-    for i in range(1, n):
-        while len(stack) >= 2:
-            a, b = stack[-2], stack[-1]
-            # pop b when it dips below the chord from a to i by more than noise
-            cross = (x[b] - x[a]) * (y[i] - y[b]) - (y[b] - y[a]) * (x[i] - x[b])
-            if cross > slack * (x[i] - x[a]):
-                stack.pop()
+    hull = [0]
+    for i in range(1, len(x)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (x[b] - x[a]) * (y[i] - y[b]) >= (y[b] - y[a]) * (x[i] - x[b]):
+                hull.pop()
             else:
                 break
-        stack.append(i)
-    env = y.copy()
-    for left, right in zip(stack[:-1], stack[1:]):
-        if right - left > 1:
-            span = slice(left + 1, right)
-            lam = (x[span] - x[left]) / (x[right] - x[left])
-            env[span] = np.maximum(y[span], y[left] + lam * (y[right] - y[left]))
-    return env
+        hull.append(i)
+    return hull
 
 
 def concave_envelope(points) -> list[EnvelopePoint]:
     """Least concave majorant of (belief, value) points, restricted to the grid.
 
-    The hull pass never lowers a value, so iterating it is monotone and
-    reaches a fixed point; re-applying the envelope to its own output then
-    reproduces it bit for bit.
+    Each point between consecutive hull vertices gets the larger of its own
+    value and the chord's, so the result never drops below the input.  When
+    no point lies more than 64 eps max|y| below that majorant, the input is
+    concave to rounding and comes back unchanged, so re-applying the
+    envelope to its own output reproduces it bit for bit.
     """
     pts = list(points)
     if len(pts) < 2:
@@ -114,12 +99,15 @@ def concave_envelope(points) -> list[EnvelopePoint]:
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("beliefs must be strictly increasing")
 
-    env = _hull_values(x, y)
-    for _ in range(ENVELOPE_FIXPOINT_MAX_PASSES):
-        nxt = _hull_values(x, env)
-        if np.array_equal(nxt, env):
-            break
-        env = nxt
+    env = y.copy()
+    hull = _upper_hull(x, y)
+    for left, right in zip(hull[:-1], hull[1:]):
+        span = slice(left + 1, right)
+        lam = (x[span] - x[left]) / (x[right] - x[left])
+        env[span] = np.maximum(y[span], y[left] + lam * (y[right] - y[left]))
+    slack = 64.0 * np.finfo(float).eps * max(1e-300, float(np.max(np.abs(y))))
+    if np.max(env - y) <= slack:
+        env = y
     return [EnvelopePoint(float(xi), float(yi), float(ei)) for xi, yi, ei in zip(x, y, env)]
 
 
@@ -138,15 +126,17 @@ def deviation_scan(
     grid_n: int = 1001,
     tolerance: float | None = None,
 ) -> DeviationReport:
-    """Exhaustive two-point deviation search at one prior.
+    """Best two-point deviation at one prior: the upper hull of w at the prior.
 
-    The grid is grid_n uniform points joined with every cutoff and the prior
-    itself (the optimum lives at cutoffs, which a uniform grid would miss).
-    PASS means the best deviation exceeds the equilibrium value by at most
-    the tolerance, default 1e-8 * v_high.
+    w is the better of selling now and delaying at each posterior of a grid
+    of grid_n uniform points joined with every cutoff and the prior itself
+    (the optimum lives at cutoffs, which a uniform grid would miss).  The
+    witness is the pair of hull vertices around the prior.  PASS means the
+    best deviation exceeds the equilibrium value by at most the tolerance,
+    default 1e-8 * v_high.
     """
-    if grid_n < 101:
-        raise ValueError("grid_n must be at least 101")
+    if grid_n < MIN_SCAN_GRID:
+        raise ValueError(f"grid_n must be at least {MIN_SCAN_GRID}")
     m0 = belief(mu0)
     if m0 == 1.0:
         raise ValueError("deviation scan has a pole at prior 1")
@@ -159,21 +149,16 @@ def deviation_scan(
     sale, delay = _stage_values(table, grid, m0)
     w = np.maximum(sale, delay)
 
-    i_left = np.where(grid <= m0)[0]
-    i_right = np.where(grid >= m0)[0]
-    a, b = grid[i_left], grid[i_right]
-    den = b[None, :] - a[:, None]
-    num = w[i_left][:, None] * (b[None, :] - m0) + w[i_right][None, :] * (m0 - a[:, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = num / den
+    hull = _upper_hull(grid, w)
     at_prior = int(np.searchsorted(grid, m0))
-    vals[den == 0.0] = w[at_prior]
-
-    flat = int(np.argmax(vals))
-    ia, ib = i_left[flat // vals.shape[1]], i_right[flat % vals.shape[1]]
-    best = float(vals.flat[flat])
+    k = int(np.searchsorted(hull, at_prior))
+    ia, ib = (at_prior, at_prior) if hull[k] == at_prior else (hull[k - 1], hull[k])
     pa, pb = float(grid[ia]), float(grid[ib])
-    weight_sale = 1.0 if pa == pb else (m0 - pa) / (pb - pa)
+    if pa == pb:
+        best, weight_sale = float(w[ia]), 1.0
+    else:
+        best = float((w[ia] * (pb - m0) + w[ib] * (m0 - pa)) / (pb - pa))
+        weight_sale = (m0 - pa) / (pb - pa)
     witness = Split(
         posterior_delay=pa,
         posterior_sale=pb,
@@ -184,21 +169,12 @@ def deviation_scan(
     )
 
     equilibrium = float(eval_R(table, m0, m0))
-
-    # diagnostic: concavify max(sale, delta * cav R); where upper
-    # semicontinuity fails this can exceed the scan value at knife edges
-    cav_r = np.asarray([q.envelope for q in concave_envelope(zip(grid, eval_R(table, grid, m0)))])
-    obj = np.maximum(sale, p.delta * cav_r)
-    env = concave_envelope(zip(grid, obj))
-    envelope_value = env[at_prior].envelope
-
     return DeviationReport(
         prior=m0,
         best_deviation_value=best,
         equilibrium_value=equilibrium,
         worst_gap=best - equilibrium,
         witness=witness,
-        envelope_value=envelope_value,
         tolerance=tol,
     )
 

@@ -87,6 +87,21 @@ def brute_cav(x, y):
     return out
 
 
+def best_two_point(grid, w, m0):
+    """Best value over all Bayes-plausible two-point supports, pair by pair."""
+    grid = np.asarray(grid, dtype=float)
+    w = np.asarray(w, dtype=float)
+    right = np.nonzero(grid > m0)[0]
+    best = -np.inf
+    for ia in np.nonzero(grid <= m0)[0]:
+        xa = grid[ia]
+        if xa == m0:
+            best = max(best, float(w[ia]))
+        lam = (m0 - xa) / (grid[right] - xa)
+        best = max(best, float(np.max((1.0 - lam) * w[ia] + lam * w[right])))
+    return best
+
+
 def best_three_point(grid, w, m0, n_mix=7):
     """Best value over sampled three-point Bayes-plausible supports."""
     grid = np.asarray(grid, dtype=float)

@@ -77,6 +77,16 @@ def test_verify_passes(tmp_path):
     assert report["failures"] == []
     assert report["n_priors"] == 101
     assert report["max_gap"] < 1e-8 * 2.0
+    assert len(report["priors"]) == report["n_priors"]
+    assert max(r["worst_gap"] for r in report["priors"]) == report["max_gap"]
+
+
+def test_verify_small_grid_exit_2(tmp_path, capsys):
+    code = run("verify", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
+               "--mu0", 0.5, "--grid", 50, "--out", tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_simulate_fixed_high(tmp_path):

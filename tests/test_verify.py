@@ -11,7 +11,7 @@ from duropoly import (
     virtual_value,
 )
 
-from helpers import best_three_point, brute_cav
+from helpers import best_three_point, best_two_point, brute_cav
 
 
 def test_envelope_affine_is_identity():
@@ -36,21 +36,31 @@ def test_envelope_majorizes_and_concave():
     assert np.all(mid <= e[1:-1] + 1e-10)
 
 
+# two abscissae one ulp apart, as where the prior 0.696 meets the uniform grid
+ULP_X = np.array([0.0, 0.3, 0.696, np.nextafter(0.696, 1.0), 0.8, 1.0])
+ULP_Y = np.array([-1.0, 0.5, 1.0, 1.0 + 4.4e-16, 1.2, 2.0])
+# every point within rounding of its neighbours' chord, yet 0.1 below the hull
+DIP_X = np.array([0.0, 0.5, np.nextafter(0.5, 1.0), 1.0])
+DIP_Y = np.array([0.0, 0.4, 0.4, 1.0])
+
+
 def test_envelope_idempotent_exactly():
     rng = np.random.default_rng(5)
     x = np.unique(rng.random(997))
     y = np.cos(11 * x) + 0.4 * rng.standard_normal(len(x))
-    once = [q.envelope for q in concave_envelope(zip(x, y))]
-    twice = [q.envelope for q in concave_envelope(zip(x, once))]
-    assert once == twice
+    for x, y in ((x, y), (ULP_X, ULP_Y)):
+        once = [q.envelope for q in concave_envelope(zip(x, y))]
+        twice = [q.envelope for q in concave_envelope(zip(x, once))]
+        assert once == twice
 
 
 def test_envelope_matches_brute_force():
     rng = np.random.default_rng(9)
     x = np.linspace(0.0, 1.0, 101)
     y = rng.standard_normal(101).cumsum() / 10.0
-    env = np.asarray([q.envelope for q in concave_envelope(zip(x, y))])
-    assert np.max(np.abs(env - brute_cav(x, y))) < 1e-12
+    for x, y in ((x, y), (ULP_X, ULP_Y), (DIP_X, DIP_Y)):
+        env = np.asarray([q.envelope for q in concave_envelope(zip(x, y))])
+        assert np.max(np.abs(env - brute_cav(x, y))) < 1e-12
 
 
 def test_envelope_input_validation():
@@ -110,27 +120,37 @@ def test_scan_rejects_bad_inputs(table08):
         deviation_scan(table08, 1.0)
 
 
+def _w(table, grid, m0):
+    p = table.params
+    sale = grid * p.v_high + (1.0 - grid) * virtual_value(p, m0)
+    return np.maximum(sale, p.delta * eval_R(table, grid, m0))
+
+
 def test_two_point_support_suffices(p08, table08):
     for m0 in (0.3, 0.6, 0.85):
         grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 51), table08.cutoffs, [m0]]))
-        sale = grid * p08.v_high + (1.0 - grid) * virtual_value(p08, m0)
-        w = np.maximum(sale, p08.delta * eval_R(table08, grid, m0))
+        w = _w(table08, grid, m0)
         three = best_three_point(grid, w, m0)
         two = deviation_scan(table08, m0, grid_n=101).best_deviation_value
         # reuse the same coarse grid for the two-point side
-        i_l = np.nonzero(grid <= m0)[0]
-        i_r = np.nonzero(grid >= m0)[0]
-        best2 = -np.inf
-        for ia in i_l:
-            for ib in i_r:
-                if grid[ib] == grid[ia]:
-                    v = w[ia] if grid[ia] == m0 else -np.inf
-                else:
-                    lam = (m0 - grid[ia]) / (grid[ib] - grid[ia])
-                    v = (1.0 - lam) * w[ia] + lam * w[ib]
-                best2 = max(best2, v)
+        best2 = best_two_point(grid, w, m0)
         assert three <= best2 + 1e-10 * p08.v_high
         assert two <= best2 + 1e-10 * p08.v_high
+
+
+def test_scan_matches_two_point_oracle(table08, table095, tabledeg):
+    cases = []
+    for t in (table08, table095, tabledeg):
+        inner = [c for c in t.cutoffs if 0.0 < c < 1.0]
+        cases += [(t, float(m0), 101) for m0 in [*np.linspace(0.01, 0.99, 101), *inner]]
+    # the prior sits one ulp below a uniform grid point
+    cases.append((table08, float(np.linspace(0.01, 0.99, 101)[70]), 1001))
+    for t, m0, grid_n in cases:
+        rep = deviation_scan(t, m0, grid_n=grid_n)
+        grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid_n), t.cutoffs, [m0]]))
+        best = best_two_point(grid, _w(t, grid, m0), m0)
+        assert abs(rep.best_deviation_value - best) <= 1e-12 * t.params.v_high, (t.params, m0)
+        assert rep.passed == (best - rep.equilibrium_value <= rep.tolerance)
 
 
 def test_structure_checks_pass(table08, table095, tabledeg):
@@ -163,13 +183,3 @@ def test_negative_control_deviation_fails(table08):
     rep = deviation_scan(bad_table, m0)
     assert not rep.passed
     assert rep.worst_gap > 1e-4
-
-
-def test_envelope_value_recorded(table08):
-    rep = deviation_scan(table08, 0.6)
-    assert np.isfinite(rep.envelope_value)
-    assert rep.envelope_value >= rep.best_deviation_value - 1e-10
-    # at a knife-edge prior the concavified formula may exceed the scan,
-    # reflecting the failure of upper semicontinuity; both are reported
-    knife = deviation_scan(table08, table08.cutoffs[2])
-    assert knife.envelope_value >= knife.best_deviation_value - 1e-10
