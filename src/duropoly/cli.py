@@ -18,7 +18,7 @@ import numpy as np
 from .core import MarketParams
 from .cutoffs import compute_cutoffs
 from .mechanism import build_mechanism, posted_price_view
-from .sim import iter_paths, monte_carlo
+from .sim import monte_carlo
 from .value import buyer_rent, eval_R, seller_revenue
 from .verify import MIN_SCAN_GRID, deviation_scan, structure_checks
 
@@ -40,6 +40,8 @@ class RunConfig:
             raise ValueError("counts must be positive")
         if any(v <= 0 for v in self.tolerances.values()):
             raise ValueError("tolerances must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.output_dir = Path(self.output_dir)
 
 
@@ -62,6 +64,10 @@ def _build_config(args) -> RunConfig:
     if missing:
         raise ValueError(f"missing parameters: {', '.join(missing)}")
     params = MarketParams(**pdict)
+    if args.command in ("solve", "simulate") and params.mu0 == 1.0:
+        raise ValueError(f"{args.command} needs a prior mu0 below 1")
+    if args.command == "sweep" and args.sweep_paths is not None and args.sweep_paths < 1:
+        raise ValueError(f"--sweep-paths must be at least 1, got {args.sweep_paths}")
     grid_n = args.grid if args.grid is not None else int(raw.get("grid_n", 1001))
     if args.command == "verify" and grid_n < MIN_SCAN_GRID:
         raise ValueError(f"verify needs a grid of at least {MIN_SCAN_GRID} points, got {grid_n}")
@@ -173,15 +179,14 @@ def cmd_simulate(cfg: RunConfig, type_draw: str, paths_csv: str | None) -> int:
         json.dump(payload, fh, indent=2)
 
     if paths_csv:
+        paths = summary.paths
         with open(paths_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["path", "buyer_type", "trade_period", "discounted_revenue", "discounted_buyer_payoff"])
-            paths = iter_paths(table, cfg.params.mu0, type_draw, cfg.mc_paths, cfg.seed)
-            for i, rec in enumerate(paths):
+            rows = zip(paths.is_high, paths.trade_period, paths.revenue, paths.payoff)
+            for i, (high, t, rev, pay) in enumerate(rows):
                 writer.writerow([
-                    i, rec.buyer_type,
-                    "" if rec.trade_period is None else rec.trade_period,
-                    _fmt(rec.discounted_revenue), _fmt(rec.discounted_buyer_payoff),
+                    i, "high" if high else "low", "" if t < 0 else t, _fmt(rev), _fmt(pay),
                 ])
 
     print(

@@ -1,8 +1,16 @@
 """Equilibrium play simulation: declining posted prices, stochastic acceptance,
-belief updating, and Monte Carlo summaries."""
+belief updating, and Monte Carlo summaries.
+
+On the no-trade path the seller's belief is deterministic: it walks down the
+cutoff chain, one posted price per belief.  So every path that has not traded
+shares one belief, price and acceptance probability in a given period, and
+monte_carlo plays all paths at once, one masked array step per period.
+simulate_path and iter_paths play the same equilibrium one path at a time;
+they are the single-path reference the array kernel is tested against.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,6 +19,11 @@ from .cutoffs import CutoffTable
 from .mechanism import class_price
 
 RNG_ALGORITHM = "pcg64(seed); uniform row i of a pre-drawn matrix is path i's substream"
+
+# Rows of uniform draws monte_carlo holds at once.  Blocks drawn in sequence
+# from one generator are the rows of one large draw, so results do not depend
+# on it; memory stays bounded at any path count.
+DRAW_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -35,6 +48,17 @@ class PathRecord:
 
 
 @dataclass(frozen=True)
+class PathArrays:
+    """Every path of one Monte Carlo run, indexed by path: the buyer type,
+    the trade period (-1 for no sale), discounted revenue and buyer payoff."""
+
+    is_high: np.ndarray
+    trade_period: np.ndarray
+    revenue: np.ndarray
+    payoff: np.ndarray
+
+
+@dataclass(frozen=True)
 class MonteCarloSummary:
     n_paths: int
     mean_revenue: float
@@ -44,6 +68,8 @@ class MonteCarloSummary:
     trade_time_histogram: dict  # period -> count, -1 for never-trade paths
     seed: int
     rng_algorithm: str = RNG_ALGORITHM
+    # the per-path results summarized above; not part of equality or repr
+    paths: PathArrays | None = field(default=None, compare=False, repr=False)
 
 
 class _RowStream:
@@ -124,6 +150,13 @@ def _draw_budget(table: CutoffTable, mu0: float) -> int:
     return table.delay_class(belief(mu0)) + 1
 
 
+def _check_run(type_draw: str, n_paths: int) -> None:
+    if type_draw not in ("fixed_low", "fixed_high", "prior"):
+        raise ValueError(f"unknown type_draw {type_draw!r}")
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+
+
 def iter_paths(
     table: CutoffTable,
     mu0: float,
@@ -132,16 +165,13 @@ def iter_paths(
     seed: int,
     horizon: int = 1000,
 ):
-    """Yield the play-throughs that monte_carlo summarizes, in path order.
+    """Yield, one simulate_path record at a time, the paths monte_carlo plays.
 
     type_draw is "fixed_low", "fixed_high", or "prior" (high with probability
     mu0).  Path i consumes row i of a uniform matrix drawn once from
     pcg64(seed), so each path depends only on (seed, path index).
     """
-    if type_draw not in ("fixed_low", "fixed_high", "prior"):
-        raise ValueError(f"unknown type_draw {type_draw!r}")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    _check_run(type_draw, n_paths)
     m0 = belief(mu0)
     rng = np.random.default_rng(seed)
     draws = rng.random((n_paths, _draw_budget(table, m0)))
@@ -154,6 +184,57 @@ def iter_paths(
         yield simulate_path(table, m0, btype, stream, horizon)
 
 
+def _play_paths(
+    table: CutoffTable, m0: float, type_draw: str, n_paths: int, seed: int, horizon: int
+) -> PathArrays:
+    """Play every path at once with the draws iter_paths reads.
+
+    Each period the shared scalars (price, next belief, acceptance
+    probability, discount) are those of simulate_path; one masked step then
+    settles every live high type whose draw falls below the acceptance
+    probability.  The uniform matrix is drawn in blocks of DRAW_BLOCK_ROWS.
+    """
+    p = table.params
+    budget = _draw_budget(table, m0)
+    first = 1 if type_draw == "prior" else 0  # column of the period-0 accept draw
+    is_high = np.empty(n_paths, dtype=bool)
+    trade_period = np.full(n_paths, -1)
+    revenue = np.zeros(n_paths)
+    payoff = np.zeros(n_paths)
+    rng = np.random.default_rng(seed)
+    for lo in range(0, n_paths, DRAW_BLOCK_ROWS):
+        rows = slice(lo, min(lo + DRAW_BLOCK_ROWS, n_paths))
+        draws = rng.random((rows.stop - lo, budget))
+        high, period, rev, pay = is_high[rows], trade_period[rows], revenue[rows], payoff[rows]
+        high[:] = (draws[:, 0] < m0) if type_draw == "prior" else (type_draw == "fixed_high")
+        alive = np.ones(len(draws), dtype=bool)
+        mu, disc = m0, 1.0
+        for t in range(horizon):
+            if table.degenerate:
+                if mu == 0.0:
+                    break  # absorbing no-trade state
+                price, next_mu, accept_prob = p.v_high, 0.0, 1.0
+            else:
+                n = table.delay_class(mu)
+                if n == 0:
+                    # both types buy at v_low; the low type's payoff is 0
+                    period[alive] = t
+                    rev[alive] = disc * p.v_low
+                    pay[alive & high] = disc * (p.v_high - p.v_low)
+                    break
+                price = class_price(p, n)
+                next_mu = table.cutoffs[n - 1]
+                accept_prob = 1.0 - (1.0 - mu) / mu * (next_mu / (1.0 - next_mu))
+            acc = alive & high & (draws[:, first + t] < accept_prob)
+            period[acc] = t
+            rev[acc] = disc * price
+            pay[acc] = disc * (p.v_high - price)
+            alive &= ~acc
+            mu = next_mu
+            disc *= p.delta
+    return PathArrays(is_high, trade_period, revenue, payoff)
+
+
 def monte_carlo(
     table: CutoffTable,
     mu0: float,
@@ -164,29 +245,26 @@ def monte_carlo(
 ) -> MonteCarloSummary:
     """Simulate n_paths independent plays and summarize revenue and rents.
 
-    Substreams are schedule independent (see iter_paths); identical seeds
-    reproduce the summary bit for bit.
+    The paths are those of iter_paths, bit for bit, played as arrays; the
+    summary carries them in `paths`.  Identical seeds reproduce the summary
+    bit for bit.
     """
-    revenue = np.empty(n_paths)
-    payoff = np.empty(n_paths)
-    is_high = np.empty(n_paths, dtype=bool)
-    times = np.empty(n_paths, dtype=int)
-    for i, rec in enumerate(iter_paths(table, mu0, type_draw, n_paths, seed, horizon)):
-        revenue[i] = rec.discounted_revenue
-        payoff[i] = rec.discounted_buyer_payoff
-        is_high[i] = rec.buyer_type == "high"
-        times[i] = -1 if rec.trade_period is None else rec.trade_period
+    _check_run(type_draw, n_paths)
+    m0 = belief(mu0)
+    if m0 == 1.0:
+        raise ValueError("simulation starts from a prior below 1")
+    paths = _play_paths(table, m0, type_draw, n_paths, seed, horizon)
+    revenue, payoff, is_high = paths.revenue, paths.payoff, paths.is_high
 
     se = float(revenue.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    hist: dict[int, int] = {}
-    for t in times:
-        hist[int(t)] = hist.get(int(t), 0) + 1
+    counts = np.bincount(paths.trade_period + 1)  # index 0 counts the no-sale paths
     return MonteCarloSummary(
         n_paths=n_paths,
         mean_revenue=float(revenue.mean()),
         se_revenue=se,
         mean_rent_high=float(payoff[is_high].mean()) if is_high.any() else 0.0,
         mean_rent_low=float(payoff[~is_high].mean()) if (~is_high).any() else 0.0,
-        trade_time_histogram=hist,
+        trade_time_histogram={t - 1: k for t, k in enumerate(counts.tolist()) if k},
         seed=seed,
+        paths=paths,
     )

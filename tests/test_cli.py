@@ -89,6 +89,28 @@ def test_verify_small_grid_exit_2(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("args", [
+    ("sweep", "--mu0", 0.5, "--sweep-paths", 0),
+    ("sweep", "--mu0", 0.5, "--sweep-paths", -3),
+    ("simulate", "--mu0", 0.5, "--seed", -1),
+    ("solve", "--mu0", 1),
+    ("simulate", "--mu0", 1),
+])
+def test_bad_mc_and_prior_input_exit_2(tmp_path, capsys, args):
+    code = run(*args, "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--out", tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_prior_1_allowed_where_mu0_is_unused(tmp_path):
+    # verify and sweep scan their own priors; mu0 = 1 is only validated
+    assert run("verify", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
+               "--mu0", 1, "--grid", 101, "--out", tmp_path) == 0
+    assert run("sweep", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
+               "--mu0", 1, "--grid", 11, "--sweep-paths", 5, "--out", tmp_path) == 0
+
+
 def test_simulate_fixed_high(tmp_path):
     code = run("simulate", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
                "--mu0", 0.6, "--paths", 2000, "--seed", 7,
@@ -108,7 +130,20 @@ def test_simulate_paths_csv(tmp_path):
     with open(csv_path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 50
-    assert {r["buyer_type"] for r in rows} <= {"low", "high"}
+    # the CSV holds the paths the summary was computed from
+    data = json.loads((tmp_path / "simulation.json").read_text())
+    revenue = np.array([float(r["discounted_revenue"]) for r in rows])
+    assert float(revenue.mean()) == data["mean_revenue"]
+
+    from duropoly import MarketParams, compute_cutoffs, iter_paths
+
+    table = compute_cutoffs(MarketParams(1, 2, 0.8))
+    for i, (r, rec) in enumerate(zip(rows, iter_paths(table, 0.6, "prior", 50, seed=0))):
+        assert int(r["path"]) == i
+        assert r["buyer_type"] == rec.buyer_type
+        assert r["trade_period"] == ("" if rec.trade_period is None else str(rec.trade_period))
+        assert float(r["discounted_revenue"]) == rec.discounted_revenue
+        assert float(r["discounted_buyer_payoff"]) == rec.discounted_buyer_payoff
 
 
 def test_sweep_full_surplus_bit_for_bit(tmp_path):

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from duropoly import buyer_rent, class_price, monte_carlo, seller_revenue, simulate_path
+from duropoly import (
+    MarketParams,
+    buyer_rent,
+    class_price,
+    compute_cutoffs,
+    iter_paths,
+    monte_carlo,
+    seller_revenue,
+    simulate_path,
+)
+from duropoly import sim
 
 
 def test_no_delay_prior_trades_immediately(table08):
@@ -139,12 +149,12 @@ def test_monte_carlo_input_validation(table08):
         monte_carlo(table08, 0.5, "both", 10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo(table08, 0.5, "prior", 0, seed=0)
+    with pytest.raises(ValueError):
+        monte_carlo(table08, 1.0, "prior", 10, seed=0)
 
 
 def test_paths_schedule_independent(table08):
     # path i depends only on (seed, i), not on how many paths are run
-    from duropoly import iter_paths
-
     short = list(iter_paths(table08, 0.85, "prior", 10, seed=6))
     long = list(iter_paths(table08, 0.85, "prior", 50, seed=6))
     assert short == long[:10]
@@ -161,3 +171,68 @@ def test_high_rent_equals_analytic_everywhere(table08):
     for m0 in (0.55, 0.8, 0.93):
         mc = monte_carlo(table08, m0, "fixed_high", 3000, seed=5)
         assert mc.mean_rent_high == pytest.approx(buyer_rent(table08, m0), abs=1e-12)
+
+
+def _class_priors(table):
+    """Prior 0 and the middle of classes 0, 1, 2 and the top class (the
+    degenerate table has classes 0 = {0} and 1 only), plus the cutoff
+    mu_bar_2 itself, a tie that belongs to class 2."""
+    c = table.cutoffs + (1.0,)
+    top = len(table.cutoffs) - 1
+    priors = [0.0]
+    for k in sorted({0, 1, 2, top} & set(range(top + 1))):
+        m = 0.5 * (c[k] + c[k + 1])
+        assert table.delay_class(m) == k
+        priors.append(m)
+    if top >= 2:
+        priors.append(c[2])
+    return priors
+
+
+@pytest.mark.parametrize("args", [(1.0, 2.0, 0.8), (1.0, 2.0, 0.99), (0.0, 1.0, 0.9)])
+def test_array_kernel_matches_path_oracle(args):
+    # monte_carlo plays all paths as arrays; each must be iter_paths' path
+    table = compute_cutoffs(MarketParams(*args))
+    for m0 in _class_priors(table):
+        for type_draw in ("prior", "fixed_high", "fixed_low"):
+            for horizon in (1, 3, 1000):
+                got = monte_carlo(table, m0, type_draw, 200, seed=11, horizon=horizon).paths
+                recs = list(iter_paths(table, m0, type_draw, 200, seed=11, horizon=horizon))
+                case = (m0, type_draw, horizon)
+                assert got.is_high.tolist() == [r.buyer_type == "high" for r in recs], case
+                assert got.trade_period.tolist() == [
+                    -1 if r.trade_period is None else r.trade_period for r in recs
+                ], case
+                assert got.revenue.tolist() == [r.discounted_revenue for r in recs], case
+                assert got.payoff.tolist() == [r.discounted_buyer_payoff for r in recs], case
+
+
+def test_monte_carlo_draw_blocks_do_not_change_results(monkeypatch):
+    table = compute_cutoffs(MarketParams(1.0, 2.0, 0.99))
+    whole = monte_carlo(table, 0.999, "prior", 1000, seed=9)
+    monkeypatch.setattr(sim, "DRAW_BLOCK_ROWS", 7)
+    blocked = monte_carlo(table, 0.999, "prior", 1000, seed=9)
+    assert blocked == whole
+    for name in ("is_high", "trade_period", "revenue", "payoff"):
+        assert getattr(blocked.paths, name).tolist() == getattr(whole.paths, name).tolist()
+
+
+def test_monte_carlo_seed_0_summaries_pinned():
+    # recorded from the per-path loop that preceded the array kernel
+    t08 = compute_cutoffs(MarketParams(1.0, 2.0, 0.8))
+    mc = monte_carlo(t08, 0.6, "prior", 20_000, seed=0)
+    assert mc.mean_revenue == 1.0399599999999998
+    assert mc.se_revenue == 0.0013857329947708683
+    assert mc.mean_rent_high == 0.7999999999999998
+    assert mc.mean_rent_low == 0.0
+    assert mc.trade_time_histogram == {0: 11998, 1: 8002}
+
+    t099 = compute_cutoffs(MarketParams(1.0, 2.0, 0.99))
+    mc = monte_carlo(t099, 0.999, "prior", 20_000, seed=0)
+    assert mc.mean_revenue == 1.0745731335769535
+    assert mc.se_revenue == 0.00016060338015352776
+    assert mc.mean_rent_high == 0.9135172474836409
+    assert mc.mean_rent_low == 0.0
+    assert mc.trade_time_histogram == {
+        0: 13654, 1: 3402, 2: 1557, 3: 703, 4: 336, 5: 184, 6: 80, 7: 46, 8: 15, 9: 23,
+    }
