@@ -5,9 +5,6 @@ functions, mechanism construction, deviation verification, and simulation."""
 from .core import MarketParams, belief, mu_bar_1, virtual_value
 from .cutoffs import (
     CutoffTable,
-    HorizonReason,
-    StoppingRule,
-    TableExhausted,
     compute_cutoffs,
     indifference_gap,
 )
@@ -49,9 +46,6 @@ __all__ = [
     "mu_bar_1",
     "virtual_value",
     "CutoffTable",
-    "HorizonReason",
-    "StoppingRule",
-    "TableExhausted",
     "compute_cutoffs",
     "indifference_gap",
     "RDecomposition",

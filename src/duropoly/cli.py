@@ -9,14 +9,15 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import MarketParams
-from .cutoffs import compute_cutoffs
+from .core import MarketParams, belief
+from .cutoffs import CutoffTable, compute_cutoffs
 from .mechanism import build_mechanism, posted_price_view
 from .sim import monte_carlo
 from .value import buyer_rent, eval_R, seller_revenue
@@ -24,11 +25,15 @@ from .verify import MIN_SCAN_GRID, deviation_scan, structure_checks
 
 SWEEP_DEFAULT_PATHS = 200
 VERIFY_N_PRIORS = 101
+PARAM_KEYS = ("v_low", "v_high", "delta", "mu0")
+CONFIG_KEYS = ("params", "grid_n", "mc_paths", "seed", "tolerances", "output_dir")
+TOLERANCE_KEYS = ("deviation_gap",)
 
 
 @dataclass
 class RunConfig:
     params: MarketParams
+    mu0: float
     grid_n: int = 1001
     mc_paths: int = 100_000
     seed: int = 0
@@ -49,72 +54,93 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _number(name: str, value, kind=float):
+    """A finite number from the config file (an integer when kind is int)."""
+    ok = isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
+    if not ok or (kind is float and not math.isfinite(value)):
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"config {name} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _object(name: str, value, keys) -> dict:
+    """A JSON object from the config file whose keys all lie in `keys`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown keys in {name}: {', '.join(unknown)}")
+    return value
+
+
 def _build_config(args) -> RunConfig:
     """Merge defaults, config file, and flags (flags win)."""
     raw: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    pdict = dict(raw.get("params", {}))
-    for key, flag in (("v_low", args.v_low), ("v_high", args.v_high),
-                      ("delta", args.delta), ("mu0", args.mu0)):
-        if flag is not None:
-            pdict[key] = flag
-    missing = [k for k in ("v_low", "v_high", "delta", "mu0") if k not in pdict]
+            raw = _object("the config", json.load(fh), CONFIG_KEYS)
+    params = _object("params", raw.get("params", {}), PARAM_KEYS)
+    pdict = {k: _number(k, v) for k, v in params.items()}
+    param_flags = zip(PARAM_KEYS, (args.v_low, args.v_high, args.delta, args.mu0))
+    pdict.update((k, flag) for k, flag in param_flags if flag is not None)
+    counts = {k: _number(k, raw[k], int) for k in ("grid_n", "mc_paths", "seed") if k in raw}
+    count_flags = (("grid_n", args.grid), ("mc_paths", args.paths), ("seed", args.seed))
+    counts.update((k, flag) for k, flag in count_flags if flag is not None)
+    missing = [k for k in PARAM_KEYS if k not in pdict]
     if missing:
         raise ValueError(f"missing parameters: {', '.join(missing)}")
-    params = MarketParams(**pdict)
-    if args.command in ("solve", "simulate") and params.mu0 == 1.0:
+    mu0 = belief(pdict.pop("mu0"))
+    if args.command in ("solve", "simulate") and mu0 == 1.0:
         raise ValueError(f"{args.command} needs a prior mu0 below 1")
     if args.command == "sweep" and args.sweep_paths is not None and args.sweep_paths < 1:
         raise ValueError(f"--sweep-paths must be at least 1, got {args.sweep_paths}")
-    grid_n = args.grid if args.grid is not None else int(raw.get("grid_n", 1001))
-    if args.command == "verify" and grid_n < MIN_SCAN_GRID:
-        raise ValueError(f"verify needs a grid of at least {MIN_SCAN_GRID} points, got {grid_n}")
-    return RunConfig(
-        params=params,
-        grid_n=grid_n,
-        mc_paths=args.paths if args.paths is not None else int(raw.get("mc_paths", 100_000)),
-        seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
-        tolerances=dict(raw.get("tolerances", {})),
-        output_dir=Path(args.out) if args.out is not None else Path(raw.get("output_dir", ".")),
+    output_dir = args.out if args.out is not None else raw.get("output_dir", ".")
+    if not isinstance(output_dir, str):
+        raise ValueError(f"config output_dir must be a string, got {output_dir!r}")
+    tolerances = _object("tolerances", raw.get("tolerances", {}), TOLERANCE_KEYS)
+    cfg = RunConfig(
+        params=MarketParams(**pdict),
+        mu0=mu0,
+        tolerances={k: _number(k, v) for k, v in tolerances.items()},
+        output_dir=Path(output_dir),
+        **counts,
     )
+    if args.command == "verify" and cfg.grid_n < MIN_SCAN_GRID:
+        raise ValueError(
+            f"verify needs a grid of at least {MIN_SCAN_GRID} points, got {cfg.grid_n}"
+        )
+    return cfg
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    table = compute_cutoffs(cfg.params)
+def cmd_solve(cfg: RunConfig, table: CutoffTable) -> int:
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
     table.write_csv(out / "cutoffs.csv")
     table.write_json(out / "cutoffs.json")
 
-    mech = build_mechanism(table, cfg.params.mu0)
+    mech = build_mechanism(table, cfg.mu0)
     view = posted_price_view(mech, table)
     with open(out / "mechanism.json", "w", encoding="utf-8") as fh:
         json.dump(mech.to_json(view), fh, indent=2)
 
     grid = np.linspace(0.0, 1.0, cfg.grid_n)
-    values = eval_R(table, grid, cfg.params.mu0)
+    values = eval_R(table, grid, cfg.mu0)
     with open(out / "value_table.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mu_prime", "mu0", "R"])
         for m, v in zip(grid, values):
-            writer.writerow([_fmt(m), _fmt(cfg.params.mu0), _fmt(v)])
+            writer.writerow([_fmt(m), _fmt(cfg.mu0), _fmt(v)])
 
-    n = table.delay_class(cfg.params.mu0)
+    n = table.delay_class(cfg.mu0)
     print(
-        f"prior {cfg.params.mu0:g}: class n={n}, price {view.price:.6g}, "
-        f"revenue {seller_revenue(table, cfg.params.mu0):.6g}, "
-        f"rent {buyer_rent(table, cfg.params.mu0):.6g}"
+        f"prior {cfg.mu0:g}: class n={n}, price {view.price:.6g}, "
+        f"revenue {seller_revenue(table, cfg.mu0):.6g}, "
+        f"rent {buyer_rent(table, cfg.mu0):.6g}"
     )
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    table = compute_cutoffs(cfg.params)
+def cmd_verify(cfg: RunConfig, table: CutoffTable) -> int:
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     tol = cfg.tolerances.get("deviation_gap")
 
     priors = np.linspace(0.01, 0.99, VERIFY_N_PRIORS)
@@ -141,7 +167,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             "v_low": cfg.params.v_low,
             "v_high": cfg.params.v_high,
             "delta": cfg.params.delta,
-            "mu0": cfg.params.mu0,
+            "mu0": cfg.mu0,
         },
         "n_priors": len(priors),
         "max_gap": max_gap,
@@ -154,15 +180,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def cmd_simulate(cfg: RunConfig, type_draw: str, paths_csv: str | None) -> int:
-    table = compute_cutoffs(cfg.params)
+def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: str | None) -> int:
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
-    summary = monte_carlo(table, cfg.params.mu0, type_draw, cfg.mc_paths, cfg.seed)
+    summary = monte_carlo(table, cfg.mu0, type_draw, cfg.mc_paths, cfg.seed)
     # the 3-standard-error check against the analytic value applies to pooled
     # revenue only; conditioning on one type changes the benchmark
-    analytic = seller_revenue(table, cfg.params.mu0) if type_draw == "prior" else None
+    analytic = seller_revenue(table, cfg.mu0) if type_draw == "prior" else None
 
     payload = {
         "n_paths": summary.n_paths,
@@ -200,11 +223,8 @@ def cmd_simulate(cfg: RunConfig, type_draw: str, paths_csv: str | None) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, sweep_paths: int) -> int:
-    table = compute_cutoffs(cfg.params)
+def cmd_sweep(cfg: RunConfig, table: CutoffTable, sweep_paths: int) -> int:
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
     priors = np.linspace(0.0, 1.0, cfg.grid_n)[:-1]
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -251,17 +271,19 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        table = compute_cutoffs(cfg.params)
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "solve":
-        return cmd_solve(cfg)
+        return cmd_solve(cfg, table)
     if args.command == "verify":
-        return cmd_verify(cfg)
+        return cmd_verify(cfg, table)
     if args.command == "simulate":
-        return cmd_simulate(cfg, args.type_draw, args.paths_csv)
+        return cmd_simulate(cfg, table, args.type_draw, args.paths_csv)
     if args.command == "sweep":
         sweep_paths = args.sweep_paths if args.sweep_paths is not None else SWEEP_DEFAULT_PATHS
-        return cmd_sweep(cfg, sweep_paths)
+        return cmd_sweep(cfg, table, sweep_paths)
     return 2

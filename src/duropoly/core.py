@@ -29,22 +29,19 @@ def belief(value: float) -> float:
 
 @dataclass(frozen=True)
 class MarketParams:
-    """One problem instance: the two valuations, the common discount factor,
-    and the seller's prior on the high valuation."""
+    """One market: the two valuations and the common discount factor."""
 
     v_low: float
     v_high: float
     delta: float
-    mu0: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.v_low < self.v_high:
+        if not (0.0 <= self.v_low < self.v_high and math.isfinite(self.v_high)):
             raise ValueError(
-                f"need 0 <= v_low < v_high, got v_low={self.v_low}, v_high={self.v_high}"
+                f"need 0 <= v_low < v_high < inf, got v_low={self.v_low}, v_high={self.v_high}"
             )
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"discount factor must lie in (0, 1), got {self.delta}")
-        object.__setattr__(self, "mu0", belief(self.mu0))
 
     @property
     def delta_v(self) -> float:

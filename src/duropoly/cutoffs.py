@@ -5,13 +5,16 @@ a seller whose prior sits in D_n lets n periods pass before trading with the
 low-valuation buyer.  Each cutoff beyond mu_bar_1 = v_low / v_high is the root
 of a one-period-more vs one-period-less indifference equation.  That equation
 is affine in the belief, so each root has a closed form.
+
+The chain depends only on v_low / v_high and delta, so it is built at
+v_high = 1.  It always runs up to belief 1, stopping only where float64 can
+no longer place a further cutoff below 1.
 """
 from __future__ import annotations
 
 import csv
 import json
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
@@ -21,42 +24,25 @@ from .core import MarketParams, belief, mu_bar_1
 
 # Within this distance of belief 1 (scaled by 1 - delta) the indifference
 # equation is so steep that no float64 belief can hold its residual below
-# 1e-10 * v_high, so the table stops and reports ReachedOne instead of
-# emitting numerically meaningless cutoffs.
+# 1e-10 * v_high, so the chain stops there instead of emitting numerically
+# meaningless cutoffs.
 RESOLUTION_GUARD = 2.3e-5
-
-
-class HorizonReason(Enum):
-    """Why the cutoff table stopped growing."""
-
-    REACHED_ONE = "reached_one"
-    MAX_ITERATIONS = "max_iterations"
-
-
-class TableExhausted(Exception):
-    """A belief lies beyond a table that was truncated by the iteration cap."""
-
-
-@dataclass(frozen=True)
-class StoppingRule:
-    max_cutoffs: int = 200
-    proximity_to_one: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_cutoffs < 2:
-            raise ValueError("max_cutoffs must be at least 2")
-        if self.proximity_to_one <= 0.0:
-            raise ValueError("proximity_to_one must be positive")
+# The chain also stops once its last cutoff lies this close to belief 1.
+PROXIMITY_TO_ONE = 1e-10
+# Longest chain compute_cutoffs builds.  The count levels off near 23,000 as
+# delta -> 1 at v_low / v_high = 1e-3, but grows without bound as the ratio
+# -> 0 and delta -> 1 together (11,925 at 1e-300 and 1 - 1e-5).  `solve`
+# takes about a second at this length; longer chains lie outside the domain.
+MAX_CUTOFFS = 60_000
 
 
 @dataclass(frozen=True)
 class CutoffTable:
-    """Increasing cutoffs mu_bar_0 = 0 <= mu_bar_1 < mu_bar_2 < ... and the
-    reason the sequence was truncated."""
+    """Increasing cutoffs mu_bar_0 = 0 <= mu_bar_1 < mu_bar_2 < ... up to
+    belief 1; the last class runs to 1."""
 
     params: MarketParams
     cutoffs: tuple[float, ...]
-    horizon_reason: HorizonReason
 
     def __post_init__(self):
         c = self.cutoffs
@@ -70,39 +56,42 @@ class CutoffTable:
         return self.params.v_low == 0.0
 
     @cached_property
-    def alphas(self) -> tuple[float, ...]:
+    def cutoff_array(self) -> np.ndarray:
+        return np.asarray(self.cutoffs)
+
+    @cached_property
+    def alphas(self) -> np.ndarray:
         """Discounted probability of eventually trading with the high type,
         evaluated at each cutoff treated as a member of its own class."""
         d = self.params.delta
         out = [0.0]
         for k in range(1, len(self.cutoffs)):
             out.append(_alpha_step(d, self.cutoffs[k], self.cutoffs[k - 1], out[-1]))
-        return tuple(out)
+        return np.asarray(out)
 
     @cached_property
-    def gammas(self) -> tuple[float, ...]:
-        """Discount weight (1 - mu_bar_k) * delta^k carried by the virtual value."""
+    def discounts(self) -> np.ndarray:
+        """delta^k per class, as scalar powers so that every value built on
+        them matches the scalar rent and price formulas bit for bit."""
         d = self.params.delta
-        return tuple((1.0 - c) * d**k for k, c in enumerate(self.cutoffs))
+        return np.asarray([d**k for k in range(len(self.cutoffs))])
+
+    @cached_property
+    def gammas(self) -> np.ndarray:
+        """Discount weight (1 - mu_bar_k) * delta^k carried by the virtual value."""
+        return (1.0 - self.cutoff_array) * self.discounts
 
     def delay_class(self, mu: float) -> int:
         """Number of periods until the no-trade belief path hits 0.
 
         Ties at a cutoff belong to the higher class (indifference is broken
-        in favor of delay).  Beliefs beyond the last cutoff belong to the
-        final class when the table reached 1, and raise TableExhausted when
-        it was truncated by the iteration cap.
+        in favor of delay).  Beliefs at or beyond the last cutoff belong to
+        the final class, which runs to belief 1.
         """
         m = belief(mu)
         if self.degenerate:
             return 0 if m == 0.0 else 1
-        if m >= self.cutoffs[-1]:
-            if self.horizon_reason is HorizonReason.REACHED_ONE:
-                return len(self.cutoffs) - 1
-            raise TableExhausted(
-                f"belief {m} beyond last computed cutoff {self.cutoffs[-1]}"
-            )
-        return int(np.searchsorted(self.cutoffs, m, side="right")) - 1
+        return int(np.searchsorted(self.cutoff_array, m, side="right")) - 1
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -117,13 +106,17 @@ class CutoffTable:
             "v_high": self.params.v_high,
             "delta": self.params.delta,
             "cutoffs": list(self.cutoffs),
-            "horizon_reason": self.horizon_reason.value,
             "degenerate": self.degenerate,
         }
 
     def write_json(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=2)
+
+
+def unit_params(p: MarketParams) -> MarketParams:
+    """The same market with v_high = 1, on which the cutoff chain is built."""
+    return MarketParams(mu_bar_1(p), 1.0, p.delta)
 
 
 def _alpha_step(d: float, mu, prev: float, alpha_prev: float):
@@ -144,12 +137,11 @@ def _split_value(p: MarketParams, mu, c: float, alpha_c: float, gamma_c: float):
     return ((mu - c) * p.v_high + p.delta * r_scaled) / (1.0 - c)
 
 
-def _gap(p: MarketParams, mu: float, cuts, alphas, n: int) -> float:
+def _gap(p: MarketParams, mu, cuts, alphas, gammas, n):
     """Split value with delay posterior cuts[n] minus that with cuts[n - 1];
-    affine in mu."""
-    d = p.delta
-    hi = _split_value(p, mu, cuts[n], alphas[n], (1.0 - cuts[n]) * d**n)
-    lo = _split_value(p, mu, cuts[n - 1], alphas[n - 1], (1.0 - cuts[n - 1]) * d ** (n - 1))
+    affine in mu.  With array sequences, n and mu may be arrays."""
+    hi = _split_value(p, mu, cuts[n], alphas[n], gammas[n])
+    lo = _split_value(p, mu, cuts[n - 1], alphas[n - 1], gammas[n - 1])
     return hi - lo
 
 
@@ -167,51 +159,65 @@ def indifference_gap(p: MarketParams, table_prefix: CutoffTable, n: int, mu: flo
     m = belief(mu)
     if m == 1.0:
         raise ValueError("indifference gap has a pole at belief 1")
-    return _gap(p, m, cuts, table_prefix.alphas, n)
+    return float(_gap(p, m, cuts, table_prefix.alphas, table_prefix.gammas, n))
 
 
-def compute_cutoffs(p: MarketParams, stop: StoppingRule = StoppingRule()) -> CutoffTable:
+def compute_cutoffs(p: MarketParams) -> CutoffTable:
     """Build the cutoff table for one parameter set.
 
     Starts from mu_bar_0 = 0 and mu_bar_1 = v_low / v_high.  The gap between
     delaying n+1 and n periods is affine in the belief, so mu_bar_{n+1} is
-    its exact root g(0) / (g(0) - g(1)).  Stops when the last cutoff is
-    within stop.proximity_to_one of 1, when the remaining interval is too
-    close to 1 for float64 to resolve the root (see RESOLUTION_GUARD), when
-    the gap does not turn positive before belief 1, or when stop.max_cutoffs
-    entries have been produced.
+    its exact root g(0) / (g(0) - g(1)).  The gap is evaluated at v_high = 1,
+    since the chain depends only on v_low / v_high and delta; the table keeps
+    the caller's params.  The chain stops only at belief 1: when the last
+    cutoff is within PROXIMITY_TO_ONE of it, when the remaining interval is
+    too close to 1 for float64 to resolve the root (see RESOLUTION_GUARD),
+    or when the next root rounds to 1.  A chain that would pass MAX_CUTOFFS
+    entries raises ValueError; no table is ever truncated.
 
     v_low = 0 short-circuits to the two-entry table (0, 0): every positive
     prior then delays at posterior 0 forever on the low-type path.
     """
     if p.v_low == 0.0:
-        return CutoffTable(p, (0.0, 0.0), HorizonReason.REACHED_ONE)
+        return CutoffTable(p, (0.0, 0.0))
 
     d = p.delta
-    cuts = [0.0, mu_bar_1(p)]
-    alphas = [0.0, mu_bar_1(p)]
+    unit = unit_params(p)
+    cuts = [0.0, unit.v_low]
+    alpha, gamma = unit.v_low, (1.0 - unit.v_low) * d  # at the last cutoff
+    # split values at beliefs 0 and 1 with the next-to-last cutoff as delay posterior
+    lo0, lo1 = _split_value(unit, 0.0, 0.0, 0.0, 1.0), _split_value(unit, 1.0, 0.0, 0.0, 1.0)
     guard = RESOLUTION_GUARD * (1.0 - d)
 
     while True:
         last = cuts[-1]
-        if last >= 1.0 - stop.proximity_to_one or 1.0 - last < guard:
-            reason = HorizonReason.REACHED_ONE
+        if last >= 1.0 - PROXIMITY_TO_ONE or 1.0 - last < guard:
             break
-        if len(cuts) >= stop.max_cutoffs:
-            reason = HorizonReason.MAX_ITERATIONS
-            break
+        if len(cuts) >= MAX_CUTOFFS:
+            raise ValueError(
+                f"the cutoff chain at v_low/v_high = {unit.v_low:g}, delta = {d!r} "
+                f"needs more than {MAX_CUTOFFS} cutoffs"
+            )
 
         n = len(cuts) - 1
-        g_last = _gap(p, last, cuts, alphas, n)
-        if g_last >= 0.0:
-            raise RuntimeError(f"indifference gap not negative at cutoff {n} (got {g_last})")
-        g0, g1 = _gap(p, 0.0, cuts, alphas, n), _gap(p, 1.0, cuts, alphas, n)
-        root = g0 / (g0 - g1) if g1 > 0.0 else 1.0
+        # the gap between delay posteriors cuts[n] and cuts[n - 1], at beliefs
+        # 0 and 1; this step's split values are the next step's lo0 and lo1
+        hi0 = _split_value(unit, 0.0, last, alpha, gamma)
+        hi1 = _split_value(unit, 1.0, last, alpha, gamma)
+        g0, g1 = hi0 - lo0, hi1 - lo1
+        if g1 <= 0.0:
+            # g(1) = delta^n (1 - delta)(1 - ratio) > 0 is the difference of two
+            # split values that round to the same float once delta^n < eps
+            g1 = d**n * (1.0 - d) * unit.delta_v
+        root = g0 / (g0 - g1)
+        if not (g0 < 0.0 and last < root):
+            raise RuntimeError(f"no indifference root above cutoff {n} (g(0) = {g0}, root {root})")
         if root >= 1.0:
-            # no sign change before belief 1 (to float precision): no further cutoff
-            reason = HorizonReason.REACHED_ONE
+            # the root lies within rounding of belief 1: no further cutoff
             break
-        alphas.append(_alpha_step(d, root, last, alphas[-1]))
+        alpha = _alpha_step(d, root, last, alpha)
+        gamma = (1.0 - root) * d ** (n + 1)
         cuts.append(root)
+        lo0, lo1 = hi0, hi1
 
-    return CutoffTable(p, tuple(cuts), reason)
+    return CutoffTable(p, tuple(cuts))

@@ -144,10 +144,10 @@ def simulate_path(
     return PathRecord(tuple(steps), None, 0.0, 0.0, buyer_type)
 
 
-def _draw_budget(table: CutoffTable, mu0: float) -> int:
-    """Uniform draws a single path can consume: one per class step plus the
-    type draw."""
-    return table.delay_class(belief(mu0)) + 1
+def _draw_budget(table: CutoffTable, mu0: float, horizon: int) -> int:
+    """Uniform draws a single path can consume: the type draw plus one per
+    period played, which is at most the prior's class and at most horizon."""
+    return min(table.delay_class(belief(mu0)), horizon) + 1
 
 
 def _check_run(type_draw: str, n_paths: int) -> None:
@@ -174,7 +174,7 @@ def iter_paths(
     _check_run(type_draw, n_paths)
     m0 = belief(mu0)
     rng = np.random.default_rng(seed)
-    draws = rng.random((n_paths, _draw_budget(table, m0)))
+    draws = rng.random((n_paths, _draw_budget(table, m0, horizon)))
     for i in range(n_paths):
         stream = _RowStream(draws[i])
         if type_draw == "prior":
@@ -195,7 +195,7 @@ def _play_paths(
     probability.  The uniform matrix is drawn in blocks of DRAW_BLOCK_ROWS.
     """
     p = table.params
-    budget = _draw_budget(table, m0)
+    budget = _draw_budget(table, m0, horizon)
     first = 1 if type_draw == "prior" else 0  # column of the period-0 accept draw
     is_high = np.empty(n_paths, dtype=bool)
     trade_period = np.full(n_paths, -1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import belief, virtual_value
-from .cutoffs import CutoffTable, HorizonReason, TableExhausted, _alpha_step
+from .cutoffs import CutoffTable, _alpha_step
 
 CUTOFF_MATCH_TOL = 1e-12
 
@@ -41,23 +41,12 @@ def _alpha_gamma(table: CutoffTable, mu_prime):
         alpha, gamma = m.copy(), np.zeros_like(m)
         return (float(alpha[0]), float(gamma[0])) if scalar else (alpha, gamma)
 
-    cuts = np.asarray(table.cutoffs)
-    idx = np.searchsorted(cuts, m, side="right") - 1
-    beyond = m >= cuts[-1]
-    if np.any(beyond):
-        if table.horizon_reason is not HorizonReason.REACHED_ONE:
-            raise TableExhausted("posterior beyond a truncated cutoff table")
-        idx = np.where(beyond, len(cuts) - 1, idx)
-
-    d = p.delta
+    # beliefs at or beyond the last cutoff land in the last class
+    idx = np.searchsorted(table.cutoff_array, m, side="right") - 1
     prev = np.maximum(idx - 1, 0)
-    c = cuts[prev]
-    a_prev = np.asarray(table.alphas)[prev]
-    alpha_hi = _alpha_step(d, m, c, a_prev)
+    alpha_hi = _alpha_step(p.delta, m, table.cutoff_array[prev], table.alphas[prev])
     alpha = np.where(idx == 0, m, alpha_hi)
-    # scalar pow per class keeps this bit-identical to the rent formulas
-    d_pow = np.asarray([d**k for k in range(len(cuts))])
-    gamma = (1.0 - m) * d_pow[idx]
+    gamma = (1.0 - m) * table.discounts[idx]
     return (float(alpha[0]), float(gamma[0])) if scalar else (alpha, gamma)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import belief, virtual_value
-from .cutoffs import CutoffTable, indifference_gap
+from .cutoffs import CutoffTable, _gap, unit_params
 from .mechanism import Split, equilibrium_split
 from .value import eval_R
 
@@ -48,7 +48,6 @@ class DeviationReport:
 class StructureReport:
     delay_posteriors_on_cutoffs: bool
     delay_monotone: bool
-    delay_finite: bool
     split_shape_ok: bool
     cutoff_residuals_ok: bool
     max_cutoff_residual: float
@@ -58,7 +57,6 @@ class StructureReport:
         return (
             self.delay_posteriors_on_cutoffs
             and self.delay_monotone
-            and self.delay_finite
             and self.split_shape_ok
             and self.cutoff_residuals_ok
         )
@@ -144,7 +142,7 @@ def deviation_scan(
     tol = 1e-8 * p.v_high if tolerance is None else tolerance
 
     grid = np.unique(
-        np.concatenate([np.linspace(0.0, 1.0, grid_n), np.asarray(table.cutoffs), [m0]])
+        np.concatenate([np.linspace(0.0, 1.0, grid_n), table.cutoff_array, [m0]])
     )
     sale, delay = _stage_values(table, grid, m0)
     w = np.maximum(sale, delay)
@@ -183,11 +181,10 @@ def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
     """Structural sanity of the policy over a prior grid.
 
     Checks that delay posteriors are always cutoffs, that the delay posterior
-    is nondecreasing in the prior, that every prior below 1 is in a finite
-    class, that sales happen at posterior 1 with probability one while the
-    delay posterior trades exactly when the prior is below the first cutoff,
-    and that every computed cutoff satisfies its defining indifference to
-    1e-10 * v_high.
+    is nondecreasing in the prior, that sales happen at posterior 1 with
+    probability one while the delay posterior trades exactly when the prior
+    is below the first cutoff, and that every computed cutoff satisfies its
+    defining indifference to 1e-10 * v_high.
     """
     p = table.params
     priors = np.linspace(0.0, 1.0, grid_n)[:-1]
@@ -195,16 +192,11 @@ def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
 
     on_cutoffs = True
     monotone = True
-    finite = True
     shape_ok = True
     last_delay = -1.0
     first_cut = 0.0 if table.degenerate else table.cutoffs[1]
     for m0 in priors:
-        try:
-            n = table.delay_class(float(m0))
-        except Exception:
-            finite = False
-            continue
+        n = table.delay_class(float(m0))
         split = equilibrium_split(table, float(m0))
         if n >= 1 and split.posterior_delay not in cutset:
             on_cutoffs = False
@@ -221,18 +213,18 @@ def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
                 shape_ok = False
 
     max_residual = 0.0
-    residuals_ok = True
     if not table.degenerate:
-        for n in range(1, len(table.cutoffs) - 1):
-            r = abs(indifference_gap(p, table, n, table.cutoffs[n + 1]))
-            max_residual = max(max_residual, r)
-        residuals_ok = max_residual < RESIDUAL_TOL_PER_VHIGH * p.v_high
+        # every cutoff's indifference residual at once, at v_high = 1
+        cuts = table.cutoff_array
+        n = np.arange(1, len(cuts) - 1)
+        gaps = _gap(unit_params(p), cuts[n + 1], cuts, table.alphas, table.gammas, n)
+        max_residual = float(np.max(np.abs(gaps), initial=0.0))
+    residuals_ok = max_residual < RESIDUAL_TOL_PER_VHIGH
 
     return StructureReport(
         delay_posteriors_on_cutoffs=on_cutoffs,
         delay_monotone=monotone,
-        delay_finite=finite,
         split_shape_ok=shape_ok,
         cutoff_residuals_ok=residuals_ok,
-        max_cutoff_residual=max_residual,
+        max_cutoff_residual=max_residual * p.v_high,
     )

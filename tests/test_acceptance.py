@@ -64,7 +64,7 @@ def test_criterion_2_deviation_scans():
     good = compute_cutoffs(p)
     cuts = list(good.cutoffs)
     cuts[2] += 0.01
-    bad = CutoffTable(p, tuple(cuts), good.horizon_reason)
+    bad = CutoffTable(p, tuple(cuts))
     bad_rep = deviation_scan(bad, good.cutoffs[2] + 0.005)
     ok &= not bad_rep.passed
     ok &= not structure_checks(bad, grid_n=201).cutoff_residuals_ok

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from duropoly import cutoffs
 from duropoly.cli import main
 
 
@@ -66,7 +67,43 @@ def test_invalid_params_exit_2(tmp_path, capsys):
                "--mu0", 0.3, "--out", tmp_path) == 2
     assert run("solve", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
                "--out", tmp_path) == 2  # missing mu0
-    capsys.readouterr()
+    assert run("solve", "--v-low", 1, "--v-high", "inf", "--delta", 0.8,
+               "--mu0", 0.3, "--out", tmp_path) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(line.startswith("error:") for line in err)
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "--v-low", 1e-100, "--v-high", 1, "--delta", 0.999, "--mu0", 0.5),
+    ("solve", "--v-low", 2.69e-318, "--v-high", 1e-300, "--delta", 0.9999986, "--mu0", 0.5),
+    ("simulate", "--v-low", 0.001, "--v-high", 1, "--delta", 0.999, "--mu0", 0.9999999,
+     "--paths", 2000),
+    ("verify", "--v-low", 1e-100, "--v-high", 1, "--delta", 0.999, "--mu0", 0.5, "--grid", 101),
+    ("sweep", "--v-low", 1e-100, "--v-high", 1, "--delta", 0.999, "--mu0", 0.5,
+     "--grid", 21, "--sweep-paths", 20),
+])
+def test_long_cutoff_chains_run(tmp_path, args):
+    # chains of hundreds to thousands of cutoffs, each run to belief 1
+    assert run(*args, "--out", tmp_path) == 0
+    if args[0] == "solve":
+        p = dict(zip(args[1::2], args[2::2]))
+        cuts = json.loads((tmp_path / "cutoffs.json").read_text())["cutoffs"]
+        assert len(cuts) > 200 and all(a < b for a, b in zip(cuts, cuts[1:]))
+        mech = json.loads((tmp_path / "mechanism.json").read_text())
+        v_high, v_low = p["--v-high"], p["--v-low"]
+        rent = p["--delta"] ** mech["n"] * (v_high - v_low)
+        gap = (v_high - mech["posted_price"]["price"]) - rent
+        assert abs(gap) <= 1e-12 * v_high
+
+
+def test_chain_longer_than_max_cutoffs_exit_2(tmp_path, capsys, monkeypatch):
+    # (1e-100, 1, 0.999) needs 705 cutoffs
+    monkeypatch.setattr(cutoffs, "MAX_CUTOFFS", 50)
+    code = run("solve", "--v-low", 1e-100, "--v-high", 1, "--delta", 0.999,
+               "--mu0", 0.5, "--out", tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "v_low/v_high = 1e-100" in err[0]
 
 
 def test_verify_passes(tmp_path):
@@ -95,6 +132,7 @@ def test_verify_small_grid_exit_2(tmp_path, capsys):
     ("simulate", "--mu0", 0.5, "--seed", -1),
     ("solve", "--mu0", 1),
     ("simulate", "--mu0", 1),
+    ("solve", "--mu0", 1.5),
 ])
 def test_bad_mc_and_prior_input_exit_2(tmp_path, capsys, args):
     code = run(*args, "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--out", tmp_path)
@@ -177,6 +215,18 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 def test_bad_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    assert run("solve", "--config", cfg, "--out", tmp_path) == 2
-    capsys.readouterr()
+    params = {"v_low": 1.0, "v_high": 2.0, "delta": 0.8, "mu0": 0.3}
+    bad = [
+        "{not json",
+        json.dumps([params]),  # not an object
+        json.dumps({"params": {**params, "v_hgih": 2.0}}),  # unknown parameter
+        json.dumps({"params": params, "grid": 101}),  # misspelled grid_n
+        json.dumps({"params": params, "tolerances": {"deviation_gap": "tiny"}}),
+        json.dumps({"params": {**params, "delta": "0.8"}}),
+        json.dumps({"params": params, "seed": None}),
+    ]
+    for text in bad:
+        cfg.write_text(text)
+        assert run("solve", "--config", cfg, "--out", tmp_path) == 2, text
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), text

@@ -81,7 +81,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         MarketParams(1.0, 2.0, 0.0)
     with pytest.raises(ValueError):
-        MarketParams(1.0, 2.0, 0.8, mu0=1.5)
+        MarketParams(1.0, float("inf"), 0.8)
+    with pytest.raises(ValueError):
+        MarketParams(float("nan"), 2.0, 0.8)
 
 
 def test_delta_v(p08):

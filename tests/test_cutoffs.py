@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from duropoly import (
-    CutoffTable,
-    HorizonReason,
-    MarketParams,
-    StoppingRule,
-    TableExhausted,
-    compute_cutoffs,
-    indifference_gap,
-)
+from duropoly import CutoffTable, MarketParams, compute_cutoffs, indifference_gap, structure_checks
+from duropoly.cutoffs import PROXIMITY_TO_ONE, RESOLUTION_GUARD
 
 from conftest import MU2_08, MU3_08
 from helpers import oracle_gap, scan_cutoff
@@ -17,7 +12,6 @@ from helpers import oracle_gap, scan_cutoff
 
 def test_degenerate_table(tabledeg):
     assert tabledeg.cutoffs == (0.0, 0.0)
-    assert tabledeg.horizon_reason is HorizonReason.REACHED_ONE
     assert tabledeg.degenerate
 
 
@@ -102,14 +96,44 @@ def test_cutoffs_at_domain_edges(v_low, v_high, delta):
         assert abs(indifference_gap(p, table, n, cuts[n + 1])) < 1e-10 * v_high
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    log_ratio=st.floats(-300.0, 0.0, exclude_max=True),
+    delta=st.floats(1e-6, 1.0 - 1e-5),
+    prior=st.floats(0.0, 1.0, exclude_max=True),
+)
+# chains that once stopped far below 1 when delta^n fell below float64 eps
+@example(log_ratio=-228.0, delta=0.25, prior=0.5)
+@example(log_ratio=-100.0, delta=0.001, prior=0.5)
+def test_every_chain_reaches_one(log_ratio, delta, prior):
+    ratio = 10.0**log_ratio
+    assume(ratio < 1.0)
+    p = MarketParams(ratio, 1.0, delta)
+    table = compute_cutoffs(p)
+    cuts = table.cutoffs
+    assert all(a < b for a, b in zip(cuts[1:], cuts[2:]))
+    # the chain stops only at belief 1: its last cutoff is within the stop
+    # distance of 1, or the next root is.  The next gap is affine, with
+    # g(1) = delta^k (1 - delta)(v_high - v_low) in closed form.
+    last, k = cuts[-1], len(cuts) - 1
+    if not (last >= 1.0 - PROXIMITY_TO_ONE or 1.0 - last < RESOLUTION_GUARD * (1.0 - delta)):
+        g0 = float(oracle_gap(p, cuts, k, 0.0))
+        g1 = delta**k * (1.0 - delta) * p.delta_v
+        assert g0 / (g0 - g1) >= 1.0 - 1e-12
+    assert structure_checks(table, grid_n=101).max_cutoff_residual <= 1e-10 * p.v_high
+    for m in (0.0, prior, last, (1.0 + last) / 2.0, float(np.nextafter(1.0, 0.0))):
+        n = table.delay_class(m)
+        assert 0 <= n <= k and cuts[n] <= m
+
+
 def test_table_rejects_non_increasing_cutoffs(p08, table08):
     cuts = table08.cutoffs
     for bad in ((0.0, 0.5, 0.5, 0.9), (0.0, 0.5, 0.4), (0.1, 0.5, 0.7), (0.0,)):
         with pytest.raises(ValueError):
-            CutoffTable(p08, bad, HorizonReason.REACHED_ONE)
+            CutoffTable(p08, bad)
     # the degenerate table keeps mu_bar_0 = mu_bar_1 = 0
-    CutoffTable(p08, (0.0, 0.0), HorizonReason.REACHED_ONE)
-    CutoffTable(p08, cuts, table08.horizon_reason)
+    CutoffTable(p08, (0.0, 0.0))
+    CutoffTable(p08, cuts)
 
 
 def test_delay_class_examples(table08):
@@ -143,21 +167,6 @@ def test_delay_class_degenerate(tabledeg):
     assert tabledeg.delay_class(0.999) == 1
 
 
-def test_truncated_table_raises(p08):
-    table = compute_cutoffs(p08, StoppingRule(max_cutoffs=3))
-    assert table.horizon_reason is HorizonReason.MAX_ITERATIONS
-    assert len(table.cutoffs) == 3
-    with pytest.raises(TableExhausted):
-        table.delay_class(0.9)
-
-
-def test_stopping_rule_validation():
-    with pytest.raises(ValueError):
-        StoppingRule(max_cutoffs=1)
-    with pytest.raises(ValueError):
-        StoppingRule(proximity_to_one=0.0)
-
-
 def test_alphas_and_gammas(table08):
     # alpha at a cutoff follows the split chain; gamma is (1 - c) delta^k
     cuts, d = table08.cutoffs, table08.params.delta
@@ -183,7 +192,6 @@ def test_csv_json_round_trip(table08, tmp_path):
 
     data = json.loads(json_path.read_text())
     assert tuple(data["cutoffs"]) == table08.cutoffs
-    assert data["horizon_reason"] == "reached_one"
 
 
 def test_oracle_gap_agrees_with_production(p08, table08):

@@ -217,6 +217,15 @@ def test_monte_carlo_draw_blocks_do_not_change_results(monkeypatch):
         assert getattr(blocked.paths, name).tolist() == getattr(whole.paths, name).tolist()
 
 
+def test_draw_rows_stop_at_the_horizon():
+    # a class far beyond the horizon must not widen every path's row of draws
+    table = compute_cutoffs(MarketParams(1e-100, 1.0, 0.99999))
+    assert table.delay_class(0.9) > 1000
+    paths = monte_carlo(table, 0.9, "prior", 50, seed=3, horizon=4).paths
+    draws = np.random.default_rng(3).random((50, 5))
+    assert paths.is_high.tolist() == (draws[:, 0] < 0.9).tolist()
+
+
 def test_monte_carlo_seed_0_summaries_pinned():
     # recorded from the per-path loop that preceded the array kernel
     t08 = compute_cutoffs(MarketParams(1.0, 2.0, 0.8))

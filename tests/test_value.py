@@ -3,8 +3,6 @@ import pytest
 
 from duropoly import (
     MarketParams,
-    StoppingRule,
-    TableExhausted,
     buyer_rent,
     compute_cutoffs,
     decompose_R,
@@ -187,12 +185,6 @@ def test_value_jump_direction_at_cutoffs(table08):
                 assert jump >= -1e-9 * p.v_high
             else:
                 assert jump < -1e-9 * p.v_high
-
-
-def test_table_exhausted_propagates(p08):
-    table = compute_cutoffs(p08, StoppingRule(max_cutoffs=3))
-    with pytest.raises(TableExhausted):
-        eval_R(table, 0.95, 0.5)
 
 
 def test_degenerate_surface_values(tabledeg):

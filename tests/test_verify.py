@@ -167,7 +167,7 @@ def test_degenerate_delay_posterior_is_zero(tabledeg):
 def _perturbed(table08):
     cuts = list(table08.cutoffs)
     cuts[2] += 0.01
-    return CutoffTable(table08.params, tuple(cuts), table08.horizon_reason)
+    return CutoffTable(table08.params, tuple(cuts))
 
 
 def test_negative_control_residuals_fail(table08):
