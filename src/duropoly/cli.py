@@ -21,10 +21,11 @@ from .cutoffs import CutoffTable, compute_cutoffs
 from .mechanism import build_mechanism, posted_price_view
 from .sim import monte_carlo
 from .value import buyer_rent, eval_R, seller_revenue
-from .verify import MIN_SCAN_GRID, deviation_scan, structure_checks
+from .verify import deviation_scan, structure_checks
 
 SWEEP_DEFAULT_PATHS = 200
 VERIFY_N_PRIORS = 101
+MIN_SCAN_GRID = 101
 PARAM_KEYS = ("v_low", "v_high", "delta", "mu0")
 CONFIG_KEYS = ("params", "grid_n", "mc_paths", "seed", "tolerances", "output_dir")
 TOLERANCE_KEYS = ("deviation_gap",)
@@ -105,6 +106,7 @@ def _build_config(args) -> RunConfig:
         output_dir=Path(output_dir),
         **counts,
     )
+    # the deviation scan needs no grid; this guards structure_checks' prior grid
     if args.command == "verify" and cfg.grid_n < MIN_SCAN_GRID:
         raise ValueError(
             f"verify needs a grid of at least {MIN_SCAN_GRID} points, got {cfg.grid_n}"
@@ -148,7 +150,7 @@ def cmd_verify(cfg: RunConfig, table: CutoffTable) -> int:
     records = []
     max_gap = 0.0
     for m0 in priors:
-        rep = deviation_scan(table, float(m0), grid_n=cfg.grid_n, tolerance=tol)
+        rep = deviation_scan(table, float(m0), tolerance=tol)
         max_gap = max(max_gap, rep.worst_gap)
         records.append({
             "prior": rep.prior,
@@ -248,7 +250,11 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--v-high", type=float, default=None)
     common.add_argument("--delta", type=float, default=None)
     common.add_argument("--mu0", type=float, default=None)
-    common.add_argument("--grid", type=int, default=None, help="grid size (default 1001)")
+    common.add_argument(
+        "--grid", type=int, default=None,
+        help="points in solve's value table, verify's structure-check priors (at least 101) "
+             "and sweep's priors (default 1001); the deviation check uses no grid",
+    )
     common.add_argument("--paths", type=int, default=None, help="Monte Carlo paths (default 100000)")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--config", type=str, default=None, help="JSON config file")

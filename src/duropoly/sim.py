@@ -256,7 +256,9 @@ def monte_carlo(
     paths = _play_paths(table, m0, type_draw, n_paths, seed, horizon)
     revenue, payoff, is_high = paths.revenue, paths.payoff, paths.is_high
 
-    se = float(revenue.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    # in units of v_high, so squaring revenues near the float64 floor cannot underflow
+    v_high = table.params.v_high
+    se = float(v_high * (revenue / v_high).std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     counts = np.bincount(paths.trade_period + 1)  # index 0 counts the no-sale paths
     return MonteCarloSummary(
         n_paths=n_paths,

@@ -31,7 +31,6 @@ class RDecomposition:
 
 def _alpha_gamma(table: CutoffTable, mu_prime):
     """Vectorized (alpha, gamma) over posteriors; scalars in, scalars out."""
-    p = table.params
     scalar = np.ndim(mu_prime) == 0
     m = np.atleast_1d(np.asarray(mu_prime, dtype=float))
     if np.any(m < 0.0) or np.any(m > 1.0):
@@ -43,11 +42,21 @@ def _alpha_gamma(table: CutoffTable, mu_prime):
 
     # beliefs at or beyond the last cutoff land in the last class
     idx = np.searchsorted(table.cutoff_array, m, side="right") - 1
+    alpha, gamma = _class_alpha_gamma(table, m, idx)
+    return (float(alpha[0]), float(gamma[0])) if scalar else (alpha, gamma)
+
+
+def _class_alpha_gamma(table: CutoffTable, m: np.ndarray, idx: np.ndarray):
+    """(alpha, gamma) at beliefs m on the affine pieces of classes idx.
+
+    The pieces extend to their class's closed ends, so this also gives the
+    left limit of R at a cutoff (the piece of the class below it).
+    """
     prev = np.maximum(idx - 1, 0)
-    alpha_hi = _alpha_step(p.delta, m, table.cutoff_array[prev], table.alphas[prev])
+    alpha_hi = _alpha_step(table.params.delta, m, table.cutoff_array[prev], table.alphas[prev])
     alpha = np.where(idx == 0, m, alpha_hi)
     gamma = (1.0 - m) * table.discounts[idx]
-    return (float(alpha[0]), float(gamma[0])) if scalar else (alpha, gamma)
+    return alpha, gamma
 
 
 def eval_R(table: CutoffTable, mu_prime, mu0: float):

@@ -1,12 +1,18 @@
 """Independent equilibrium verification.
 
-At each prior, every Bayes-plausible distribution over a posterior grid is
+At each prior mu0, every Bayes-plausible distribution over posteriors is
 valued at w, the better of selling now and delaying, and the best value is
 compared against the equilibrium value.  A distribution with a single mean
-constraint has an optimum on at most two points, and the best two-point
-split is the upper concave hull of w on the grid at the prior
-(concavification), so the check is one exact monotone-chain hull per prior.
-The grid holds every cutoff, where the optimum lives.
+constraint has an optimum on at most two points, so the best split is the
+upper concave hull of w at the prior (concavification).
+
+The hull is exact over the whole continuum of posteriors.  On each class
+[mu_bar_k, mu_bar_{k+1}) the sale value and delta * R(., mu0) are both affine
+in the posterior, so w, their maximum, is convex there: a sale/delay
+crossing is a convex kink, never a hull vertex.  The hull of w on [0, 1] is
+therefore the hull of its suprema at the breakpoints, every cutoff and 1.
+R jumps at a cutoff unless the cutoff is the prior, so the supremum there is
+the larger of its own class's value and the left limit of the class below.
 """
 from __future__ import annotations
 
@@ -17,10 +23,9 @@ import numpy as np
 from .core import belief, virtual_value
 from .cutoffs import CutoffTable, _gap, unit_params
 from .mechanism import Split, equilibrium_split
-from .value import eval_R
+from .value import _class_alpha_gamma, eval_R
 
 RESIDUAL_TOL_PER_VHIGH = 1e-10
-MIN_SCAN_GRID = 101
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,7 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
     x must be strictly increasing.  A point on or below the chord of its
     hull neighbours is dropped, so the vertices are the hull's extreme points.
     """
+    x, y = np.asarray(x).tolist(), np.asarray(y).tolist()  # Python floats index faster
     hull = [0]
     for i in range(1, len(x)):
         while len(hull) >= 2:
@@ -109,49 +115,59 @@ def concave_envelope(points) -> list[EnvelopePoint]:
     return [EnvelopePoint(float(xi), float(yi), float(ei)) for xi, yi, ei in zip(x, y, env)]
 
 
-def _stage_values(table: CutoffTable, grid: np.ndarray, mu0: float):
-    """Sell-now and discounted-delay values at every grid posterior."""
+def _breakpoint_values(table: CutoffTable, mu0: float):
+    """Breakpoints of w at prior mu0 (every cutoff and 1), the supremum of w
+    at each, and whether selling now gives it."""
     p = table.params
     vhat0 = virtual_value(p, mu0)
-    sale = grid * p.v_high + (1.0 - grid) * vhat0
-    delay = p.delta * eval_R(table, grid, mu0)
-    return sale, delay
+    if table.degenerate:
+        # R(mu', mu0) = mu' * v_high is affine on all of [0, 1]
+        x = np.array([0.0, 1.0])
+        r = x * p.v_high
+    else:
+        x = np.append(table.cutoff_array, 1.0)
+        k = np.arange(len(x))
+
+        def on_piece(idx):
+            alpha, gamma = _class_alpha_gamma(table, x, idx)
+            return alpha * p.v_high + gamma * vhat0
+
+        # each point on its own class's piece (belief 1 closes the last class)
+        # and on the piece of the class below it
+        r = np.maximum(on_piece(np.minimum(k, len(x) - 2)), on_piece(np.maximum(k - 1, 0)))
+    sale = x * p.v_high + (1.0 - x) * vhat0
+    delay = p.delta * r
+    return x, np.maximum(sale, delay), sale >= delay
 
 
 def deviation_scan(
     table: CutoffTable,
     mu0: float,
-    grid_n: int = 1001,
     tolerance: float | None = None,
 ) -> DeviationReport:
     """Best two-point deviation at one prior: the upper hull of w at the prior.
 
-    w is the better of selling now and delaying at each posterior of a grid
-    of grid_n uniform points joined with every cutoff and the prior itself
-    (the optimum lives at cutoffs, which a uniform grid would miss).  The
-    witness is the pair of hull vertices around the prior.  PASS means the
-    best deviation exceeds the equilibrium value by at most the tolerance,
+    w is the better of selling now and delaying at each posterior.  It is
+    convex on every delay class, so its upper hull over all of [0, 1] is the
+    hull of its suprema at the cutoffs and 1, and the best deviation is that
+    hull read off between the two vertices around the prior; no grid is
+    involved.  The witness is that pair of vertices, each marked sale or
+    delay by the piece that gives it its value.  PASS means the best
+    deviation exceeds the equilibrium value by at most the tolerance,
     default 1e-8 * v_high.
     """
-    if grid_n < MIN_SCAN_GRID:
-        raise ValueError(f"grid_n must be at least {MIN_SCAN_GRID}")
     m0 = belief(mu0)
     if m0 == 1.0:
         raise ValueError("deviation scan has a pole at prior 1")
     p = table.params
     tol = 1e-8 * p.v_high if tolerance is None else tolerance
 
-    grid = np.unique(
-        np.concatenate([np.linspace(0.0, 1.0, grid_n), table.cutoff_array, [m0]])
-    )
-    sale, delay = _stage_values(table, grid, m0)
-    w = np.maximum(sale, delay)
-
-    hull = _upper_hull(grid, w)
-    at_prior = int(np.searchsorted(grid, m0))
-    k = int(np.searchsorted(hull, at_prior))
-    ia, ib = (at_prior, at_prior) if hull[k] == at_prior else (hull[k - 1], hull[k])
-    pa, pb = float(grid[ia]), float(grid[ib])
+    x, w, sells = _breakpoint_values(table, m0)
+    hull = _upper_hull(x, w)
+    hx = x[hull]
+    k = int(np.searchsorted(hx, m0))
+    ia, ib = (hull[k], hull[k]) if hx[k] == m0 else (hull[k - 1], hull[k])
+    pa, pb = float(x[ia]), float(x[ib])
     if pa == pb:
         best, weight_sale = float(w[ia]), 1.0
     else:
@@ -162,8 +178,8 @@ def deviation_scan(
         posterior_sale=pb,
         weight_delay=1.0 - weight_sale,
         weight_sale=weight_sale,
-        q_delay=float(sale[ia] >= delay[ia]),
-        q_sale=float(sale[ib] >= delay[ib]),
+        q_delay=float(sells[ia]),
+        q_sale=float(sells[ib]),
     )
 
     equilibrium = float(eval_R(table, m0, m0))

@@ -36,6 +36,12 @@ def oracle_R(p, cuts, mu_prime, mu0):
     return rec(mu_prime, klass(mu_prime))
 
 
+def commitment_revenue(p, mu0):
+    """Seller's optimum with full commitment: the better static posted price,
+    v_low to both types or v_high to the high type alone."""
+    return max(p.v_low, mu0 * p.v_high)
+
+
 def oracle_gap(p, cuts, n, mus):
     """Delay-(n+1) minus delay-n split values at prior(s) mus, by direct
     recursion; vectorized over mus."""

@@ -57,7 +57,7 @@ def test_criterion_2_deviation_scans():
         p = MarketParams(v_low, v_high, delta)
         table = compute_cutoffs(p)
         for m0 in np.linspace(0.01, 0.99, 101):
-            rep = deviation_scan(table, float(m0), grid_n=1001)
+            rep = deviation_scan(table, float(m0))
             ok &= rep.worst_gap <= 1e-8 * p.v_high
     # negative control: a table with the second cutoff shifted must fail
     p = MarketParams(1.0, 2.0, 0.8)

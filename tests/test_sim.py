@@ -113,6 +113,14 @@ def test_monte_carlo_mean_matches_analytic(table08):
     assert abs(mc.mean_revenue - seller_revenue(table08, 0.6)) <= 3.0 * mc.se_revenue
 
 
+def test_monte_carlo_se_at_tiny_scale():
+    # revenues near 1e-303 would square to 0 in physical units
+    table = compute_cutoffs(MarketParams(2.69e-318, 1e-300, 0.9999986))
+    mc = monte_carlo(table, 0.5, "prior", 5000, seed=0)
+    assert mc.se_revenue > 0.0
+    assert abs(mc.mean_revenue - seller_revenue(table, 0.5)) <= 3.0 * mc.se_revenue
+
+
 def test_monte_carlo_zero_variance_rent(table08, p08):
     mc = monte_carlo(table08, 0.85, "fixed_high", 20_000, seed=1)
     assert mc.mean_rent_high == pytest.approx(p08.delta**2 * p08.delta_v, abs=1e-12)

@@ -13,7 +13,7 @@ from duropoly import (
     virtual_value,
 )
 
-from helpers import oracle_R, oracle_vhat
+from helpers import commitment_revenue, oracle_R, oracle_vhat
 
 
 def test_eval_R_one_shot_branch(table08):
@@ -101,15 +101,32 @@ def test_seller_revenue(table08, tabledeg):
     assert seller_revenue(table08, 0.6) == pytest.approx(1.04, abs=1e-12)
 
 
-def test_commitment_bound(table08):
-    # limited commitment never beats the best posted-price commitment payoff
-    p = table08.params
-    for m0 in np.linspace(0.0, 1.0, 1001)[:-1]:
-        m0 = float(m0)
-        bound = max(p.v_low, m0 * p.v_high)
-        assert seller_revenue(table08, m0) <= bound + 1e-12
-        if m0 < 0.5:
-            assert seller_revenue(table08, m0) == pytest.approx(bound, abs=1e-12)
+def test_commitment_bound(table08, table095, tabledeg):
+    # limited commitment never beats the commitment optimum, and matches it
+    # below the first cutoff, where the seller sells to both types at once
+    for table in (table08, table095, tabledeg):
+        p = table.params
+        for m0 in np.linspace(0.0, 1.0, 1001)[:-1]:
+            m0 = float(m0)
+            bound = commitment_revenue(p, m0)
+            assert seller_revenue(table, m0) <= bound + 1e-12 * p.v_high
+            if m0 < table.cutoffs[1]:
+                assert seller_revenue(table, m0) == pytest.approx(bound, abs=1e-12 * p.v_high)
+
+
+def test_commitment_limit_as_delta_to_0():
+    # an impatient seller forgoes the future and posts the commitment price
+    p = MarketParams(1.0, 2.0, 1e-6)
+    revenue = seller_revenue(compute_cutoffs(p), 0.9)
+    assert revenue == pytest.approx(commitment_revenue(p, 0.9), abs=1e-5 * p.v_high)
+
+
+def test_coase_limit_as_delta_to_1():
+    # revenue falls to v_low while the delay class at a fixed prior stays bounded
+    for delta in (0.9, 0.99, 0.999, 1.0 - 1e-6):
+        assert compute_cutoffs(MarketParams(1.0, 2.0, delta)).delay_class(0.9) == 3
+    p = MarketParams(1.0, 2.0, 1.0 - 1e-6)
+    assert seller_revenue(compute_cutoffs(p), 0.9) == pytest.approx(p.v_low, abs=1e-5 * p.v_high)
 
 
 def test_buyer_rent_steps(table08):

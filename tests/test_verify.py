@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from duropoly import (
     CutoffTable,
+    MarketParams,
+    compute_cutoffs,
     concave_envelope,
     deviation_scan,
     equilibrium_split,
@@ -10,6 +14,7 @@ from duropoly import (
     structure_checks,
     virtual_value,
 )
+from duropoly.verify import _breakpoint_values
 
 from helpers import best_three_point, best_two_point, brute_cav
 
@@ -94,28 +99,16 @@ def test_scan_one_delay_prior(table08):
     assert rep.best_deviation_value == pytest.approx(1.04, abs=1e-12)
 
 
-def test_scan_finer_grid_agrees(table08):
-    # the coarse scan's optimum survives a finer exhaustive scan
-    for m0 in (0.3, 0.6, 0.85):
-        coarse = deviation_scan(table08, m0, grid_n=1001)
-        fine = deviation_scan(table08, m0, grid_n=2001)
-        assert abs(fine.best_deviation_value - coarse.best_deviation_value) < 1e-10
-
-
 def test_scan_witness_matches_split(table08):
-    grid_step = 1.0 / 1000
     for m0 in (0.2, 0.55, 0.65, 0.85, 0.95):
-        rep = deviation_scan(table08, m0, grid_n=1001)
+        rep = deviation_scan(table08, m0)
         split = equilibrium_split(table08, m0)
         assert rep.passed
         if split.weight_delay > 0.0:
-            assert abs(rep.witness.posterior_delay - split.posterior_delay) <= grid_step
-            assert rep.witness.posterior_sale == split.posterior_sale
+            assert rep.witness == split
 
 
 def test_scan_rejects_bad_inputs(table08):
-    with pytest.raises(ValueError):
-        deviation_scan(table08, 0.5, grid_n=50)
     with pytest.raises(ValueError):
         deviation_scan(table08, 1.0)
 
@@ -131,7 +124,7 @@ def test_two_point_support_suffices(p08, table08):
         grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 51), table08.cutoffs, [m0]]))
         w = _w(table08, grid, m0)
         three = best_three_point(grid, w, m0)
-        two = deviation_scan(table08, m0, grid_n=101).best_deviation_value
+        two = deviation_scan(table08, m0).best_deviation_value
         # reuse the same coarse grid for the two-point side
         best2 = best_two_point(grid, w, m0)
         assert three <= best2 + 1e-10 * p08.v_high
@@ -146,11 +139,43 @@ def test_scan_matches_two_point_oracle(table08, table095, tabledeg):
     # the prior sits one ulp below a uniform grid point
     cases.append((table08, float(np.linspace(0.01, 0.99, 101)[70]), 1001))
     for t, m0, grid_n in cases:
-        rep = deviation_scan(t, m0, grid_n=grid_n)
+        rep = deviation_scan(t, m0)
         grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid_n), t.cutoffs, [m0]]))
         best = best_two_point(grid, _w(t, grid, m0), m0)
         assert abs(rep.best_deviation_value - best) <= 1e-12 * t.params.v_high, (t.params, m0)
         assert rep.passed == (best - rep.equilibrium_value <= rep.tolerance)
+
+
+def test_breakpoint_values_are_suprema(table08):
+    # R jumps down at cutoffs above the prior, so there w's supremum can be
+    # its left limit, seen one ulp below the cutoff (at prior 0.97, cutoff 4)
+    jumped = False
+    for m0 in (0.3, 0.6, 0.85, 0.97):
+        x, w, _ = _breakpoint_values(table08, m0)
+        at, below = _w(table08, x, m0), _w(table08, np.nextafter(x, 0.0), m0)
+        assert np.max(np.abs(w - np.maximum(at, below))) <= 1e-12 * table08.params.v_high
+        jumped |= bool(np.any(below > at + 1e-3))
+    assert jumped
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    log_ratio=st.floats(-6.0, 0.0, exclude_max=True),
+    delta=st.floats(1e-6, 1.0 - 1e-5),
+    # the range verify scans; toward 1 the virtual value's pole swamps 1e-12
+    prior=st.floats(0.0, 0.99),
+)
+def test_exact_scan_bounds_every_grid(log_ratio, delta, prior):
+    # the scan's hull is over the continuum of posteriors, so no grid beats
+    # it; on the breakpoints themselves (every cutoff and 1) the two agree
+    ratio = 10.0**log_ratio
+    assume(ratio < 1.0)
+    t = compute_cutoffs(MarketParams(ratio, 1.0, delta))
+    best = deviation_scan(t, prior).best_deviation_value
+    breakpoints = np.unique(np.append(t.cutoffs, 1.0))
+    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101), breakpoints]))
+    assert best >= best_two_point(grid, _w(t, grid, prior), prior) - 1e-12
+    assert abs(best - best_two_point(breakpoints, _w(t, breakpoints, prior), prior)) <= 1e-12
 
 
 def test_structure_checks_pass(table08, table095, tabledeg):
