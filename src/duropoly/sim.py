@@ -1,15 +1,18 @@
 """Equilibrium play simulation: declining posted prices, stochastic acceptance,
 belief updating, and Monte Carlo summaries.
 
-On the no-trade path the seller's belief is deterministic: it walks down the
-cutoff chain, one posted price per belief.  So every path that has not traded
-shares one belief, price and acceptance probability in a given period, and
-monte_carlo plays all paths at once, one masked array step per period.
-simulate_path and iter_paths play the same equilibrium one path at a time;
-they are the single-path reference the array kernel is tested against.
+On the no-trade path the seller's belief is deterministic: a class-n prior
+walks down the cutoff chain, posts n declining prices and sells to the low
+type at v_low in period n.  So every untraded path shares one price and
+acceptance probability per period, and monte_carlo computes that schedule
+once and plays all paths at once, one array step per period.  simulate_path
+and iter_paths play the same equilibrium one path at a time; they are the
+single-path reference the array kernel is tested against.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +23,11 @@ from .mechanism import class_price
 
 RNG_ALGORITHM = "pcg64(seed); uniform row i of a pre-drawn matrix is path i's substream"
 
-# Rows of uniform draws monte_carlo holds at once.  Blocks drawn in sequence
-# from one generator are the rows of one large draw, so results do not depend
-# on it; memory stays bounded at any path count.
-DRAW_BLOCK_ROWS = 1 << 12
+# Uniform draws monte_carlo holds at once, in whole rows of class + 1 draws.
+# Blocks drawn in sequence from one generator are the rows of one large draw,
+# so results do not depend on it; memory stays bounded at any path count and
+# any class.
+DRAW_BLOCK_SIZE = 4096 * 1001
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,8 @@ class PathStep:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """One simulated play-through.  trade_period is None when the good is
-    never sold (the v_low = 0 low-type path, or a truncated horizon)."""
+    """One simulated play-through.  trade_period is None only on the
+    v_low = 0 low-type path, where the good is never sold."""
 
     steps: tuple[PathStep, ...]
     trade_period: int | None
@@ -85,13 +89,7 @@ class _RowStream:
         return float(u)
 
 
-def simulate_path(
-    table: CutoffTable,
-    mu0: float,
-    buyer_type: str,
-    rng,
-    horizon: int = 1000,
-) -> PathRecord:
+def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathRecord:
     """Play the equilibrium strategy once for a fixed buyer type.
 
     Each period the class-n posted price v_low + (1 - delta^n) dv is quoted;
@@ -111,12 +109,12 @@ def simulate_path(
 
     steps = []
     disc = 1.0
-    for t in range(horizon):
+    for t in itertools.count():
         if table.degenerate:
             if mu == 0.0:
                 # absorbing no-trade state: the seller quotes v_high forever
                 steps.append(PathStep(t, mu, p.v_high, buyer_type, "reject"))
-                break
+                return PathRecord(tuple(steps), None, 0.0, 0.0, buyer_type)
             price = p.v_high
             next_mu = 0.0
             accept_prob = 1.0
@@ -141,14 +139,6 @@ def simulate_path(
         mu = next_mu
         disc *= p.delta
 
-    return PathRecord(tuple(steps), None, 0.0, 0.0, buyer_type)
-
-
-def _draw_budget(table: CutoffTable, mu0: float, horizon: int) -> int:
-    """Uniform draws a single path can consume: the type draw plus one per
-    period played, which is at most the prior's class and at most horizon."""
-    return min(table.delay_class(belief(mu0)), horizon) + 1
-
 
 def _check_run(type_draw: str, n_paths: int) -> None:
     if type_draw not in ("fixed_low", "fixed_high", "prior"):
@@ -157,116 +147,112 @@ def _check_run(type_draw: str, n_paths: int) -> None:
         raise ValueError("n_paths must be at least 1")
 
 
-def iter_paths(
-    table: CutoffTable,
-    mu0: float,
-    type_draw: str,
-    n_paths: int,
-    seed: int,
-    horizon: int = 1000,
-):
+def iter_paths(table: CutoffTable, mu0: float, type_draw: str, n_paths: int, seed: int):
     """Yield, one simulate_path record at a time, the paths monte_carlo plays.
 
     type_draw is "fixed_low", "fixed_high", or "prior" (high with probability
     mu0).  Path i consumes row i of a uniform matrix drawn once from
-    pcg64(seed), so each path depends only on (seed, path index).
+    pcg64(seed), so each path depends only on (seed, path index).  A row
+    holds class + 1 draws: the type draw and one per period the high type
+    can decline.
     """
     _check_run(type_draw, n_paths)
     m0 = belief(mu0)
     rng = np.random.default_rng(seed)
-    draws = rng.random((n_paths, _draw_budget(table, m0, horizon)))
+    draws = rng.random((n_paths, table.delay_class(m0) + 1))
     for i in range(n_paths):
         stream = _RowStream(draws[i])
         if type_draw == "prior":
             btype = "high" if stream.random() < m0 else "low"
         else:
             btype = "high" if type_draw == "fixed_high" else "low"
-        yield simulate_path(table, m0, btype, stream, horizon)
+        yield simulate_path(table, m0, btype, stream)
 
 
-def _play_paths(
-    table: CutoffTable, m0: float, type_draw: str, n_paths: int, seed: int, horizon: int
-) -> PathArrays:
+def _play_paths(table: CutoffTable, m0: float, type_draw: str, n_paths: int, seed: int) -> PathArrays:
     """Play every path at once with the draws iter_paths reads.
 
-    Each period the shared scalars (price, next belief, acceptance
-    probability, discount) are those of simulate_path; one masked step then
-    settles every live high type whose draw falls below the acceptance
-    probability.  The uniform matrix is drawn in blocks of DRAW_BLOCK_ROWS.
+    The no-trade schedule is built once: in period t < n the belief is m0,
+    then cutoffs[n-1] ... cutoffs[1], and the price is class_price(p, n - t).
+    The live high types whose draw falls below the acceptance probability buy
+    and leave; once none is left, every path still untraded buys at v_low in
+    period n.  With v_low = 0 a positive prior posts v_high once, accepted for
+    sure, and belief 0 then never trades.  Draws come in blocks of at most
+    DRAW_BLOCK_SIZE.
     """
     p = table.params
-    budget = _draw_budget(table, m0, horizon)
+    n = table.delay_class(m0)
+    # discounts by repeated multiplication, as simulate_path builds them
+    disc = list(itertools.accumulate(itertools.repeat(p.delta, n), operator.mul, initial=1.0))
+    if table.degenerate:
+        price, accept = [p.v_high] * n, [1.0] * n
+    else:
+        cuts = table.cutoff_array
+        mu = cuts[n:0:-1].copy()  # the belief in period t, m0 at t = 0
+        mu[:1] = m0
+        next_mu = cuts[:n][::-1]
+        accept = 1.0 - (1.0 - mu) / mu * (next_mu / (1.0 - next_mu))
+        price = p.v_high - table.discounts[n:0:-1] * p.delta_v  # class_price(p, n - t)
     first = 1 if type_draw == "prior" else 0  # column of the period-0 accept draw
     is_high = np.empty(n_paths, dtype=bool)
     trade_period = np.full(n_paths, -1)
     revenue = np.zeros(n_paths)
     payoff = np.zeros(n_paths)
     rng = np.random.default_rng(seed)
-    for lo in range(0, n_paths, DRAW_BLOCK_ROWS):
-        rows = slice(lo, min(lo + DRAW_BLOCK_ROWS, n_paths))
-        draws = rng.random((rows.stop - lo, budget))
+    block = max(1, DRAW_BLOCK_SIZE // (n + 1))
+    for lo in range(0, n_paths, block):
+        rows = slice(lo, min(lo + block, n_paths))
+        draws = rng.random((rows.stop - lo, n + 1))
         high, period, rev, pay = is_high[rows], trade_period[rows], revenue[rows], payoff[rows]
         high[:] = (draws[:, 0] < m0) if type_draw == "prior" else (type_draw == "fixed_high")
-        alive = np.ones(len(draws), dtype=bool)
-        mu, disc = m0, 1.0
-        for t in range(horizon):
-            if table.degenerate:
-                if mu == 0.0:
-                    break  # absorbing no-trade state
-                price, next_mu, accept_prob = p.v_high, 0.0, 1.0
-            else:
-                n = table.delay_class(mu)
-                if n == 0:
-                    # both types buy at v_low; the low type's payoff is 0
-                    period[alive] = t
-                    rev[alive] = disc * p.v_low
-                    pay[alive & high] = disc * (p.v_high - p.v_low)
-                    break
-                price = class_price(p, n)
-                next_mu = table.cutoffs[n - 1]
-                accept_prob = 1.0 - (1.0 - mu) / mu * (next_mu / (1.0 - next_mu))
-            acc = alive & high & (draws[:, first + t] < accept_prob)
-            period[acc] = t
-            rev[acc] = disc * price
-            pay[acc] = disc * (p.v_high - price)
-            alive &= ~acc
-            mu = next_mu
-            disc *= p.delta
+        live = np.flatnonzero(high)  # high types not yet traded
+        for t in range(n):
+            if not live.size:
+                break
+            acc = draws[live, first + t] < accept[t]
+            hit = live[acc]
+            period[hit] = t
+            rev[hit] = disc[t] * price[t]
+            pay[hit] = disc[t] * (p.v_high - price[t])
+            live = live[~acc]
+        if not table.degenerate:
+            # both types buy at v_low; the low type's payoff is 0
+            rest = period == -1
+            period[rest] = n
+            rev[rest] = disc[n] * p.v_low
+            pay[live] = disc[n] * (p.v_high - p.v_low)
     return PathArrays(is_high, trade_period, revenue, payoff)
 
 
 def monte_carlo(
-    table: CutoffTable,
-    mu0: float,
-    type_draw: str,
-    n_paths: int,
-    seed: int,
-    horizon: int = 1000,
+    table: CutoffTable, mu0: float, type_draw: str, n_paths: int, seed: int
 ) -> MonteCarloSummary:
     """Simulate n_paths independent plays and summarize revenue and rents.
 
-    The paths are those of iter_paths, bit for bit, played as arrays; the
-    summary carries them in `paths`.  Identical seeds reproduce the summary
-    bit for bit.
+    Every path is played to its trade, which comes by period n for a class-n
+    prior; only the v_low = 0 low type never trades.  The paths are those
+    of iter_paths, bit for bit, played as arrays; the summary carries them
+    in `paths`.  Identical seeds reproduce the summary bit for bit.
     """
     _check_run(type_draw, n_paths)
     m0 = belief(mu0)
     if m0 == 1.0:
         raise ValueError("simulation starts from a prior below 1")
-    paths = _play_paths(table, m0, type_draw, n_paths, seed, horizon)
+    paths = _play_paths(table, m0, type_draw, n_paths, seed)
     revenue, payoff, is_high = paths.revenue, paths.payoff, paths.is_high
 
     # in units of v_high, so squaring revenues near the float64 floor cannot underflow
     v_high = table.params.v_high
     se = float(v_high * (revenue / v_high).std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     counts = np.bincount(paths.trade_period + 1)  # index 0 counts the no-sale paths
+    seen = np.flatnonzero(counts)
     return MonteCarloSummary(
         n_paths=n_paths,
         mean_revenue=float(revenue.mean()),
         se_revenue=se,
         mean_rent_high=float(payoff[is_high].mean()) if is_high.any() else 0.0,
         mean_rent_low=float(payoff[~is_high].mean()) if (~is_high).any() else 0.0,
-        trade_time_histogram={t - 1: k for t, k in enumerate(counts.tolist()) if k},
+        trade_time_histogram=dict(zip((seen - 1).tolist(), counts[seen].tolist())),
         seed=seed,
         paths=paths,
     )

@@ -99,13 +99,16 @@ def buyer_rent(table: CutoffTable, mu0: float) -> float:
 
 def rent_correspondence(table: CutoffTable, mu0: float) -> tuple[float, float]:
     """High-type rent set at mu0: a singleton off cutoffs, the closed interval
-    [delta^i dv, delta^(i-1) dv] at cutoff i >= 1 (matched within 1e-12)."""
+    [delta^i dv, delta^(i-1) dv] at cutoff i >= 1.  Only the nearer of the
+    two cutoffs bounding mu0's class can match, within 1e-12 relative to it."""
     m0 = belief(mu0)
     if table.degenerate:
         return (0.0, 0.0)
-    p = table.params
-    for i in range(1, len(table.cutoffs)):
-        if abs(m0 - table.cutoffs[i]) <= CUTOFF_MATCH_TOL:
-            return (p.delta**i * p.delta_v, p.delta ** (i - 1) * p.delta_v)
+    p, c = table.params, table.cutoffs
+    i = table.delay_class(m0)
+    if i + 1 < len(c) and c[i + 1] - m0 < m0 - c[i]:
+        i += 1
+    if i >= 1 and abs(m0 - c[i]) <= CUTOFF_MATCH_TOL * c[i]:
+        return (p.delta**i * p.delta_v, p.delta ** (i - 1) * p.delta_v)
     r = buyer_rent(table, m0)
     return (r, r)

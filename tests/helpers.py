@@ -42,6 +42,13 @@ def commitment_revenue(p, mu0):
     return max(p.v_low, mu0 * p.v_high)
 
 
+def class_one_revenue(p, mu0):
+    """Revenue of a class-1 prior: the high type buys at once at
+    v_high - delta * dv, the low type buys at v_low one period later.  At
+    (1, 2, delta) and mu0 0.6 this is 1 + 0.2 (1 - delta)."""
+    return mu0 * (p.v_high - p.delta * p.delta_v) + (1.0 - mu0) * p.delta * p.v_low
+
+
 def oracle_gap(p, cuts, n, mus):
     """Delay-(n+1) minus delay-n split values at prior(s) mus, by direct
     recursion; vectorized over mus."""

@@ -81,6 +81,9 @@ def test_invalid_params_exit_2(tmp_path, capsys):
     ("verify", "--v-low", 1e-100, "--v-high", 1, "--delta", 0.999, "--mu0", 0.5, "--grid", 101),
     ("sweep", "--v-low", 1e-100, "--v-high", 1, "--delta", 0.999, "--mu0", 0.5,
      "--grid", 21, "--sweep-paths", 20),
+    # class 13,069: every path is played to its trade, with no horizon
+    ("simulate", "--v-low", 0.001, "--v-high", 1, "--delta", 0.99999999, "--mu0", 0.999999,
+     "--paths", 3000),
 ])
 def test_long_cutoff_chains_run(tmp_path, args):
     # chains of hundreds to thousands of cutoffs, each run to belief 1

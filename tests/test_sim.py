@@ -85,13 +85,6 @@ def test_degenerate_high_type_pays_full_value(tabledeg):
     assert rec.discounted_buyer_payoff == 0.0
 
 
-def test_horizon_truncation(table08):
-    rec = simulate_path(table08, 0.85, "low", np.random.default_rng(8), horizon=1)
-    assert rec.trade_period is None
-    assert len(rec.steps) == 1
-    assert rec.discounted_revenue == 0.0
-
-
 def test_simulate_path_input_validation(table08):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -197,41 +190,55 @@ def _class_priors(table):
     return priors
 
 
-@pytest.mark.parametrize("args", [(1.0, 2.0, 0.8), (1.0, 2.0, 0.99), (0.0, 1.0, 0.9)])
+LONG_CLASS = 1500
+
+
+@pytest.mark.parametrize(
+    "args", [(1.0, 2.0, 0.8), (1.0, 2.0, 0.99), (0.0, 1.0, 0.9), (1e-100, 1.0, 0.99999)]
+)
 def test_array_kernel_matches_path_oracle(args):
     # monte_carlo plays all paths as arrays; each must be iter_paths' path
     table = compute_cutoffs(MarketParams(*args))
-    for m0 in _class_priors(table):
+    if len(table.cutoffs) > LONG_CLASS + 1:
+        # one prior of a long class, on few paths: the oracle walks it step by step
+        c = table.cutoffs
+        priors, n_paths = [0.5 * (c[LONG_CLASS] + c[LONG_CLASS + 1])], 20
+        assert table.delay_class(priors[0]) == LONG_CLASS
+    else:
+        priors, n_paths = _class_priors(table), 200
+    for m0 in priors:
         for type_draw in ("prior", "fixed_high", "fixed_low"):
-            for horizon in (1, 3, 1000):
-                got = monte_carlo(table, m0, type_draw, 200, seed=11, horizon=horizon).paths
-                recs = list(iter_paths(table, m0, type_draw, 200, seed=11, horizon=horizon))
-                case = (m0, type_draw, horizon)
-                assert got.is_high.tolist() == [r.buyer_type == "high" for r in recs], case
-                assert got.trade_period.tolist() == [
-                    -1 if r.trade_period is None else r.trade_period for r in recs
-                ], case
-                assert got.revenue.tolist() == [r.discounted_revenue for r in recs], case
-                assert got.payoff.tolist() == [r.discounted_buyer_payoff for r in recs], case
+            got = monte_carlo(table, m0, type_draw, n_paths, seed=11).paths
+            recs = list(iter_paths(table, m0, type_draw, n_paths, seed=11))
+            case = (m0, type_draw)
+            assert got.is_high.tolist() == [r.buyer_type == "high" for r in recs], case
+            assert got.trade_period.tolist() == [
+                -1 if r.trade_period is None else r.trade_period for r in recs
+            ], case
+            assert got.revenue.tolist() == [r.discounted_revenue for r in recs], case
+            assert got.payoff.tolist() == [r.discounted_buyer_payoff for r in recs], case
 
 
 def test_monte_carlo_draw_blocks_do_not_change_results(monkeypatch):
     table = compute_cutoffs(MarketParams(1.0, 2.0, 0.99))
     whole = monte_carlo(table, 0.999, "prior", 1000, seed=9)
-    monkeypatch.setattr(sim, "DRAW_BLOCK_ROWS", 7)
+    monkeypatch.setattr(sim, "DRAW_BLOCK_SIZE", 1)  # one row per block
     blocked = monte_carlo(table, 0.999, "prior", 1000, seed=9)
     assert blocked == whole
     for name in ("is_high", "trade_period", "revenue", "payoff"):
         assert getattr(blocked.paths, name).tolist() == getattr(whole.paths, name).tolist()
 
 
-def test_draw_rows_stop_at_the_horizon():
-    # a class far beyond the horizon must not widen every path's row of draws
+def test_long_class_paths_all_trade():
+    # every path is played to its trade, however long the prior's class
     table = compute_cutoffs(MarketParams(1e-100, 1.0, 0.99999))
-    assert table.delay_class(0.9) > 1000
-    paths = monte_carlo(table, 0.9, "prior", 50, seed=3, horizon=4).paths
-    draws = np.random.default_rng(3).random((50, 5))
-    assert paths.is_high.tolist() == (draws[:, 0] < 0.9).tolist()
+    n = table.delay_class(0.9)
+    assert n == 6778
+    mc = monte_carlo(table, 0.9, "prior", 2000, seed=0)
+    assert -1 not in mc.trade_time_histogram
+    low = ~mc.paths.is_high
+    assert low.any() and (mc.paths.trade_period[low] == n).all()
+    assert abs(mc.mean_revenue - seller_revenue(table, 0.9)) <= 3.0 * mc.se_revenue
 
 
 def test_monte_carlo_seed_0_summaries_pinned():

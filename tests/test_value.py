@@ -13,7 +13,7 @@ from duropoly import (
     virtual_value,
 )
 
-from helpers import commitment_revenue, oracle_R, oracle_vhat
+from helpers import class_one_revenue, commitment_revenue, oracle_R, oracle_vhat
 
 
 def test_eval_R_one_shot_branch(table08):
@@ -129,6 +129,17 @@ def test_coase_limit_as_delta_to_1():
     assert seller_revenue(compute_cutoffs(p), 0.9) == pytest.approx(p.v_low, abs=1e-5 * p.v_high)
 
 
+def test_class_one_closed_form():
+    # prior 0.6 stays in class 1 at every delta, with revenue 1 + 0.2 (1 - delta)
+    for delta in (1e-6, 0.1, 0.5, 0.8, 0.9, 0.99, 0.999, 1.0 - 1e-6):
+        p = MarketParams(1.0, 2.0, delta)
+        table = compute_cutoffs(p)
+        assert table.delay_class(0.6) == 1
+        want = class_one_revenue(p, 0.6)
+        assert abs(want - (1.0 + 0.2 * (1.0 - delta))) <= 1e-15 * p.v_high
+        assert abs(seller_revenue(table, 0.6) - want) <= 1e-15 * p.v_high
+
+
 def test_buyer_rent_steps(table08):
     dv = table08.params.delta_v
     assert buyer_rent(table08, 0.3) == dv
@@ -165,9 +176,17 @@ def test_rent_correspondence(table08):
     assert rent_correspondence(table08, 0.5) == (0.8 * dv, dv)
     c2 = table08.cutoffs[2]
     assert rent_correspondence(table08, c2) == (0.8**2 * dv, 0.8 * dv)
+    assert rent_correspondence(table08, c2 - 1e-13) == (0.8**2 * dv, 0.8 * dv)
     # detection window is 1e-12
     lo, hi = rent_correspondence(table08, c2 + 1e-9)
     assert lo == hi
+    # at a tiny ratio the cutoffs sit about 1e-100 apart, so the window is
+    # relative to the matched cutoff
+    table = compute_cutoffs(MarketParams(1e-100, 1.0, 0.999))
+    d, dv = 0.999, table.params.delta_v
+    assert rent_correspondence(table, table.cutoffs[3]) == (d**3 * dv, d**2 * dv)
+    assert table.delay_class(3.5e-100) == 3
+    assert rent_correspondence(table, 3.5e-100) == (d**3 * dv, d**3 * dv)
 
 
 def test_recursion_consistency(table08):
