@@ -11,7 +11,7 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,21 +38,26 @@ class RunConfig:
     grid_n: int = 1001
     mc_paths: int = 100_000
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
+    deviation_gap: float | None = None
     output_dir: Path = Path(".")
-
-    def __post_init__(self):
-        if self.grid_n < 2 or self.mc_paths < 1:
-            raise ValueError("counts must be positive")
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise ValueError("tolerances must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        self.output_dir = Path(self.output_dir)
 
 
 def _fmt(x: float) -> str:
+    """CSV text of a float: 17 significant digits read back to the same float64."""
     return format(float(x), ".17g")
+
+
+def _write_json(path, data) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+
+
+def _write_csv(path, header, rows) -> None:
+    """rows may be a generator; each row is written as it is made."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _number(name: str, value, kind=float):
@@ -75,7 +80,8 @@ def _object(name: str, value, keys) -> dict:
 
 
 def _build_config(args) -> RunConfig:
-    """Merge defaults, config file, and flags (flags win)."""
+    """Merge defaults, config file, and flags (flags win), and check the
+    result against every run-setting rule."""
     raw: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -100,12 +106,18 @@ def _build_config(args) -> RunConfig:
         raise ValueError(f"config output_dir must be a string, got {output_dir!r}")
     tolerances = _object("tolerances", raw.get("tolerances", {}), TOLERANCE_KEYS)
     cfg = RunConfig(
-        params=MarketParams(**pdict),
-        mu0=mu0,
-        tolerances={k: _number(k, v) for k, v in tolerances.items()},
+        MarketParams(**pdict),
+        mu0,
+        deviation_gap=_number("deviation_gap", tolerances["deviation_gap"]) if tolerances else None,
         output_dir=Path(output_dir),
         **counts,
     )
+    if cfg.grid_n < 2 or cfg.mc_paths < 1:
+        raise ValueError("counts must be positive")
+    if cfg.deviation_gap is not None and cfg.deviation_gap <= 0:
+        raise ValueError("tolerances must be positive")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {cfg.seed}")
     # the deviation scan needs no grid; this guards structure_checks' prior grid
     if args.command == "verify" and cfg.grid_n < MIN_SCAN_GRID:
         raise ValueError(
@@ -116,21 +128,30 @@ def _build_config(args) -> RunConfig:
 
 def cmd_solve(cfg: RunConfig, table: CutoffTable) -> int:
     out = cfg.output_dir
-    table.write_csv(out / "cutoffs.csv")
-    table.write_json(out / "cutoffs.json")
+    _write_csv(out / "cutoffs.csv", ["n", "mu_bar"], ((n, _fmt(c)) for n, c in enumerate(table.cutoffs)))
+    _write_json(out / "cutoffs.json", {
+        **dataclasses.asdict(table.params),
+        "cutoffs": list(table.cutoffs),
+        "degenerate": table.degenerate,
+    })
 
     mech = build_mechanism(table, cfg.mu0)
     view = posted_price_view(mech, table)
-    with open(out / "mechanism.json", "w", encoding="utf-8") as fh:
-        json.dump(mech.to_json(view), fh, indent=2)
+    # {posterior: value} dicts become [[posterior, value], ...]: JSON keys are strings
+    _write_json(out / "mechanism.json", {
+        "prior": mech.prior,
+        "n": mech.n,
+        "device": {report: list(dist.items()) for report, dist in mech.device.items()},
+        "trade_prob": list(mech.trade_prob.items()),
+        "transfer": list(mech.transfer.items()),
+        "posted_price": dataclasses.asdict(view),
+    })
 
     grid = np.linspace(0.0, 1.0, cfg.grid_n)
     values = eval_R(table, grid, cfg.mu0)
-    with open(out / "value_table.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mu_prime", "mu0", "R"])
-        for m, v in zip(grid, values):
-            writer.writerow([_fmt(m), _fmt(cfg.mu0), _fmt(v)])
+    mu0 = _fmt(cfg.mu0)
+    _write_csv(out / "value_table.csv", ["mu_prime", "mu0", "R"],
+               ((_fmt(m), mu0, _fmt(v)) for m, v in zip(grid, values)))
 
     n = table.delay_class(cfg.mu0)
     print(
@@ -143,14 +164,12 @@ def cmd_solve(cfg: RunConfig, table: CutoffTable) -> int:
 
 def cmd_verify(cfg: RunConfig, table: CutoffTable) -> int:
     out = cfg.output_dir
-    tol = cfg.tolerances.get("deviation_gap")
-
     priors = np.linspace(0.01, 0.99, VERIFY_N_PRIORS)
     failures = []
     records = []
     max_gap = 0.0
     for m0 in priors:
-        rep = deviation_scan(table, float(m0), tolerance=tol)
+        rep = deviation_scan(table, float(m0), tolerance=cfg.deviation_gap)
         max_gap = max(max_gap, rep.worst_gap)
         records.append({
             "prior": rep.prior,
@@ -165,19 +184,13 @@ def cmd_verify(cfg: RunConfig, table: CutoffTable) -> int:
         failures.append({"kind": "structure", "report": dataclasses.asdict(structure)})
 
     report = {
-        "params": {
-            "v_low": cfg.params.v_low,
-            "v_high": cfg.params.v_high,
-            "delta": cfg.params.delta,
-            "mu0": cfg.mu0,
-        },
+        "params": {**dataclasses.asdict(cfg.params), "mu0": cfg.mu0},
         "n_priors": len(priors),
         "max_gap": max_gap,
         "failures": failures,
         "priors": records,
     }
-    with open(out / "verify_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+    _write_json(out / "verify_report.json", report)
     print(f"verify: {len(priors)} priors, max gap {max_gap:.3e}, failures {len(failures)}")
     return 1 if failures else 0
 
@@ -200,19 +213,17 @@ def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: 
         "rng_algorithm": summary.rng_algorithm,
         "analytic_revenue": analytic,
     }
-    with open(out / "simulation.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_json(out / "simulation.json", payload)
 
     if paths_csv:
         paths = summary.paths
-        with open(paths_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "buyer_type", "trade_period", "discounted_revenue", "discounted_buyer_payoff"])
-            rows = zip(paths.is_high, paths.trade_period, paths.revenue, paths.payoff)
-            for i, (high, t, rev, pay) in enumerate(rows):
-                writer.writerow([
-                    i, "high" if high else "low", "" if t < 0 else t, _fmt(rev), _fmt(pay),
-                ])
+        rows = zip(paths.is_high, paths.trade_period, paths.revenue, paths.payoff)
+        _write_csv(
+            paths_csv,
+            ["path", "buyer_type", "trade_period", "discounted_revenue", "discounted_buyer_payoff"],
+            ((i, "high" if high else "low", "" if t < 0 else t, _fmt(rev), _fmt(pay))
+             for i, (high, t, rev, pay) in enumerate(rows)),
+        )
 
     print(
         f"simulate: {summary.n_paths} paths, mean revenue {summary.mean_revenue:.6g} "
@@ -228,18 +239,13 @@ def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: 
 def cmd_sweep(cfg: RunConfig, table: CutoffTable, sweep_paths: int) -> int:
     out = cfg.output_dir
     priors = np.linspace(0.0, 1.0, cfg.grid_n)[:-1]
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mu0", "analytic_revenue", "mc_revenue", "rent"])
-        for m0 in priors:
-            m0 = float(m0)
-            summary = monte_carlo(table, m0, "prior", sweep_paths, cfg.seed)
-            writer.writerow([
-                _fmt(m0),
-                _fmt(seller_revenue(table, m0)),
-                _fmt(summary.mean_revenue),
-                _fmt(buyer_rent(table, m0)),
-            ])
+    rows = (
+        (_fmt(m0), _fmt(seller_revenue(table, m0)),
+         _fmt(monte_carlo(table, m0, "prior", sweep_paths, cfg.seed).mean_revenue),
+         _fmt(buyer_rent(table, m0)))
+        for m0 in map(float, priors)
+    )
+    _write_csv(out / "sweep.csv", ["mu0", "analytic_revenue", "mc_revenue", "rent"], rows)
     print(f"sweep: {len(priors)} priors written to {out / 'sweep.csv'}")
     return 0
 

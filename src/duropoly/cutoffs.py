@@ -12,11 +12,8 @@ no longer place a further cutoff below 1.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -93,26 +90,6 @@ class CutoffTable:
             return 0 if m == 0.0 else 1
         return int(np.searchsorted(self.cutoff_array, m, side="right")) - 1
 
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "mu_bar"])
-            for n, c in enumerate(self.cutoffs):
-                writer.writerow([n, format(c, ".17g")])
-
-    def to_json(self) -> dict:
-        return {
-            "v_low": self.params.v_low,
-            "v_high": self.params.v_high,
-            "delta": self.params.delta,
-            "cutoffs": list(self.cutoffs),
-            "degenerate": self.degenerate,
-        }
-
-    def write_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-
 
 def unit_params(p: MarketParams) -> MarketParams:
     """The same market with v_high = 1, on which the cutoff chain is built."""
@@ -173,7 +150,8 @@ def compute_cutoffs(p: MarketParams) -> CutoffTable:
     cutoff is within PROXIMITY_TO_ONE of it, when the remaining interval is
     too close to 1 for float64 to resolve the root (see RESOLUTION_GUARD),
     or when the next root rounds to 1.  A chain that would pass MAX_CUTOFFS
-    entries raises ValueError; no table is ever truncated.
+    entries raises ValueError, as does a ratio so small that g(0) rounds to
+    0; no table is ever truncated.
 
     v_low = 0 short-circuits to the two-entry table (0, 0): every positive
     prior then delays at posterior 0 forever on the low-type path.
@@ -211,7 +189,11 @@ def compute_cutoffs(p: MarketParams) -> CutoffTable:
             g1 = d**n * (1.0 - d) * unit.delta_v
         root = g0 / (g0 - g1)
         if not (g0 < 0.0 and last < root):
-            raise RuntimeError(f"no indifference root above cutoff {n} (g(0) = {g0}, root {root})")
+            # g(0) scales with the ratio and has rounded to 0
+            raise ValueError(
+                f"v_low/v_high = {p.v_low!r}/{p.v_high!r} is too small for float64: the "
+                f"cutoff chain at delta = {d!r} underflows past cutoff {n}"
+            )
         if root >= 1.0:
             # the root lies within rounding of belief 1: no further cutoff
             break

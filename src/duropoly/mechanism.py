@@ -39,24 +39,6 @@ class Mechanism:
     trade_prob: dict  # {posterior: probability of trade}
     transfer: dict  # {posterior: payment}
 
-    def to_json(self, view: PostedPrice) -> dict:
-        """JSON form; view is this mechanism's posted_price_view."""
-        return {
-            "prior": self.prior,
-            "n": self.n,
-            "device": {
-                report: [[post, prob] for post, prob in dist.items()]
-                for report, dist in self.device.items()
-            },
-            "trade_prob": [[post, q] for post, q in self.trade_prob.items()],
-            "transfer": [[post, t] for post, t in self.transfer.items()],
-            "posted_price": {
-                "price": view.price,
-                "accept_prob_high": view.accept_prob_high,
-                "reject_posterior": view.reject_posterior,
-            },
-        }
-
 
 @dataclass(frozen=True)
 class PostedPrice:
@@ -108,15 +90,15 @@ def equilibrium_split(table: CutoffTable, mu0: float) -> Split:
     return Split(c, 1.0, 1.0 - w_sale, w_sale, 0.0, 1.0)
 
 
-def build_mechanism(table: CutoffTable, mu0: float, knife_edge_delay_weight: float = 1.0) -> Mechanism:
+def build_mechanism(table: CutoffTable, mu0: float) -> Mechanism:
     """Construct the optimal canonical mechanism at one prior.
 
     For class n >= 1 the low report is pooled onto the previous cutoff, the
     high report mixes between that cutoff and posterior 1, the sale transfer
     is the class-n posted price, and no-trade posteriors pay nothing.  At a
     prior sitting exactly on a cutoff the seller is indifferent between the
-    two adjacent class mechanisms; `knife_edge_delay_weight` selects the
-    longer-delay one (1.0, the default) or the shorter one (0.0).
+    two adjacent class mechanisms; the tie goes to the longer delay, as in
+    `CutoffTable.delay_class`.
     """
     m0 = belief(mu0)
     p = table.params
@@ -133,12 +115,6 @@ def build_mechanism(table: CutoffTable, mu0: float, knife_edge_delay_weight: flo
         )
 
     n = table.delay_class(m0)
-    if n >= 1 and knife_edge_delay_weight != 1.0:
-        if knife_edge_delay_weight != 0.0:
-            raise ValueError("only the pure tie-breaks 0.0 and 1.0 are representable")
-        if any(m0 == c for c in table.cutoffs[1:]):
-            n -= 1
-
     if n == 0:
         return Mechanism(m0, 0, {"low": {m0: 1.0}, "high": {m0: 1.0}}, {m0: 1.0}, {m0: p.v_low})
 

@@ -145,3 +145,21 @@ def best_three_point(grid, w, m0, n_mix=7):
                 if np.any(ok):
                     best = max(best, float(np.max(vals[ok])))
     return best
+
+
+# (v_low, v_high, delta, mu0, class): a class-0, a class-2 and a v_low = 0
+# prior, each solved through the CLI by the artifact round-trip tests
+SOLVE_CASES = [
+    (1.0, 2.0, 0.8, 0.3, 0),
+    (1.0, 2.0, 0.8, 0.85, 2),
+    (0.0, 1.0, 0.9, 0.3, 1),  # v_low = 0: sell at v_high or never
+]
+
+
+def solve_into(out, v_low, v_high, delta, mu0, grid=101):
+    """Run ``solve`` into ``out`` and assert it exits 0."""
+    from duropoly.cli import main
+
+    argv = ["solve", "--v-low", v_low, "--v-high", v_high, "--delta", delta,
+            "--mu0", mu0, "--grid", grid, "--out", out]
+    assert main([str(a) for a in argv]) == 0

@@ -1,11 +1,18 @@
+import contextlib
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from duropoly import cutoffs
 from duropoly.cli import main
+
+from helpers import SOLVE_CASES, solve_into
 
 
 def run(*args):
@@ -23,25 +30,23 @@ def test_solve_writes_artifacts(tmp_path, capsys):
 
 
 def test_solve_artifacts_round_trip(tmp_path):
-    run("solve", "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.6,
-        "--grid", 101, "--out", tmp_path)
-    from duropoly import MarketParams, build_mechanism, compute_cutoffs, eval_R, posted_price_view
+    # value_table.csv reads back to eval_R at every grid point; the cutoff and
+    # mechanism files have round trips of their own in test_cutoffs and
+    # test_mechanism
+    from duropoly import MarketParams, compute_cutoffs, eval_R
 
-    table = compute_cutoffs(MarketParams(1, 2, 0.8))
-    with open(tmp_path / "cutoffs.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert tuple(float(r["mu_bar"]) for r in rows) == table.cutoffs
-
-    mech = json.loads((tmp_path / "mechanism.json").read_text())
-    built = build_mechanism(table, 0.6)
-    want = built.to_json(posted_price_view(built, table))
-    assert mech == want
-
-    with open(tmp_path / "value_table.csv") as fh:
-        vrows = list(csv.DictReader(fh))
-    assert len(vrows) == 101
-    for r in vrows[::10]:
-        assert float(r["R"]) == eval_R(table, float(r["mu_prime"]), 0.6)
+    for i, (v_low, v_high, delta, mu0, _) in enumerate(SOLVE_CASES):
+        out = tmp_path / str(i)
+        solve_into(out, v_low, v_high, delta, mu0)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cutoffs.csv", "cutoffs.json", "mechanism.json", "value_table.csv"]
+        table = compute_cutoffs(MarketParams(v_low, v_high, delta))
+        with open(out / "value_table.csv", newline="") as fh:
+            vrows = list(csv.DictReader(fh))
+        assert [float(r["mu_prime"]) for r in vrows] == list(np.linspace(0.0, 1.0, 101))
+        for r in vrows:
+            assert float(r["mu0"]) == mu0
+            assert float(r["R"]) == eval_R(table, float(r["mu_prime"]), mu0)
 
 
 def test_solve_degenerate_summary(tmp_path, capsys):
@@ -69,8 +74,55 @@ def test_invalid_params_exit_2(tmp_path, capsys):
                "--out", tmp_path) == 2  # missing mu0
     assert run("solve", "--v-low", 1, "--v-high", "inf", "--delta", 0.8,
                "--mu0", 0.3, "--out", tmp_path) == 2
+    # v_low / v_high rounds to 0, and a subnormal ratio whose chain underflows
+    assert run("solve", "--v-low", 1e-320, "--v-high", 1e300, "--delta", 0.5,
+               "--mu0", 0.5, "--out", tmp_path) == 2
+    assert run("solve", "--v-low", 1e-320, "--v-high", 1, "--delta", 0.9999,
+               "--mu0", 0.5, "--out", tmp_path) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 4 and all(line.startswith("error:") for line in err)
+    assert len(err) == 6 and all(line.startswith("error:") for line in err)
+    assert all("v_low/v_high = 1e-320/" in line for line in err[-2:])
+
+
+def _in_domain(command, v_low, v_high, delta, mu0):
+    """The CLI's input rules for the four market flags, written out apart
+    from the code that enforces them."""
+    if not all(math.isfinite(x) for x in (v_low, v_high, delta, mu0)):
+        return False
+    # beliefs within 1e-12 of [0, 1] clamp to it; solve and simulate need mu0 < 1
+    prior_ok = -1e-12 <= mu0 <= 1.0 + 1e-12 and (command in ("verify", "sweep") or mu0 < 1.0)
+    if not (0.0 <= v_low < v_high and 0.0 < delta < 1.0 and prior_ok):
+        return False
+    return v_low == 0.0 or v_low / v_high > 0.0  # the ratio must not round to 0
+
+
+def _flag(*in_domain):
+    # any float at all, or one from a range that mostly lies in the domain
+    return st.one_of(st.floats(), *(st.floats(lo, hi) for lo, hi in in_domain))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["solve", "verify", "simulate", "sweep"]),
+    v_low=_flag((0.0, 1.0), (5e-324, 1e-300)),
+    v_high=_flag((2.0, 10.0), (1e10, 1e308)),
+    delta=_flag((0.0, 1.0)),
+    mu0=_flag((0.0, 1.0)),
+)
+@example(command="solve", v_low=1e-320, v_high=1e300, delta=0.5, mu0=0.5)
+def test_out_of_domain_flags_exit_2(tmp_path_factory, command, v_low, v_high, delta, mu0):
+    # non-finite, out-of-range or underflowing market flags: exit 2 with one
+    # error line, never a verification failure or a traceback
+    assume(not _in_domain(command, v_low, v_high, delta, mu0))
+    out = tmp_path_factory.getbasetemp() / "out-of-domain"
+    argv = [command, f"--v-low={v_low!r}", f"--v-high={v_high!r}", f"--delta={delta!r}",
+            f"--mu0={mu0!r}", "--out", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 @pytest.mark.parametrize("args", [

@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,7 +10,7 @@ from duropoly import CutoffTable, MarketParams, compute_cutoffs, indifference_ga
 from duropoly.cutoffs import PROXIMITY_TO_ONE, RESOLUTION_GUARD
 
 from conftest import MU2_08, MU3_08
-from helpers import oracle_gap, scan_cutoff
+from helpers import SOLVE_CASES, oracle_gap, scan_cutoff, solve_into
 
 
 def test_degenerate_table(tabledeg):
@@ -178,20 +181,21 @@ def test_alphas_and_gammas(table08):
         assert table08.gammas[k] == (1.0 - c) * d**k
 
 
-def test_csv_json_round_trip(table08, tmp_path):
-    csv_path = tmp_path / "cutoffs.csv"
-    table08.write_csv(csv_path)
-    rows = csv_path.read_text().strip().splitlines()
-    assert rows[0] == "n,mu_bar"
-    parsed = [float(r.split(",")[1]) for r in rows[1:]]
-    assert tuple(parsed) == table08.cutoffs
-
-    json_path = tmp_path / "cutoffs.json"
-    table08.write_json(json_path)
-    import json
-
-    data = json.loads(json_path.read_text())
-    assert tuple(data["cutoffs"]) == table08.cutoffs
+def test_csv_json_round_trip(tmp_path):
+    # cutoffs.csv and cutoffs.json, as solve writes them, read back to the table
+    for i, (v_low, v_high, delta, mu0, _) in enumerate(SOLVE_CASES):
+        out = tmp_path / str(i)
+        solve_into(out, v_low, v_high, delta, mu0)
+        table = compute_cutoffs(MarketParams(v_low, v_high, delta))
+        with open(out / "cutoffs.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["n", "mu_bar"]
+        assert [int(r[0]) for r in rows] == list(range(len(table.cutoffs)))
+        assert tuple(float(r[1]) for r in rows) == table.cutoffs
+        assert json.loads((out / "cutoffs.json").read_text()) == {
+            "v_low": v_low, "v_high": v_high, "delta": delta,
+            "cutoffs": list(table.cutoffs), "degenerate": v_low == 0.0,
+        }
 
 
 def test_oracle_gap_agrees_with_production(p08, table08):

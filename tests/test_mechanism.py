@@ -1,16 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
 from duropoly import (
+    MarketParams,
     MechanismConsistencyError,
     build_mechanism,
     buyer_rent,
     check_binding_constraints,
     class_price,
+    compute_cutoffs,
     equilibrium_split,
     posted_price_view,
 )
 from duropoly.mechanism import Mechanism
+
+from helpers import SOLVE_CASES, solve_into
 
 
 def test_split_no_delay(table08):
@@ -203,22 +209,33 @@ def test_binding_constraints_degenerate(tabledeg):
 
 
 def test_knife_edge_tie_break(table08):
+    # a prior on a cutoff takes the longer delay
     c2 = table08.cutoffs[2]
     assert build_mechanism(table08, c2).n == 2
-    assert build_mechanism(table08, c2, knife_edge_delay_weight=0.0).n == 1
-    with pytest.raises(ValueError):
-        build_mechanism(table08, c2, knife_edge_delay_weight=0.5)
-    # off a knife edge the weight has no effect
-    assert build_mechanism(table08, 0.6, knife_edge_delay_weight=0.0).n == 1
 
 
-def test_mechanism_json(table08):
-    mech = build_mechanism(table08, 0.85)
-    data = mech.to_json(posted_price_view(mech, table08))
-    assert data["prior"] == 0.85
-    assert data["n"] == 2
-    assert data["posted_price"]["price"] == mech.transfer[1.0]
-    assert dict(map(tuple, data["transfer"])) == mech.transfer
+def test_mechanism_json(tmp_path):
+    # mechanism.json, as solve writes it, reads back to the built mechanism
+    for i, (v_low, v_high, delta, mu0, n) in enumerate(SOLVE_CASES):
+        out = tmp_path / str(i)
+        solve_into(out, v_low, v_high, delta, mu0)
+        table = compute_cutoffs(MarketParams(v_low, v_high, delta))
+        mech = build_mechanism(table, mu0)
+        view = posted_price_view(mech, table)
+        data = json.loads((out / "mechanism.json").read_text())
+        assert data["prior"] == mech.prior == mu0
+        assert data["n"] == mech.n == n
+        assert data["device"].keys() == {"low", "high"}
+        for report, dist in mech.device.items():
+            assert dict(map(tuple, data["device"][report])) == dist
+        assert dict(map(tuple, data["trade_prob"])) == mech.trade_prob
+        assert dict(map(tuple, data["transfer"])) == mech.transfer
+        assert data["posted_price"] == {
+            "price": view.price,
+            "accept_prob_high": view.accept_prob_high,
+            "reject_posterior": view.reject_posterior,
+        }
+        assert data["posted_price"]["price"] == mech.transfer[1.0 if n else mu0]
 
 
 def test_high_rent_consistent_with_price(p08, table08):
