@@ -6,12 +6,12 @@ Exit codes: 0 all checks pass, 1 a verification or acceptance check failed,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,9 @@ MIN_SCAN_GRID = 101
 PARAM_KEYS = ("v_low", "v_high", "delta", "mu0")
 CONFIG_KEYS = ("params", "grid_n", "mc_paths", "seed", "tolerances", "output_dir")
 TOLERANCE_KEYS = ("deviation_gap",)
+# CSV text of a float: 17 significant digits read back to the same float64
+F17 = "%.17g"
+CSV_BLOCK = 4096  # rows rendered by one % call
 
 
 @dataclass
@@ -42,22 +45,22 @@ class RunConfig:
     output_dir: Path = Path(".")
 
 
-def _fmt(x: float) -> str:
-    """CSV text of a float: 17 significant digits read back to the same float64."""
-    return format(float(x), ".17g")
-
-
 def _write_json(path, data) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
 
 
-def _write_csv(path, header, rows) -> None:
-    """rows may be a generator; each row is written as it is made."""
+def _write_csv(path, header, row, columns) -> None:
+    """Write `header`, then line i renders the `row` %-template with the i-th
+    entries of the equal-length 1-D `columns`, as csv.writer would (no field
+    needs quoting; lines end in \r\n).  Each block of CSV_BLOCK rows is one
+    % call, so no Python call is made per field."""
+    line = row + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), CSV_BLOCK):
+            block = [col[lo:lo + CSV_BLOCK].tolist() for col in columns]
+            fh.write((line * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
 
 
 def _number(name: str, value, kind=float):
@@ -128,7 +131,8 @@ def _build_config(args) -> RunConfig:
 
 def cmd_solve(cfg: RunConfig, table: CutoffTable) -> int:
     out = cfg.output_dir
-    _write_csv(out / "cutoffs.csv", ["n", "mu_bar"], ((n, _fmt(c)) for n, c in enumerate(table.cutoffs)))
+    cuts = table.cutoff_array
+    _write_csv(out / "cutoffs.csv", ["n", "mu_bar"], "%d," + F17, [np.arange(len(cuts)), cuts])
     _write_json(out / "cutoffs.json", {
         **dataclasses.asdict(table.params),
         "cutoffs": list(table.cutoffs),
@@ -148,10 +152,8 @@ def cmd_solve(cfg: RunConfig, table: CutoffTable) -> int:
     })
 
     grid = np.linspace(0.0, 1.0, cfg.grid_n)
-    values = eval_R(table, grid, cfg.mu0)
-    mu0 = _fmt(cfg.mu0)
     _write_csv(out / "value_table.csv", ["mu_prime", "mu0", "R"],
-               ((_fmt(m), mu0, _fmt(v)) for m, v in zip(grid, values)))
+               ",".join((F17, F17 % cfg.mu0, F17)), [grid, eval_R(table, grid, cfg.mu0)])
 
     n = table.delay_class(cfg.mu0)
     print(
@@ -217,12 +219,16 @@ def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: 
 
     if paths_csv:
         paths = summary.paths
-        rows = zip(paths.is_high, paths.trade_period, paths.revenue, paths.payoff)
+        t = paths.trade_period
+        # label lookups on object arrays: .tolist() then yields the shared
+        # str and int objects, with no per-row text array in memory
+        buyer_type = np.array(["low", "high"], dtype=object)[paths.is_high.astype(np.intp)]
+        trade_period = np.array([""] + list(range(t.max() + 1)), dtype=object)[t + 1]
         _write_csv(
             paths_csv,
             ["path", "buyer_type", "trade_period", "discounted_revenue", "discounted_buyer_payoff"],
-            ((i, "high" if high else "low", "" if t < 0 else t, _fmt(rev), _fmt(pay))
-             for i, (high, t, rev, pay) in enumerate(rows)),
+            f"%d,%s,%s,{F17},{F17}",
+            [np.arange(len(t)), buyer_type, trade_period, paths.revenue, paths.payoff],
         )
 
     print(
@@ -239,13 +245,14 @@ def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: 
 def cmd_sweep(cfg: RunConfig, table: CutoffTable, sweep_paths: int) -> int:
     out = cfg.output_dir
     priors = np.linspace(0.0, 1.0, cfg.grid_n)[:-1]
-    rows = (
-        (_fmt(m0), _fmt(seller_revenue(table, m0)),
-         _fmt(monte_carlo(table, m0, "prior", sweep_paths, cfg.seed).mean_revenue),
-         _fmt(buyer_rent(table, m0)))
-        for m0 in map(float, priors)
-    )
-    _write_csv(out / "sweep.csv", ["mu0", "analytic_revenue", "mc_revenue", "rent"], rows)
+    rows = np.array([
+        (m0, seller_revenue(table, m0),
+         monte_carlo(table, m0, "prior", sweep_paths, cfg.seed).mean_revenue,
+         buyer_rent(table, m0))
+        for m0 in priors.tolist()
+    ])
+    _write_csv(out / "sweep.csv", ["mu0", "analytic_revenue", "mc_revenue", "rent"],
+               ",".join([F17] * 4), rows.T)
     print(f"sweep: {len(priors)} priors written to {out / 'sweep.csv'}")
     return 0
 
@@ -285,17 +292,23 @@ def main(argv=None) -> int:
         cfg = _build_config(args)
         table = compute_cutoffs(cfg.params)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        if args.command == "simulate" and args.paths_csv:
+            open(args.paths_csv, "w").close()  # fail before simulating, not after
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "solve":
-        return cmd_solve(cfg, table)
-    if args.command == "verify":
-        return cmd_verify(cfg, table)
-    if args.command == "simulate":
-        return cmd_simulate(cfg, table, args.type_draw, args.paths_csv)
-    if args.command == "sweep":
-        sweep_paths = args.sweep_paths if args.sweep_paths is not None else SWEEP_DEFAULT_PATHS
-        return cmd_sweep(cfg, table, sweep_paths)
+    try:
+        if args.command == "solve":
+            return cmd_solve(cfg, table)
+        if args.command == "verify":
+            return cmd_verify(cfg, table)
+        if args.command == "simulate":
+            return cmd_simulate(cfg, table, args.type_draw, args.paths_csv)
+        if args.command == "sweep":
+            sweep_paths = args.sweep_paths if args.sweep_paths is not None else SWEEP_DEFAULT_PATHS
+            return cmd_sweep(cfg, table, sweep_paths)
+    except MemoryError as exc:  # e.g. an oversize --grid
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 2

@@ -7,6 +7,9 @@ oracle.
 """
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
 
@@ -34,6 +37,16 @@ def oracle_R(p, cuts, mu_prime, mu0):
         return (m - c) / (1.0 - c) * p.v_high + p.delta * (1.0 - m) / (1.0 - c) * rec(c, n - 1)
 
     return rec(mu_prime, klass(mu_prime))
+
+
+def oracle_csv(header, rows) -> bytes:
+    """Reference CSV bytes: csv.writer, with format(x, ".17g") for each float
+    field and the writer's own str() for every other field."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([format(x, ".17g") if isinstance(x, float) else x for x in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
 
 
 def commitment_revenue(p, mu0):

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from duropoly import cutoffs
+from duropoly import cli, cutoffs
 from duropoly.cli import main
 
-from helpers import SOLVE_CASES, solve_into
+from helpers import SOLVE_CASES, oracle_csv, solve_into
 
 
 def run(*args):
@@ -254,6 +254,60 @@ def test_sweep_full_surplus_bit_for_bit(tmp_path):
         assert float(r["rent"]) == 0.0
 
 
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1 - 2**-53, 0.1, 1 / 3, 2.0, 2.0**53]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BLOCK - 1, cli.CSV_BLOCK, cli.CSV_BLOCK + 1])
+def test_write_csv_matches_oracle(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    columns = [
+        np.arange(n_rows) - 3,
+        np.resize(np.array(["high", "low", ""], dtype=object), n_rows),
+        np.resize(np.array(["", 0, 7, 12345], dtype=object), n_rows),
+        np.resize(np.array(EDGE_FLOATS), n_rows),
+        rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 301, n_rows),
+    ]
+    header = ["i", "label", "period", "edge", "wide"]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, header, f"%d,%s,%s,{cli.F17},{cli.F17}", columns)
+    rows = zip(*(col.tolist() for col in columns))
+    assert path.read_bytes() == oracle_csv(header, rows)
+
+
+def _rerendered(path, kinds):
+    """The oracle's CSV bytes of the file's own fields, parsed by column kind
+    (an empty field stays empty)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(kinds) for row in rows)
+    return oracle_csv(header, ([kind(f) if f else f for kind, f in zip(kinds, row)] for row in rows))
+
+
+def test_csv_artifacts_match_oracle(tmp_path):
+    market = ("--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.6)
+    full_surplus = ("--v-low", 0, "--v-high", 1, "--delta", 0.9, "--mu0", 0.5)
+    path_kinds = (int, str, int, float, float)
+    assert run("solve", *market, "--out", tmp_path / "solve") == 0
+    assert run("simulate", *market, "--paths", 5000, "--out", tmp_path,
+               "--paths-csv", tmp_path / "prior.csv") == 0
+    assert run("simulate", *full_surplus, "--paths", 300, "--type-draw", "fixed_low",
+               "--out", tmp_path, "--paths-csv", tmp_path / "low.csv") == 0
+    assert run("sweep", *full_surplus, "--grid", 101, "--sweep-paths", 20,
+               "--out", tmp_path / "sweep") == 0
+    files = [
+        (tmp_path / "solve" / "cutoffs.csv", (int, float)),
+        (tmp_path / "solve" / "value_table.csv", (float, float, float)),
+        (tmp_path / "prior.csv", path_kinds),
+        (tmp_path / "low.csv", path_kinds),
+        (tmp_path / "sweep" / "sweep.csv", (float,) * 4),
+    ]
+    for path, kinds in files:
+        assert path.read_bytes() == _rerendered(path, kinds), path.name
+    # with v_low = 0 the low type never trades: every trade period is blank
+    with open(tmp_path / "low.csv", newline="") as fh:
+        assert {r["trade_period"] for r in csv.DictReader(fh)} == {""}
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -285,3 +339,25 @@ def test_bad_config_exit_2(tmp_path, capsys):
         assert run("solve", "--config", cfg, "--out", tmp_path) == 2, text
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), text
+
+
+def test_unwritable_paths_csv_exit_2(tmp_path, capsys):
+    # the target is opened before the simulation runs, so nothing is written
+    code = run("simulate", "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.6,
+               "--paths", 100, "--out", tmp_path,
+               "--paths-csv", tmp_path / "missing" / "paths.csv")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "simulation.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+def test_oversize_grid_exit_2(tmp_path, capsys, command):
+    # 10**15 float64 points is far past any address space: the allocation
+    # fails at once, with nothing allocated
+    code = run(command, "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.6,
+               "--grid", 10**15, "--out", tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

@@ -1,22 +1,27 @@
-"""The benchmark's tracer wraps package functions by name and signature; a
-renamed or re-signatured function must fail here, not only under --trace 1."""
+"""The benchmark's tracer wraps package functions by name and signature, and
+its checks read the CLI's files; a renamed or re-signatured function or a
+changed file format must fail here, not only under perfbench/run.py."""
+import contextlib
 import importlib.util
+import io
+import sys
 from pathlib import Path
 
 from duropoly import cli
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look up their defining module
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_counts_one_simulate(tmp_path):
-    tracer = _load_tracing().Tracer()
+    tracer = _load("tracing").Tracer()
     tracer.begin_pass(0)
     tracer.job = "0:0"  # "<pass>:<job index>", as the benchmark runner sets it
     with tracer.installed():
@@ -24,3 +29,17 @@ def test_tracer_counts_one_simulate(tmp_path):
                          "--mu0", "0.6", "--paths", "100", "--out", str(tmp_path)])
     assert code == 0
     assert tracer.pass_metrics()[0]["sim.monte_carlo.calls"] == 1
+
+
+def test_workload_jobs_pass_their_checks(tmp_path):
+    workloads = _load("workloads")
+    jobs = {name: workloads.build(name, workloads.DEFAULT_SEED) for name in workloads.WORKLOADS}
+    firsts = [job_list[0] for job_list in jobs.values()]
+    # and the job whose check reads the --paths-csv file
+    firsts += [job for job in jobs["simulate-mc"] if job.extra["paths_csv"]]
+    for i, job in enumerate(firsts):
+        out = tmp_path / str(i)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(job.command(out))
+        assert job.check(job, out, code, stdout.getvalue()) > 0, job.key
