@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -167,20 +168,13 @@ def cmd_solve(cfg: RunConfig, table: CutoffTable) -> int:
 def cmd_verify(cfg: RunConfig, table: CutoffTable) -> int:
     out = cfg.output_dir
     priors = np.linspace(0.01, 0.99, VERIFY_N_PRIORS)
-    failures = []
-    records = []
-    max_gap = 0.0
-    for m0 in priors:
-        rep = deviation_scan(table, float(m0), tolerance=cfg.deviation_gap)
-        max_gap = max(max_gap, rep.worst_gap)
-        records.append({
-            "prior": rep.prior,
-            "worst_gap": rep.worst_gap,
-            "posterior_delay": rep.witness.posterior_delay,
-            "posterior_sale": rep.witness.posterior_sale,
-        })
-        if not rep.passed:
-            failures.append({"prior": float(m0), "gap": rep.worst_gap, "kind": "deviation"})
+    rep = deviation_scan(table, priors, tolerance=cfg.deviation_gap)
+    keys = ("prior", "worst_gap", "posterior_delay", "posterior_sale")
+    columns = (rep.prior, rep.worst_gap, rep.witness.posterior_delay, rep.witness.posterior_sale)
+    records = [dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))]
+    failures = [{"prior": r["prior"], "gap": r["worst_gap"], "kind": "deviation"}
+                for r, ok in zip(records, rep.passed.tolist()) if not ok]
+    max_gap = max(0.0, *rep.worst_gap.tolist())
     structure = structure_checks(table, grid_n=cfg.grid_n)
     if not structure.all_ok:
         failures.append({"kind": "structure", "report": dataclasses.asdict(structure)})
@@ -257,6 +251,7 @@ def cmd_sweep(cfg: RunConfig, table: CutoffTable, sweep_paths: int) -> int:
     return 0
 
 
+@functools.cache  # built on the first main() call, then shared
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--v-low", type=float, default=None)

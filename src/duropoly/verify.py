@@ -1,18 +1,20 @@
 """Independent equilibrium verification.
 
 At each prior mu0, every Bayes-plausible distribution over posteriors is
-valued at w, the better of selling now and delaying, and the best value is
-compared against the equilibrium value.  A distribution with a single mean
-constraint has an optimum on at most two points, so the best split is the
-upper concave hull of w at the prior (concavification).
-
-The hull is exact over the whole continuum of posteriors.  On each class
-[mu_bar_k, mu_bar_{k+1}) the sale value and delta * R(., mu0) are both affine
-in the posterior, so w, their maximum, is convex there: a sale/delay
-crossing is a convex kink, never a hull vertex.  The hull of w on [0, 1] is
-therefore the hull of its suprema at the breakpoints, every cutoff and 1.
-R jumps at a cutoff unless the cutoff is the prior, so the supremum there is
-the larger of its own class's value and the left limit of the class below.
+valued at w, the better of selling now and delaying.  The best value is the
+concave hull of w at the prior, the least line l >= w read at mu0, and the
+equilibrium names its own line: the chord of w through its split's
+posteriors, mu_bar_{n-1} and 1, in delay class n >= 1; in class 0 the sale
+line x v_high + (1 - x) vhat(mu0), which is the chord through 0 and 1; with
+v_low = 0 the chord through 0 and 1.  So the gain of the best deviation is at
+most l(mu0) - R(mu0, mu0) + max (w - l)^+.  On each class the sale value and
+delta * R(., mu0) are affine in the posterior, so w is convex there and the
+maximum is taken at the breakpoints, every cutoff and 1, where w is the
+larger of its own class's value and the left limit of the class below (R
+jumps at every cutoff but the prior).  At a prior on a cutoff the seller is
+indifferent between that class and the one below, and either chord alone
+can overshoot by the cutoff's residual over 1 - mu0; the check takes the
+smaller bound of the two.
 """
 from __future__ import annotations
 
@@ -20,12 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import belief, virtual_value
+from .core import BELIEF_TOL, MarketParams
 from .cutoffs import CutoffTable, _gap, unit_params
 from .mechanism import Split, equilibrium_split
-from .value import _class_alpha_gamma, eval_R
+from .value import _alpha_gamma, _class_alpha_gamma
 
 RESIDUAL_TOL_PER_VHIGH = 1e-10
+# Cells of the (priors x breakpoints) array deviation_scan holds at once, in
+# whole rows; rows are independent, so results do not depend on it.
+SCAN_BLOCK_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -115,82 +120,81 @@ def concave_envelope(points) -> list[EnvelopePoint]:
     return [EnvelopePoint(float(xi), float(yi), float(ei)) for xi, yi, ei in zip(x, y, env)]
 
 
-def _breakpoint_values(table: CutoffTable, mu0: float):
-    """Breakpoints of w at prior mu0 (every cutoff and 1), the supremum of w
-    at each, and whether selling now gives it."""
-    p = table.params
-    vhat0 = virtual_value(p, mu0)
+def _breakpoints(table: CutoffTable):
+    """Breakpoints of w (every cutoff and 1) and (alpha, gamma) there on R's
+    pieces of their own class (row 0) and of the class below (row 1)."""
+    x = np.append(table.cutoff_array, 1.0)
     if table.degenerate:
         # R(mu', mu0) = mu' * v_high is affine on all of [0, 1]
-        x = np.array([0.0, 1.0])
-        r = x * p.v_high
-    else:
-        x = np.append(table.cutoff_array, 1.0)
-        k = np.arange(len(x))
-
-        def on_piece(idx):
-            alpha, gamma = _class_alpha_gamma(table, x, idx)
-            return alpha * p.v_high + gamma * vhat0
-
-        # each point on its own class's piece (belief 1 closes the last class)
-        # and on the piece of the class below it
-        r = np.maximum(on_piece(np.minimum(k, len(x) - 2)), on_piece(np.maximum(k - 1, 0)))
-    sale = x * p.v_high + (1.0 - x) * vhat0
-    delay = p.delta * r
-    return x, np.maximum(sale, delay), sale >= delay
+        return x, np.stack([x, x]), np.zeros((2, len(x)))
+    k = np.arange(len(x))
+    idx = np.stack([np.minimum(k, len(x) - 2), np.maximum(k - 1, 0)])
+    alpha, gamma = _class_alpha_gamma(table, x, idx)
+    return x, alpha, gamma
 
 
-def deviation_scan(
-    table: CutoffTable,
-    mu0: float,
-    tolerance: float | None = None,
-) -> DeviationReport:
-    """Best two-point deviation at one prior: the upper hull of w at the prior.
+def _sale_delay(p: MarketParams, x, alpha, gamma, vhat):
+    """Sale and delay values at beliefs x for priors with virtual value vhat,
+    broadcast; w is their maximum."""
+    sale = x * p.v_high + (1.0 - x) * vhat
+    return sale, p.delta * np.maximum(alpha[0] * p.v_high + gamma[0] * vhat,
+                                      alpha[1] * p.v_high + gamma[1] * vhat)
 
-    w is the better of selling now and delaying at each posterior.  It is
-    convex on every delay class, so its upper hull over all of [0, 1] is the
-    hull of its suprema at the cutoffs and 1, and the best deviation is that
-    hull read off between the two vertices around the prior; no grid is
-    involved.  The witness is that pair of vertices, each marked sale or
-    delay by the piece that gives it its value.  PASS means the best
-    deviation exceeds the equilibrium value by at most the tolerance,
-    default 1e-8 * v_high.
+
+def deviation_scan(table: CutoffTable, priors, tolerance: float | None = None) -> DeviationReport:
+    """Bound on the best two-point deviation at every prior at once, from the
+    equilibrium's own line (see the module docstring): the smaller bound of
+    the chords of the prior's class and of the class below, ties to its own.
+
+    A scalar prior gives scalar fields, an array of priors arrays.  PASS, a
+    gap of at most the tolerance (default 1e-8 * v_high), proves that no
+    deviation is profitable; worst_gap is then exact to rounding, and on a
+    failure an upper bound.  The witness is the chosen chord's split, which
+    is `equilibrium_split` except within rounding of a cutoff; on a failure
+    it pairs the breakpoint of largest excess with the chord's far end.
     """
-    m0 = belief(mu0)
-    if m0 == 1.0:
-        raise ValueError("deviation scan has a pole at prior 1")
+    m0 = np.asarray(priors, dtype=float)
+    scalar, m0 = m0.ndim == 0, np.atleast_1d(m0)
+    if not np.all((m0 >= -BELIEF_TOL) & (m0 < 1.0)):
+        raise ValueError("priors must lie in [0, 1): the deviation scan has a pole at prior 1")
+    m0 = np.where(m0 > 0.0, m0, 0.0)  # clamp as core.belief does
     p = table.params
     tol = 1e-8 * p.v_high if tolerance is None else tolerance
 
-    x, w, sells = _breakpoint_values(table, m0)
-    hull = _upper_hull(x, w)
-    hx = x[hull]
-    k = int(np.searchsorted(hx, m0))
-    ia, ib = (hull[k], hull[k]) if hx[k] == m0 else (hull[k - 1], hull[k])
-    pa, pb = float(x[ia]), float(x[ib])
-    if pa == pb:
-        best, weight_sale = float(w[ia]), 1.0
-    else:
-        best = float((w[ia] * (pb - m0) + w[ib] * (m0 - pa)) / (pb - pa))
-        weight_sale = (m0 - pa) / (pb - pa)
-    witness = Split(
-        posterior_delay=pa,
-        posterior_sale=pb,
-        weight_delay=1.0 - weight_sale,
-        weight_sale=weight_sale,
-        q_delay=float(sells[ia]),
-        q_sale=float(sells[ib]),
-    )
+    x, alpha, gamma = _breakpoints(table)
+    vhat = p.v_low - m0 / (1.0 - m0) * p.delta_v
+    n = np.searchsorted(table.cutoff_array, m0, side="right") - 1
+    # the chords' left ends, for the prior's class and the class below
+    left = np.stack([np.maximum(n - 1, 0), np.maximum(n - 2, 0)])
+    bounds, worst = np.empty(left.shape), np.empty(left.shape, dtype=np.intp)
+    rows = max(1, SCAN_BLOCK_SIZE // len(x))
+    for lo in range(0, len(m0), rows):
+        blk = slice(lo, lo + rows)
+        w = np.maximum(*_sale_delay(p, x, alpha, gamma, vhat[blk, None]))
+        for c in range(2):
+            a, mb = left[c, blk, None], m0[blk, None]
+            xa, wa, w1 = x[a], np.take_along_axis(w, a, 1), w[:, -1:]
+            over = w - (wa * (1.0 - x) + w1 * (x - xa)) / (1.0 - xa)
+            worst[c, blk] = np.argmax(over, axis=1)
+            at_prior = (wa * (1.0 - mb) + w1 * (mb - xa)) / (1.0 - xa)
+            bounds[c, blk] = (at_prior + np.maximum(over.max(axis=1, keepdims=True), 0.0))[:, 0]
 
-    equilibrium = float(eval_R(table, m0, m0))
-    return DeviationReport(
-        prior=m0,
-        best_deviation_value=best,
-        equilibrium_value=equilibrium,
-        worst_gap=best - equilibrium,
-        witness=witness,
-        tolerance=tol,
-    )
+    best, a, i = (np.choose(bounds[1] < bounds[0], v) for v in (bounds, left, worst))
+    eq_alpha, eq_gamma = _alpha_gamma(table, m0)
+    equilibrium = eq_alpha * p.v_high + eq_gamma * vhat
+    passed = best - equilibrium <= tol
+    # the chord's split, or on a failure the worst breakpoint and the far end
+    pair = np.stack([np.where(passed | (x[i] > m0), a, i),
+                     np.where(passed | (x[i] <= m0), len(x) - 1, i)])
+    sale, delay = _sale_delay(p, x[pair], alpha[:, pair], gamma[:, pair], vhat)
+    weight_sale = (m0 - x[pair[0]]) / (x[pair[1]] - x[pair[0]])
+    pool = passed & (n == 0)  # class 0 sells at the prior without information
+    fields = [m0, best, equilibrium, best - equilibrium, *np.where(pool, m0, x[pair]),
+              np.where(pool, 0.0, 1.0 - weight_sale), np.where(pool, 1.0, weight_sale),
+              *np.where(pool, 1.0, sale >= delay)]
+    if scalar:
+        fields = [float(f[0]) for f in fields]
+    return DeviationReport(*fields[:4], witness=Split(*fields[4:]), tolerance=tol)
 
 
 def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:

@@ -320,6 +320,12 @@ def test_config_file_and_flag_precedence(tmp_path):
     mech = json.loads((out / "mechanism.json").read_text())
     assert mech["prior"] == 0.6  # flag beats config
     assert mech["n"] == 1
+    # every main() call parses with one parser, into a namespace of its own
+    assert cli._parser() is cli._parser()
+    first = cli._parser().parse_args(["solve", "--mu0", "0.6"])
+    second = cli._parser().parse_args(["verify", "--config", str(cfg)])
+    assert (first.command, first.mu0, first.config) == ("solve", 0.6, None)
+    assert (second.command, second.mu0) == ("verify", None)
 
 
 def test_bad_config_exit_2(tmp_path, capsys):

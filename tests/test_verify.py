@@ -14,7 +14,8 @@ from duropoly import (
     structure_checks,
     virtual_value,
 )
-from duropoly.verify import _breakpoint_values
+from duropoly import verify
+from duropoly.verify import _breakpoints, _sale_delay
 
 from helpers import best_three_point, best_two_point, brute_cav
 
@@ -99,13 +100,14 @@ def test_scan_one_delay_prior(table08):
     assert rep.best_deviation_value == pytest.approx(1.04, abs=1e-12)
 
 
-def test_scan_witness_matches_split(table08):
-    for m0 in (0.2, 0.55, 0.65, 0.85, 0.95):
-        rep = deviation_scan(table08, m0)
-        split = equilibrium_split(table08, m0)
+def test_scan_witness_matches_split(table08, tabledeg):
+    # class 0 (0.02, 0.2, 0.45) sells at the prior; the rest delay
+    cases = [(table08, m0) for m0 in (0.02, 0.2, 0.45, 0.55, 0.65, 0.85, 0.95)]
+    cases += [(tabledeg, m0) for m0 in (1e-9, 0.2, 0.55, 0.95)]
+    for t, m0 in cases:
+        rep = deviation_scan(t, m0)
         assert rep.passed
-        if split.weight_delay > 0.0:
-            assert rep.witness == split
+        assert rep.witness == equilibrium_split(t, m0), (t.params, m0)
 
 
 def test_scan_rejects_bad_inputs(table08):
@@ -134,8 +136,12 @@ def test_two_point_support_suffices(p08, table08):
 def test_scan_matches_two_point_oracle(table08, table095, tabledeg):
     cases = []
     for t in (table08, table095, tabledeg):
-        inner = [c for c in t.cutoffs if 0.0 < c < 1.0]
-        cases += [(t, float(m0), 101) for m0 in [*np.linspace(0.01, 0.99, 101), *inner]]
+        inner = np.array([c for c in t.cutoffs if 0.0 < c < 1.0])
+        ulps = [*np.nextafter(inner, 0.0), *np.nextafter(inner, 1.0)]
+        cases += [(t, float(m0), 101) for m0 in [*np.linspace(0.01, 0.99, 101), *inner, *ulps]]
+    # 2,152 cutoffs
+    long_chain = compute_cutoffs(MarketParams(1e-3, 1.0, 0.99999))
+    cases += [(long_chain, m0, 101) for m0 in (1e-4, 0.01, 0.3, 0.7, 0.99)]
     # the prior sits one ulp below a uniform grid point
     cases.append((table08, float(np.linspace(0.01, 0.99, 101)[70]), 1001))
     for t, m0, grid_n in cases:
@@ -150,8 +156,10 @@ def test_breakpoint_values_are_suprema(table08):
     # R jumps down at cutoffs above the prior, so there w's supremum can be
     # its left limit, seen one ulp below the cutoff (at prior 0.97, cutoff 4)
     jumped = False
+    x, alpha, gamma = _breakpoints(table08)
     for m0 in (0.3, 0.6, 0.85, 0.97):
-        x, w, _ = _breakpoint_values(table08, m0)
+        vhat = virtual_value(table08.params, m0)
+        w = np.maximum(*_sale_delay(table08.params, x, alpha, gamma, vhat))
         at, below = _w(table08, x, m0), _w(table08, np.nextafter(x, 0.0), m0)
         assert np.max(np.abs(w - np.maximum(at, below))) <= 1e-12 * table08.params.v_high
         jumped |= bool(np.any(below > at + 1e-3))
@@ -208,3 +216,25 @@ def test_negative_control_deviation_fails(table08):
     rep = deviation_scan(bad_table, m0)
     assert not rep.passed
     assert rep.worst_gap > 1e-4
+    # the witness is itself a profitable deviation
+    s = rep.witness
+    posteriors = np.array([s.posterior_delay, s.posterior_sale])
+    value = np.dot([s.weight_delay, s.weight_sale], _w(bad_table, posteriors, m0))
+    assert s.weight_delay * s.posterior_delay + s.weight_sale * s.posterior_sale == pytest.approx(m0)
+    assert value > rep.equilibrium_value + 1e-4
+
+
+def _fields(obj):
+    return {k: np.asarray(v).tolist() for k, v in vars(obj).items() if k != "witness"}
+
+
+def test_scan_blocks_do_not_change_results(monkeypatch, table08, table095):
+    priors = np.concatenate([np.linspace(0.0, 0.999, 301), table095.cutoffs[1:]])
+    for t in (table095, _perturbed(table08)):
+        whole = deviation_scan(t, priors)
+        monkeypatch.setattr(verify, "SCAN_BLOCK_SIZE", 1)  # one row per block
+        blocked = deviation_scan(t, priors)
+        monkeypatch.undo()
+        assert _fields(blocked) == _fields(whole)
+        assert _fields(blocked.witness) == _fields(whole.witness)
+    assert not whole.passed.all()  # the perturbed table's failing witnesses too
