@@ -20,7 +20,7 @@ import numpy as np
 from .core import MarketParams, belief
 from .cutoffs import CutoffTable, compute_cutoffs
 from .mechanism import build_mechanism, posted_price_view
-from .sim import monte_carlo
+from .sim import mean_revenues, monte_carlo
 from .value import buyer_rent, eval_R, seller_revenue
 from .verify import deviation_scan, structure_checks
 
@@ -172,8 +172,10 @@ def cmd_verify(cfg: RunConfig, table: CutoffTable) -> int:
     keys = ("prior", "worst_gap", "posterior_delay", "posterior_sale")
     columns = (rep.prior, rep.worst_gap, rep.witness.posterior_delay, rep.witness.posterior_sale)
     records = [dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))]
-    failures = [{"prior": r["prior"], "gap": r["worst_gap"], "kind": "deviation"}
-                for r, ok in zip(records, rep.passed.tolist()) if not ok]
+    failures = [{"prior": r["prior"], "gap": r["worst_gap"], "witness_gain": gain,
+                 "kind": "deviation"}
+                for r, gain, ok in zip(records, rep.witness_gain.tolist(), rep.passed.tolist())
+                if not ok]
     max_gap = max(0.0, *rep.worst_gap.tolist())
     structure = structure_checks(table, grid_n=cfg.grid_n)
     if not structure.all_ok:
@@ -239,14 +241,10 @@ def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: 
 def cmd_sweep(cfg: RunConfig, table: CutoffTable, sweep_paths: int) -> int:
     out = cfg.output_dir
     priors = np.linspace(0.0, 1.0, cfg.grid_n)[:-1]
-    rows = np.array([
-        (m0, seller_revenue(table, m0),
-         monte_carlo(table, m0, "prior", sweep_paths, cfg.seed).mean_revenue,
-         buyer_rent(table, m0))
-        for m0 in priors.tolist()
-    ])
+    columns = [priors, seller_revenue(table, priors),
+               mean_revenues(table, priors, sweep_paths, cfg.seed), buyer_rent(table, priors)]
     _write_csv(out / "sweep.csv", ["mu0", "analytic_revenue", "mc_revenue", "rent"],
-               ",".join([F17] * 4), rows.T)
+               ",".join([F17] * 4), columns)
     print(f"sweep: {len(priors)} priors written to {out / 'sweep.csv'}")
     return 0
 

@@ -4,17 +4,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Bayes updates accumulate rounding; beliefs this far outside [0, 1] clamp to it.
 BELIEF_TOL = 1e-12
 
 
-def belief(value: float) -> float:
+def belief(value):
     """Validate a probability weight on the high valuation.
 
     Values in [-1e-12, 0) or (1, 1 + 1e-12] are clamped to the endpoint;
     anything further outside [0, 1] is rejected.  Interior values pass
-    unchanged, however close to an endpoint: cutoffs can lie there.
+    unchanged, however close to an endpoint: cutoffs can lie there.  A
+    scalar comes back as a float, a 1-D array of weights as a float array.
     """
+    if not (isinstance(value, (float, int)) or np.ndim(value) == 0):
+        v = np.asarray(value, dtype=float)
+        if v.size:
+            # the scalar rule rejects NaN and the extremes outside the tolerance
+            belief(float(v.min()))
+            belief(float(v.max()))
+        return np.clip(v, 0.0, 1.0)
     v = float(value)
     if math.isnan(v):
         raise ValueError("belief must be a number, got NaN")
@@ -54,14 +64,15 @@ def mu_bar_1(p: MarketParams) -> float:
     return p.v_low / p.v_high
 
 
-def virtual_value(p: MarketParams, mu: float) -> float:
+def virtual_value(p: MarketParams, mu):
     """Low valuation adjusted for the high type's information rent.
 
-    Returns v_low - mu / (1 - mu) * (v_high - v_low).  Strictly decreasing in
-    mu, positive below v_low / v_high and negative above.  Undefined at mu = 1
-    (pole of the likelihood ratio).
+    Returns v_low - mu / (1 - mu) * (v_high - v_low), elementwise for an
+    array of beliefs.  Strictly decreasing in mu, positive below
+    v_low / v_high and negative above.  Undefined at mu = 1 (pole of the
+    likelihood ratio).
     """
     m = belief(mu)
-    if m == 1.0:
+    if (m == 1.0) if isinstance(m, float) else (m == 1.0).any():
         raise ValueError("virtual value has a pole at belief 1")
     return p.v_low - m / (1.0 - m) * p.delta_v

@@ -78,17 +78,20 @@ class CutoffTable:
         """Discount weight (1 - mu_bar_k) * delta^k carried by the virtual value."""
         return (1.0 - self.cutoff_array) * self.discounts
 
-    def delay_class(self, mu: float) -> int:
+    def delay_class(self, mu):
         """Number of periods until the no-trade belief path hits 0.
 
         Ties at a cutoff belong to the higher class (indifference is broken
         in favor of delay).  Beliefs at or beyond the last cutoff belong to
-        the final class, which runs to belief 1.
+        the final class, which runs to belief 1.  A scalar belief gives an
+        int, a 1-D array of beliefs an integer array.
         """
         m = belief(mu)
         if self.degenerate:
-            return 0 if m == 0.0 else 1
-        return int(np.searchsorted(self.cutoff_array, m, side="right")) - 1
+            n = np.greater(m, 0.0).astype(np.intp)
+        else:
+            n = np.searchsorted(self.cutoff_array, m, side="right") - 1
+        return int(n) if isinstance(m, float) else n
 
 
 def unit_params(p: MarketParams) -> MarketParams:

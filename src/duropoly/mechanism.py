@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import MarketParams, belief
 from .cutoffs import CutoffTable
 from .value import buyer_rent
@@ -69,25 +71,26 @@ def class_price(p: MarketParams, n: int) -> float:
     return p.v_high - p.delta**n * p.delta_v
 
 
-def equilibrium_split(table: CutoffTable, mu0: float) -> Split:
-    """Sale/delay split at one prior.
+def equilibrium_split(table: CutoffTable, mu0) -> Split:
+    """Sale/delay split at one prior, or at each of a 1-D array of priors
+    (then every field is an array).
 
     Class 0 sells at the prior with no information; class n >= 1 splits
     between posterior 1 (sell) and the previous cutoff (delay).  With
     v_low = 0, every positive prior splits between 1 and an absorbing
     no-trade posterior 0, and belief 0 itself never trades.
     """
-    m0 = belief(mu0)
-    if table.degenerate:
-        if m0 == 0.0:
-            return Split(0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-        return Split(0.0, 1.0, 1.0 - m0, m0, 0.0, 1.0)
+    m0 = np.atleast_1d(belief(mu0))
     n = table.delay_class(m0)
-    if n == 0:
-        return Split(m0, m0, 0.0, 1.0, 1.0, 1.0)
-    c = table.cutoffs[n - 1]
-    w_sale = (m0 - c) / (1.0 - c)
-    return Split(c, 1.0, 1.0 - w_sale, w_sale, 0.0, 1.0)
+    c = table.cutoff_array[np.maximum(n - 1, 0)]
+    pool = n == 0
+    trade = 0.0 if table.degenerate else 1.0  # class 0's trade probability
+    w_sale = np.where(pool, trade, (m0 - c) / (1.0 - c))
+    fields = [np.where(pool, m0, c), np.where(pool, m0, 1.0), 1.0 - w_sale, w_sale,
+              np.where(pool, trade, 0.0), np.where(pool, trade, 1.0)]
+    if np.ndim(mu0) == 0:
+        fields = [float(f[0]) for f in fields]
+    return Split(*fields)
 
 
 def build_mechanism(table: CutoffTable, mu0: float) -> Mechanism:

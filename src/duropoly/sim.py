@@ -4,10 +4,15 @@ belief updating, and Monte Carlo summaries.
 On the no-trade path the seller's belief is deterministic: a class-n prior
 walks down the cutoff chain, posts n declining prices and sells to the low
 type at v_low in period n.  So every untraded path shares one price and
-acceptance probability per period, and monte_carlo computes that schedule
-once and plays all paths at once, one array step per period.  simulate_path
-and iter_paths play the same equilibrium one path at a time; they are the
-single-path reference the array kernel is tested against.
+acceptance probability per period, and the kernel computes that schedule
+once and plays all paths at once, one array step per period.  The schedule
+depends on the prior only through its class, except for the type draw's
+threshold and the period-0 acceptance probability, and a run's draw matrix
+depends only on (seed, class); so one kernel pass plays a whole class of
+priors on shared draws.  monte_carlo plays one prior, mean_revenues one pass
+per class of a prior grid.  simulate_path and iter_paths play the same
+equilibrium one path at a time; they are the single-path reference the
+array kernel is tested against.
 """
 from __future__ import annotations
 
@@ -28,6 +33,9 @@ RNG_ALGORITHM = "pcg64(seed); uniform row i of a pre-drawn matrix is path i's su
 # so results do not depend on it; memory stays bounded at any path count and
 # any class.
 DRAW_BLOCK_SIZE = 4096 * 1001
+# (prior, path) cells one mean_revenues kernel pass plays; each pass draws
+# its class's uniforms afresh from pcg64(seed), so results do not depend on it.
+PRIOR_BLOCK_SIZE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -169,59 +177,103 @@ def iter_paths(table: CutoffTable, mu0: float, type_draw: str, n_paths: int, see
         yield simulate_path(table, m0, btype, stream)
 
 
-def _play_paths(table: CutoffTable, m0: float, type_draw: str, n_paths: int, seed: int) -> PathArrays:
-    """Play every path at once with the draws iter_paths reads.
+def _play_paths(table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int, seed: int):
+    """Play every path at every prior of m0, a 1-D array of priors of one
+    delay class n, with the draws iter_paths reads: all priors share them.
 
-    The no-trade schedule is built once: in period t < n the belief is m0,
-    then cutoffs[n-1] ... cutoffs[1], and the price is class_price(p, n - t).
-    The live high types whose draw falls below the acceptance probability buy
-    and leave; once none is left, every path still untraded buys at v_low in
-    period n.  With v_low = 0 a positive prior posts v_high once, accepted for
-    sure, and belief 0 then never trades.  Draws come in blocks of at most
-    DRAW_BLOCK_SIZE.
+    Returns (is_high, trade_period, revenue, payoff), each a (priors x paths)
+    array, trade period -1 for no sale.  Only the type threshold and the
+    period-0 acceptance probability depend on the prior: from period 1 the
+    belief is cutoffs[n-1] ... cutoffs[1] and the price class_price(p, n - t)
+    in every class-n play.  So each path's first accepting period t >= 1 is
+    found once, for all priors, by a loop over periods on the compacted live
+    paths; a high type takes period 0 if its draw accepts the prior's own
+    period-0 price, else that period, and every path still untraded buys at
+    v_low in period n.  With v_low = 0 a positive prior posts v_high once,
+    accepted for sure, and belief 0 then never trades.  Draws come in blocks
+    of at most DRAW_BLOCK_SIZE.
     """
     p = table.params
-    n = table.delay_class(m0)
+    n = table.delay_class(m0[0])
     # discounts by repeated multiplication, as simulate_path builds them
-    disc = list(itertools.accumulate(itertools.repeat(p.delta, n), operator.mul, initial=1.0))
+    disc = np.fromiter(itertools.accumulate(itertools.repeat(p.delta, n), operator.mul,
+                                            initial=1.0), float, n + 1)
+    next_mu = table.cutoff_array[:n][::-1]  # the belief after a rejection in period t
+    odds = next_mu / (1.0 - next_mu)
     if table.degenerate:
-        price, accept = [p.v_high] * n, [1.0] * n
+        price, accept = np.full(n, p.v_high), np.ones(n)
     else:
-        cuts = table.cutoff_array
-        mu = cuts[n:0:-1].copy()  # the belief in period t, m0 at t = 0
-        mu[:1] = m0
-        next_mu = cuts[:n][::-1]
-        accept = 1.0 - (1.0 - mu) / mu * (next_mu / (1.0 - next_mu))
         price = p.v_high - table.discounts[n:0:-1] * p.delta_v  # class_price(p, n - t)
+        mu = table.cutoff_array[n:0:-1]  # the belief in period t >= 1
+        accept = 1.0 - (1.0 - mu) / mu * odds
+    # by trade period, and last for no sale: the price paid and the high type's payoff
+    paid = np.append(price, p.v_low)
+    revenue_at = np.append(disc * paid, 0.0)
+    payoff_at = np.append(disc * (p.v_high - paid), 0.0)
+    last = -1 if table.degenerate else n  # the period of a path that declines every price
+
+    if n:
+        # each prior's own period-0 acceptance probability, as a column; 1 when v_low = 0
+        accept0 = (np.ones((len(m0), 1)) if table.degenerate
+                   else 1.0 - (1.0 - m0[:, None]) / m0[:, None] * odds[0])
     first = 1 if type_draw == "prior" else 0  # column of the period-0 accept draw
-    is_high = np.empty(n_paths, dtype=bool)
-    trade_period = np.full(n_paths, -1)
-    revenue = np.zeros(n_paths)
-    payoff = np.zeros(n_paths)
+    shape = (len(m0), n_paths)
+    is_high = np.empty(shape, dtype=bool)
+    trade_period = np.empty(shape, dtype=np.intp)
     rng = np.random.default_rng(seed)
     block = max(1, DRAW_BLOCK_SIZE // (n + 1))
     for lo in range(0, n_paths, block):
         rows = slice(lo, min(lo + block, n_paths))
         draws = rng.random((rows.stop - lo, n + 1))
-        high, period, rev, pay = is_high[rows], trade_period[rows], revenue[rows], payoff[rows]
-        high[:] = (draws[:, 0] < m0) if type_draw == "prior" else (type_draw == "fixed_high")
-        live = np.flatnonzero(high)  # high types not yet traded
-        for t in range(n):
-            if not live.size:
-                break
-            acc = draws[live, first + t] < accept[t]
-            hit = live[acc]
-            period[hit] = t
-            rev[hit] = disc[t] * price[t]
-            pay[hit] = disc[t] * (p.v_high - price[t])
-            live = live[~acc]
-        if not table.degenerate:
-            # both types buy at v_low; the low type's payoff is 0
-            rest = period == -1
-            period[rest] = n
-            rev[rest] = disc[n] * p.v_low
-            pay[live] = disc[n] * (p.v_high - p.v_low)
-    return PathArrays(is_high, trade_period, revenue, payoff)
+        if type_draw == "prior":
+            high = draws[:, 0] < m0[:, None]
+        else:
+            high = np.full((len(m0), len(draws)), type_draw == "fixed_high")
+        is_high[:, rows] = high
+        period = trade_period[:, rows]
+        period[:] = last
+        if n:
+            at_once = draws[:, first] < accept0
+            later = np.full(len(draws), last)  # per path: its first accepting period t >= 1
+            live = np.flatnonzero((high & ~at_once).any(axis=0))
+            for t in range(1, n):
+                if not live.size:
+                    break
+                acc = draws[live, first + t] < accept[t]
+                later[live[acc]] = t
+                live = live[~acc]
+            period[:] = later
+            period[at_once] = 0
+        period[~high] = last
+    revenue = revenue_at[trade_period]
+    payoff = payoff_at[trade_period]
+    payoff[~is_high] = 0.0  # the low type pays what the good is worth to it
+    return is_high, trade_period, revenue, payoff
+
+
+def mean_revenues(table: CutoffTable, priors, n_paths: int, seed: int) -> np.ndarray:
+    """monte_carlo(table, m0, "prior", n_paths, seed).mean_revenue at every
+    prior m0 of a 1-D array, bit for bit.
+
+    All priors of one delay class read the same draws, so each run of
+    consecutive priors of one class is played by one kernel pass, in chunks
+    of at most PRIOR_BLOCK_SIZE (prior, path) cells; sorted priors make one
+    run per class.
+    """
+    _check_run("prior", n_paths)
+    m0 = belief(priors)
+    if np.any(m0 == 1.0):
+        raise ValueError("simulation starts from a prior below 1")
+    n = table.delay_class(m0)
+    starts = np.flatnonzero(np.diff(n, prepend=-1))
+    stops = np.append(starts[1:], len(m0))
+    chunk = max(1, PRIOR_BLOCK_SIZE // n_paths)
+    out = np.empty(len(m0))
+    for lo, hi in zip(starts.tolist(), stops.tolist()):
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            out[a:b] = _play_paths(table, m0[a:b], "prior", n_paths, seed)[2].mean(axis=1)
+    return out
 
 
 def monte_carlo(
@@ -238,7 +290,8 @@ def monte_carlo(
     m0 = belief(mu0)
     if m0 == 1.0:
         raise ValueError("simulation starts from a prior below 1")
-    paths = _play_paths(table, m0, type_draw, n_paths, seed)
+    paths = PathArrays(*(rows[0] for rows in _play_paths(table, np.array([m0]), type_draw,
+                                                          n_paths, seed)))
     revenue, payoff, is_high = paths.revenue, paths.payoff, paths.is_high
 
     # in units of v_high, so squaring revenues near the float64 floor cannot underflow

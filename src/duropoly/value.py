@@ -59,15 +59,15 @@ def _class_alpha_gamma(table: CutoffTable, m: np.ndarray, idx: np.ndarray):
     return alpha, gamma
 
 
-def eval_R(table: CutoffTable, mu_prime, mu0: float):
+def eval_R(table: CutoffTable, mu_prime, mu0):
     """Continuation value of inducing posterior mu_prime when the prior is mu0.
 
     Below mu_bar_1 this is the one-shot virtual surplus; in class D_n it
     chains the sale/delay split down to the previous cutoff.  At a cutoff
-    exactly, the delay branch applies (ties favor delay).
+    exactly, the delay branch applies (ties favor delay).  Arrays of
+    posteriors and priors broadcast against each other.
     """
-    m0 = belief(mu0)
-    vhat = virtual_value(table.params, m0)  # rejects mu0 = 1
+    vhat = virtual_value(table.params, mu0)  # validates mu0 and rejects 1
     alpha, gamma = _alpha_gamma(table, mu_prime)
     return alpha * table.params.v_high + gamma * vhat
 
@@ -78,23 +78,23 @@ def decompose_R(table: CutoffTable, mu_prime: float) -> RDecomposition:
     return RDecomposition(alpha=alpha, gamma=gamma)
 
 
-def seller_revenue(table: CutoffTable, mu0: float) -> float:
-    """Equilibrium revenue R(mu0, mu0); exactly mu0 * v_high when v_low = 0."""
+def seller_revenue(table: CutoffTable, mu0):
+    """Equilibrium revenue R(mu0, mu0); exactly mu0 * v_high when v_low = 0.
+    A scalar prior gives a float, a 1-D array of priors an array."""
     m0 = belief(mu0)
-    return float(eval_R(table, m0, m0))
+    return eval_R(table, m0, m0)
 
 
-def buyer_rent(table: CutoffTable, mu0: float) -> float:
+def buyer_rent(table: CutoffTable, mu0):
     """High type's equilibrium payoff delta^n * (v_high - v_low) on class D_n.
 
     The low type's rent is identically zero.  With v_low = 0 the high type
-    pays her full valuation and the rent is zero at every belief.
+    pays her full valuation and the rent is zero at every belief.  A scalar
+    prior gives a float, a 1-D array of priors an array.
     """
-    m0 = belief(mu0)
-    if table.degenerate:
-        return 0.0
-    n = table.delay_class(m0)
-    return table.params.delta**n * table.params.delta_v
+    n = table.delay_class(mu0)
+    rent = table.discounts[n] * (0.0 if table.degenerate else table.params.delta_v)
+    return float(rent) if isinstance(n, int) else rent
 
 
 def rent_correspondence(table: CutoffTable, mu0: float) -> tuple[float, float]:

@@ -14,7 +14,12 @@ larger of its own class's value and the left limit of the class below (R
 jumps at every cutoff but the prior).  At a prior on a cutoff the seller is
 indifferent between that class and the one below, and either chord alone
 can overshoot by the cutoff's residual over 1 - mu0; the check takes the
-smaller bound of the two.
+smaller bound of the two.  A pass proves the equilibrium; on a failure the
+bound can exceed the real gain by orders of magnitude, so the report also
+gives the gain of its witness split, which some deviation attains.
+
+structure_checks calls equilibrium_split itself once, on its whole prior
+grid, and checks the split's shape as array expressions over it.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BELIEF_TOL, MarketParams
+from .core import MarketParams, belief, virtual_value
 from .cutoffs import CutoffTable, _gap, unit_params
 from .mechanism import Split, equilibrium_split
 from .value import _alpha_gamma, _class_alpha_gamma
@@ -46,6 +51,7 @@ class DeviationReport:
     best_deviation_value: float
     equilibrium_value: float
     worst_gap: float
+    witness_gain: float  # the witness split's value under w minus equilibrium_value
     witness: Split
     tolerance: float
 
@@ -152,17 +158,19 @@ def deviation_scan(table: CutoffTable, priors, tolerance: float | None = None) -
     failure an upper bound.  The witness is the chosen chord's split, which
     is `equilibrium_split` except within rounding of a cutoff; on a failure
     it pairs the breakpoint of largest excess with the chord's far end.
+    witness_gain is the witness's value under w minus the equilibrium value,
+    a gain that deviations attain or, at a left limit, approach: so
+    worst_gap >= the best gain >= witness_gain, and passing class-0 priors,
+    whose witness is the equilibrium itself, read 0.
     """
-    m0 = np.asarray(priors, dtype=float)
-    scalar, m0 = m0.ndim == 0, np.atleast_1d(m0)
-    if not np.all((m0 >= -BELIEF_TOL) & (m0 < 1.0)):
+    m0 = np.atleast_1d(belief(priors))
+    if np.any(m0 == 1.0):
         raise ValueError("priors must lie in [0, 1): the deviation scan has a pole at prior 1")
-    m0 = np.where(m0 > 0.0, m0, 0.0)  # clamp as core.belief does
     p = table.params
     tol = 1e-8 * p.v_high if tolerance is None else tolerance
 
     x, alpha, gamma = _breakpoints(table)
-    vhat = p.v_low - m0 / (1.0 - m0) * p.delta_v
+    vhat = virtual_value(p, m0)
     n = np.searchsorted(table.cutoff_array, m0, side="right") - 1
     # the chords' left ends, for the prior's class and the class below
     left = np.stack([np.maximum(n - 1, 0), np.maximum(n - 2, 0)])
@@ -189,12 +197,14 @@ def deviation_scan(table: CutoffTable, priors, tolerance: float | None = None) -
     sale, delay = _sale_delay(p, x[pair], alpha[:, pair], gamma[:, pair], vhat)
     weight_sale = (m0 - x[pair[0]]) / (x[pair[1]] - x[pair[0]])
     pool = passed & (n == 0)  # class 0 sells at the prior without information
-    fields = [m0, best, equilibrium, best - equilibrium, *np.where(pool, m0, x[pair]),
+    w = np.maximum(sale, delay)
+    gain = np.where(pool, 0.0, (1.0 - weight_sale) * w[0] + weight_sale * w[1] - equilibrium)
+    fields = [m0, best, equilibrium, best - equilibrium, gain, *np.where(pool, m0, x[pair]),
               np.where(pool, 0.0, 1.0 - weight_sale), np.where(pool, 1.0, weight_sale),
               *np.where(pool, 1.0, sale >= delay)]
-    if scalar:
+    if np.ndim(priors) == 0:
         fields = [float(f[0]) for f in fields]
-    return DeviationReport(*fields[:4], witness=Split(*fields[4:]), tolerance=tol)
+    return DeviationReport(*fields[:5], witness=Split(*fields[5:]), tolerance=tol)
 
 
 def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
@@ -208,29 +218,18 @@ def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
     """
     p = table.params
     priors = np.linspace(0.0, 1.0, grid_n)[:-1]
-    cutset = set(table.cutoffs)
-
-    on_cutoffs = True
-    monotone = True
-    shape_ok = True
-    last_delay = -1.0
-    first_cut = 0.0 if table.degenerate else table.cutoffs[1]
-    for m0 in priors:
-        n = table.delay_class(float(m0))
-        split = equilibrium_split(table, float(m0))
-        if n >= 1 and split.posterior_delay not in cutset:
-            on_cutoffs = False
-        if split.q_delay == 0.0:
-            # the monotone delay posterior concerns priors that actually delay
-            if split.posterior_delay < last_delay:
-                monotone = False
-            last_delay = split.posterior_delay
-        delayed = split.q_delay == 0.0
-        if delayed != (m0 >= first_cut):
-            shape_ok = False
-        if m0 >= first_cut and not (split.posterior_sale == 1.0 and split.q_sale == 1.0):
-            if not (table.degenerate and m0 == 0.0):
-                shape_ok = False
+    split = equilibrium_split(table, priors)
+    delay = split.posterior_delay
+    classed = table.delay_class(priors) >= 1
+    on_cutoffs = bool(np.isin(delay[classed], table.cutoff_array).all())
+    # the monotone delay posterior concerns priors that actually delay
+    delayed = split.q_delay == 0.0
+    path = delay[delayed]
+    monotone = bool(np.all(path[1:] >= path[:-1]))
+    above = priors >= (0.0 if table.degenerate else table.cutoffs[1])
+    sells = (split.posterior_sale == 1.0) & (split.q_sale == 1.0)
+    exempt = table.degenerate & (priors == 0.0)  # belief 0 with v_low = 0 never trades
+    shape_ok = bool(np.all(delayed == above) and np.all(sells | ~above | exempt))
 
     max_residual = 0.0
     if not table.degenerate:

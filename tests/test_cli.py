@@ -3,13 +3,14 @@ import csv
 import io
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from duropoly import cli, cutoffs
+from duropoly import cli, cutoffs, sim
 from duropoly.cli import main
 
 from helpers import SOLVE_CASES, oracle_csv, solve_into
@@ -173,6 +174,28 @@ def test_verify_passes(tmp_path):
     assert max(r["worst_gap"] for r in report["priors"]) == report["max_gap"]
 
 
+def test_verify_failures_report_witness_gain(tmp_path, monkeypatch):
+    # a misplaced cutoff: each failing prior records the bound and what its
+    # witness split really gains, which lies between 0 and the bound
+    from duropoly import CutoffTable, MarketParams, compute_cutoffs, deviation_scan
+
+    table = compute_cutoffs(MarketParams(1.0, 2.0, 0.8))
+    cuts = list(table.cutoffs)
+    cuts[2] += 0.01
+    bad = CutoffTable(table.params, tuple(cuts))
+    monkeypatch.setattr(cli, "compute_cutoffs", lambda params: bad)
+    code = run("verify", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
+               "--mu0", 0.5, "--out", tmp_path)
+    assert code == 1
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    deviations = [f for f in report["failures"] if f["kind"] == "deviation"]
+    assert deviations
+    for f in deviations:
+        assert list(f) == ["prior", "gap", "witness_gain", "kind"]
+        assert 1e-4 < f["witness_gain"] <= f["gap"]
+        assert f["witness_gain"] == deviation_scan(bad, f["prior"]).witness_gain
+
+
 def test_verify_small_grid_exit_2(tmp_path, capsys):
     code = run("verify", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
                "--mu0", 0.5, "--grid", 50, "--out", tmp_path)
@@ -252,6 +275,38 @@ def test_sweep_full_surplus_bit_for_bit(tmp_path):
         assert float(r["mu0"]) == m0
         assert float(r["analytic_revenue"]) == m0
         assert float(r["rent"]) == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("market, grid", [
+    ((1.0, 2.0, 0.8), 251),
+    ((0.0, 1.0, 0.9), 201),  # prior 0 in class 0, every other prior in class 1
+    ((1e-3, 1.0, 0.999), 101),  # about one prior per class
+])
+def test_sweep_matches_per_prior_calls(tmp_path, monkeypatch, market, grid, seed):
+    # one kernel pass per delay class gives each prior's own monte_carlo,
+    # seller_revenue and buyer_rent bit for bit, also when draw blocks split
+    # the paths and prior chunks split a class
+    from duropoly import MarketParams, buyer_rent, compute_cutoffs, monte_carlo, seller_revenue
+
+    table = compute_cutoffs(MarketParams(*market))
+    priors = np.linspace(0.0, 1.0, grid)[:-1].tolist()
+    flags = dict(zip(("--v-low", "--v-high", "--delta"), market))
+    for n_paths in (1, 200):
+        want = [(m0, seller_revenue(table, m0),
+                 monte_carlo(table, m0, "prior", n_paths, seed).mean_revenue,
+                 buyer_rent(table, m0)) for m0 in priors]
+        for blocks in ({}, {"DRAW_BLOCK_SIZE": 64, "PRIOR_BLOCK_SIZE": 3 * n_paths}):
+            for name, value in blocks.items():
+                monkeypatch.setattr(sim, name, value)
+            out = tmp_path / f"{n_paths}-{len(blocks)}"
+            assert run("sweep", *chain.from_iterable(flags.items()), "--mu0", 0.5,
+                       "--grid", grid, "--sweep-paths", n_paths, "--seed", seed,
+                       "--out", out) == 0
+            monkeypatch.undo()
+            with open(out / "sweep.csv", newline="") as fh:
+                got = [tuple(map(float, row)) for row in list(csv.reader(fh))[1:]]
+            assert got == want, (n_paths, blocks)
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1 - 2**-53, 0.1, 1 / 3, 2.0, 2.0**53]

@@ -260,3 +260,45 @@ def test_monte_carlo_seed_0_summaries_pinned():
     assert mc.trade_time_histogram == {
         0: 13654, 1: 3402, 2: 1557, 3: 703, 4: 336, 5: 184, 6: 80, 7: 46, 8: 15, 9: 23,
     }
+
+
+@pytest.mark.parametrize("args", [(1.0, 2.0, 0.8), (1.0, 2.0, 0.99), (0.0, 1.0, 0.9)])
+def test_class_kernel_matches_per_prior_runs(monkeypatch, args):
+    # one kernel pass over several priors of one class plays, at each prior,
+    # the very paths of that prior's own monte_carlo, draw blocks or not
+    table = compute_cutoffs(MarketParams(*args))
+    if table.degenerate:
+        groups = [[0.0], [5e-324, 1e-9, 0.3, 0.99]]
+    else:
+        c = np.append(table.cutoff_array, 1.0)
+        # each class's bottom cutoff, middle and last float, for classes 0-4 and the top one
+        groups = [[c[k], 0.5 * (c[k] + c[k + 1]), np.nextafter(c[k + 1], 0.0)]
+                  for k in [0, 1, 2, 3, 4, len(c) - 2]]
+    for group in groups:
+        priors = np.array(group)
+        assert len(set(table.delay_class(priors).tolist())) == 1
+        for type_draw in ("prior", "fixed_high", "fixed_low"):
+            for block in (sim.DRAW_BLOCK_SIZE, 5):
+                monkeypatch.setattr(sim, "DRAW_BLOCK_SIZE", block)
+                rows = sim._play_paths(table, priors, type_draw, 300, seed=3)
+                monkeypatch.undo()
+                for i, m0 in enumerate(priors.tolist()):
+                    one = monte_carlo(table, m0, type_draw, 300, seed=3).paths
+                    for name, got in zip(("is_high", "trade_period", "revenue", "payoff"), rows):
+                        assert got[i].tolist() == getattr(one, name).tolist(), (m0, type_draw, name)
+
+
+def test_subnormal_prior_with_v_low_0_trades_at_once():
+    # (1 - m0) / m0 overflows below about 5.6e-309 while the next belief's
+    # odds are 0; with v_low = 0 the high type still buys in period 0 for sure
+    table = compute_cutoffs(MarketParams(0.0, 1.0, 0.9))
+    priors = np.array([5e-324, 1e-310, 0.3])
+    for type_draw in ("prior", "fixed_high"):
+        rows = sim._play_paths(table, priors, type_draw, 50, seed=2)
+        for i, m0 in enumerate(priors.tolist()):
+            recs = list(iter_paths(table, m0, type_draw, 50, seed=2))
+            assert rows[1][i].tolist() == [
+                -1 if r.trade_period is None else r.trade_period for r in recs
+            ], (m0, type_draw)
+            assert rows[2][i].tolist() == [r.discounted_revenue for r in recs], (m0, type_draw)
+    assert monte_carlo(table, 5e-324, "fixed_high", 50, seed=2).mean_revenue == 1.0

@@ -31,6 +31,25 @@ def test_tracer_counts_one_simulate(tmp_path):
     assert tracer.pass_metrics()[0]["sim.monte_carlo.calls"] == 1
 
 
+def test_tracer_binds_array_calls(tmp_path):
+    # sweep and verify pass whole prior arrays through the traced functions:
+    # the sweep plays its priors by class, with no monte_carlo call, and
+    # structure_checks makes one equilibrium_split call
+    tracer = _load("tracing").Tracer()
+    market = ["--v-low", "1", "--v-high", "2", "--delta", "0.8", "--mu0", "0.6"]
+    jobs = [["sweep", *market, "--grid", "251"], ["verify", *market, "--grid", "1001"]]
+    for index, argv in enumerate(jobs):
+        tracer.begin_pass(index)
+        tracer.job = f"{index}:0"
+        with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+    sweep, verify = (tracer.pass_metrics()[i] for i in range(2))
+    assert sweep["sim.monte_carlo.calls"] == 0
+    assert sweep["value.seller_revenue.calls"] == 1 and sweep["value.buyer_rent.calls"] == 1
+    assert verify["mechanism.equilibrium_split.calls"] == 1
+    assert verify["verify.structure_checks.calls"] == 1
+
+
 def test_workload_jobs_pass_their_checks(tmp_path):
     workloads = _load("workloads")
     jobs = {name: workloads.build(name, workloads.DEFAULT_SEED) for name in workloads.WORKLOADS}

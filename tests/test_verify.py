@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from duropoly import (
     CutoffTable,
     MarketParams,
+    Split,
     compute_cutoffs,
     concave_envelope,
     deviation_scan,
@@ -192,6 +195,59 @@ def test_structure_checks_pass(table08, table095, tabledeg):
         assert report.all_ok, report
 
 
+def _broken(field, edit):
+    """equilibrium_split with one field of its array result edited."""
+    def split(table, priors):
+        s = equilibrium_split(table, priors)
+        return dataclasses.replace(s, **{field: edit(s)})
+    return split
+
+
+def _reversed_delays(s):
+    # the delaying priors' delay posteriors in reverse order: still cutoffs
+    d = s.posterior_delay.copy()
+    delayed = s.q_delay == 0.0
+    d[delayed] = d[delayed][::-1]
+    return d
+
+
+BROKEN_SPLITS = [
+    ("delay_posteriors_on_cutoffs", "posterior_delay",
+     lambda s: np.where(s.q_delay == 0.0, np.nextafter(s.posterior_delay, 1.0), s.posterior_delay)),
+    ("delay_monotone", "posterior_delay", _reversed_delays),
+    ("split_shape_ok", "posterior_sale",
+     lambda s: np.where(s.q_delay == 0.0, np.nextafter(1.0, 0.0), s.posterior_sale)),
+]
+
+
+@pytest.mark.parametrize("flag, field, edit", BROKEN_SPLITS)
+def test_structure_checks_catch_a_broken_split(monkeypatch, table08, table095, tabledeg,
+                                               flag, field, edit):
+    # each flag reads the split structure_checks computes: breaking one
+    # property turns that flag, and only that flag, false
+    for t in (table08, table095, tabledeg):
+        if t.degenerate and flag == "delay_monotone":
+            continue  # every delay posterior is 0: there is no order to break
+        monkeypatch.setattr(verify, "equilibrium_split", _broken(field, edit))
+        report = structure_checks(t, grid_n=1001)
+        monkeypatch.undo()
+        flags = {k: v for k, v in vars(report).items() if isinstance(v, bool)}
+        assert flags == {**dict.fromkeys(flags, True), flag: False}, (t.params, report)
+
+
+def test_array_split_equals_scalar_split(table08, table095, tabledeg):
+    for t in (table08, table095, tabledeg):
+        cuts = np.array(t.cutoffs)
+        priors = np.concatenate([np.linspace(0.0, 1.0, 1001), cuts,
+                                 np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)])
+        priors = priors[(priors >= 0.0) & (priors < 1.0)]
+        split = equilibrium_split(t, priors)
+        for i, m0 in enumerate(priors.tolist()):
+            one = equilibrium_split(t, m0)
+            assert all(type(v) is float for v in vars(one).values())
+            assert one == Split(*(float(f[i]) for f in vars(split).values())), (t.params, m0)
+
+
 def test_degenerate_delay_posterior_is_zero(tabledeg):
     for m0 in np.linspace(0.01, 0.99, 25):
         assert equilibrium_split(tabledeg, float(m0)).posterior_delay == 0.0
@@ -222,6 +278,24 @@ def test_negative_control_deviation_fails(table08):
     value = np.dot([s.weight_delay, s.weight_sale], _w(bad_table, posteriors, m0))
     assert s.weight_delay * s.posterior_delay + s.weight_sale * s.posterior_sale == pytest.approx(m0)
     assert value > rep.equilibrium_value + 1e-4
+    # the report's own witness_gain is that gain, below the bound
+    assert rep.witness_gain == pytest.approx(value - rep.equilibrium_value, abs=1e-12)
+    assert rep.witness_gain < rep.worst_gap
+
+
+def test_witness_gain_near_one_is_exact():
+    # above the last placed cutoff the bound reads 7.41 v_high, while the
+    # witness, a split that delays to the last cutoff, gains 3.3e-3 v_high
+    t = compute_cutoffs(MarketParams(0.1, 1.0, 0.5))
+    m0 = 1.0 - 1e-9
+    rep = deviation_scan(t, m0)
+    s = rep.witness
+    assert not rep.passed and rep.worst_gap > 7.0
+    assert s.posterior_delay == t.cutoffs[-1] and s.posterior_sale == 1.0
+    posteriors = np.array([s.posterior_delay, s.posterior_sale])
+    value = np.dot([s.weight_delay, s.weight_sale], _w(t, posteriors, m0))
+    assert rep.witness_gain == pytest.approx(value - rep.equilibrium_value, abs=1e-12)
+    assert rep.witness_gain == pytest.approx(3.295e-3, rel=1e-3)
 
 
 def _fields(obj):
