@@ -215,16 +215,23 @@ def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: 
 
     if paths_csv:
         paths = summary.paths
-        t = paths.trade_period
-        # label lookups on object arrays: .tolist() then yields the shared
-        # str and int objects, with no per-row text array in memory
-        buyer_type = np.array(["low", "high"], dtype=object)[paths.is_high.astype(np.intp)]
-        trade_period = np.array([""] + list(range(t.max() + 1)), dtype=object)[t + 1]
+        # a path's revenue and payoff depend only on its buyer type and trade
+        # period, so its row after the index is the text of its outcome code,
+        # rendered once per code that occurs from one path of that code
+        code = 2 * (paths.trade_period + 1) + paths.is_high
+        some_path = np.empty(code.max() + 1, dtype=np.intp)
+        some_path[code] = np.arange(len(code))
+        text = np.empty(len(some_path), dtype=object)
+        for c in np.flatnonzero(np.bincount(code)).tolist():
+            i = some_path[c]
+            text[c] = f"%s,%s,{F17},{F17}" % (
+                ("low", "high")[c % 2], "" if c < 2 else c // 2 - 1,
+                paths.revenue[i], paths.payoff[i])
         _write_csv(
             paths_csv,
             ["path", "buyer_type", "trade_period", "discounted_revenue", "discounted_buyer_payoff"],
-            f"%d,%s,%s,{F17},{F17}",
-            [np.arange(len(t)), buyer_type, trade_period, paths.revenue, paths.payoff],
+            "%d,%s",
+            [np.arange(len(code)), text[code]],
         )
 
     print(

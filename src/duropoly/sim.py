@@ -84,6 +84,16 @@ class MonteCarloSummary:
     paths: PathArrays | None = field(default=None, compare=False, repr=False)
 
 
+def _accept_prob(mu, next_odds):
+    """The high type's acceptance probability at belief mu > 0 that makes a
+    rejection update the belief onto odds next_odds: 1 - next_odds / odds(mu).
+    Scaling by 2^64 is exact, so this rounds as 1 - (1 - mu) / mu * next_odds
+    wherever that is finite, and it stays finite (exactly 1 at next_odds 0)
+    at a subnormal mu, where (1 - mu) / mu overflows."""
+    s = 2.0**64
+    return 1.0 - (1.0 - mu) / (mu * s) * (next_odds * s)
+
+
 class _RowStream:
     """Sequential uniform draws from one pre-drawn row."""
 
@@ -135,7 +145,7 @@ def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathR
                 )
             price = class_price(p, n)
             next_mu = table.cutoffs[n - 1]
-            accept_prob = 1.0 - (1.0 - mu) / mu * (next_mu / (1.0 - next_mu))
+            accept_prob = _accept_prob(mu, next_mu / (1.0 - next_mu))
 
         accepts = buyer_type == "high" and rng.random() < accept_prob
         if accepts:
@@ -205,7 +215,7 @@ def _play_paths(table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int
     else:
         price = p.v_high - table.discounts[n:0:-1] * p.delta_v  # class_price(p, n - t)
         mu = table.cutoff_array[n:0:-1]  # the belief in period t >= 1
-        accept = 1.0 - (1.0 - mu) / mu * odds
+        accept = _accept_prob(mu, odds)
     # by trade period, and last for no sale: the price paid and the high type's payoff
     paid = np.append(price, p.v_low)
     revenue_at = np.append(disc * paid, 0.0)
@@ -215,7 +225,7 @@ def _play_paths(table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int
     if n:
         # each prior's own period-0 acceptance probability, as a column; 1 when v_low = 0
         accept0 = (np.ones((len(m0), 1)) if table.degenerate
-                   else 1.0 - (1.0 - m0[:, None]) / m0[:, None] * odds[0])
+                   else _accept_prob(m0[:, None], odds[0]))
     first = 1 if type_draw == "prior" else 0  # column of the period-0 accept draw
     shape = (len(m0), n_paths)
     is_high = np.empty(shape, dtype=bool)

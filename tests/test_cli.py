@@ -238,28 +238,44 @@ def test_simulate_fixed_high(tmp_path):
 
 
 def test_simulate_paths_csv(tmp_path):
-    csv_path = tmp_path / "paths.csv"
-    code = run("simulate", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
-               "--mu0", 0.6, "--paths", 50, "--seed", 0, "--out", tmp_path,
-               "--paths-csv", csv_path)
-    assert code == 0
-    with open(csv_path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 50
-    # the CSV holds the paths the summary was computed from
-    data = json.loads((tmp_path / "simulation.json").read_text())
-    revenue = np.array([float(r["discounted_revenue"]) for r in rows])
-    assert float(revenue.mean()) == data["mean_revenue"]
-
     from duropoly import MarketParams, compute_cutoffs, iter_paths
 
-    table = compute_cutoffs(MarketParams(1, 2, 0.8))
-    for i, (r, rec) in enumerate(zip(rows, iter_paths(table, 0.6, "prior", 50, seed=0))):
-        assert int(r["path"]) == i
-        assert r["buyer_type"] == rec.buyer_type
-        assert r["trade_period"] == ("" if rec.trade_period is None else str(rec.trade_period))
-        assert float(r["discounted_revenue"]) == rec.discounted_revenue
-        assert float(r["discounted_buyer_payoff"]) == rec.discounted_buyer_payoff
+    # class 1, and a class-43 prior whose paths trade in many periods
+    for i, (v_low, v_high, delta, mu0, n_paths) in enumerate(
+        [(1, 2, 0.8, 0.6, 50), (1e-3, 1, 0.99, 0.97, 300)]
+    ):
+        out = tmp_path / str(i)
+        code = run("simulate", "--v-low", v_low, "--v-high", v_high, "--delta", delta,
+                   "--mu0", mu0, "--paths", n_paths, "--seed", 0, "--out", out,
+                   "--paths-csv", tmp_path / f"paths{i}.csv")
+        assert code == 0
+        with open(tmp_path / f"paths{i}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == n_paths
+        # the CSV holds the paths the summary was computed from
+        data = json.loads((out / "simulation.json").read_text())
+        revenue = np.array([float(r["discounted_revenue"]) for r in rows])
+        assert float(revenue.mean()) == data["mean_revenue"]
+
+        table = compute_cutoffs(MarketParams(v_low, v_high, delta))
+        for j, (r, rec) in enumerate(zip(rows, iter_paths(table, mu0, "prior", n_paths, 0))):
+            assert int(r["path"]) == j
+            assert r["buyer_type"] == rec.buyer_type
+            assert r["trade_period"] == ("" if rec.trade_period is None else str(rec.trade_period))
+            assert float(r["discounted_revenue"]) == rec.discounted_revenue
+            assert float(r["discounted_buyer_payoff"]) == rec.discounted_buyer_payoff
+        assert len({r["trade_period"] for r in rows}) > 1
+
+
+def test_simulate_subnormal_ratio(tmp_path, capsys):
+    # at v_low / v_high = 1e-310 the class-1 price sells in period 0 for sure
+    code = run("simulate", "--v-low", 1e-310, "--v-high", 1, "--delta", 0.9,
+               "--mu0", 2e-310, "--type-draw", "fixed_high", "--paths", 1000,
+               "--out", tmp_path)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads((tmp_path / "simulation.json").read_text())
+    assert data["trade_time_histogram"] == {"0": 1000}
 
 
 def test_sweep_full_surplus_bit_for_bit(tmp_path):
@@ -347,6 +363,17 @@ def test_csv_artifacts_match_oracle(tmp_path):
                "--paths-csv", tmp_path / "prior.csv") == 0
     assert run("simulate", *full_surplus, "--paths", 300, "--type-draw", "fixed_low",
                "--out", tmp_path, "--paths-csv", tmp_path / "low.csv") == 0
+    # the paths file is rendered once per (buyer type, trade period) outcome:
+    # a long class with dozens of outcomes, high types only, and v_low = 0
+    # blank no-sale rows among period-0 sales
+    assert run("simulate", "--v-low", 1e-3, "--v-high", 1, "--delta", 0.99, "--mu0", 0.97,
+               "--paths", 2000, "--seed", 3, "--out", tmp_path,
+               "--paths-csv", tmp_path / "long.csv") == 0
+    assert run("simulate", "--v-low", 1, "--v-high", 2, "--delta", 0.99, "--mu0", 0.999,
+               "--paths", 2000, "--type-draw", "fixed_high", "--out", tmp_path,
+               "--paths-csv", tmp_path / "high.csv") == 0
+    assert run("simulate", *full_surplus, "--paths", 300, "--out", tmp_path,
+               "--paths-csv", tmp_path / "mixed.csv") == 0
     assert run("sweep", *full_surplus, "--grid", 101, "--sweep-paths", 20,
                "--out", tmp_path / "sweep") == 0
     files = [
@@ -354,6 +381,9 @@ def test_csv_artifacts_match_oracle(tmp_path):
         (tmp_path / "solve" / "value_table.csv", (float, float, float)),
         (tmp_path / "prior.csv", path_kinds),
         (tmp_path / "low.csv", path_kinds),
+        (tmp_path / "long.csv", path_kinds),
+        (tmp_path / "high.csv", path_kinds),
+        (tmp_path / "mixed.csv", path_kinds),
         (tmp_path / "sweep" / "sweep.csv", (float,) * 4),
     ]
     for path, kinds in files:
@@ -361,6 +391,11 @@ def test_csv_artifacts_match_oracle(tmp_path):
     # with v_low = 0 the low type never trades: every trade period is blank
     with open(tmp_path / "low.csv", newline="") as fh:
         assert {r["trade_period"] for r in csv.DictReader(fh)} == {""}
+    with open(tmp_path / "mixed.csv", newline="") as fh:
+        mixed = {(r["buyer_type"], r["trade_period"]) for r in csv.DictReader(fh)}
+    assert mixed == {("low", ""), ("high", "0")}
+    with open(tmp_path / "long.csv", newline="") as fh:
+        assert len({(r["buyer_type"], r["trade_period"]) for r in csv.DictReader(fh)}) > 20
 
 
 def test_config_file_and_flag_precedence(tmp_path):

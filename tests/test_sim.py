@@ -194,7 +194,9 @@ LONG_CLASS = 1500
 
 
 @pytest.mark.parametrize(
-    "args", [(1.0, 2.0, 0.8), (1.0, 2.0, 0.99), (0.0, 1.0, 0.9), (1e-100, 1.0, 0.99999)]
+    "args",
+    [(1.0, 2.0, 0.8), (1.0, 2.0, 0.99), (0.0, 1.0, 0.9), (1e-100, 1.0, 0.99999),
+     (1e-310, 1.0, 0.9)],
 )
 def test_array_kernel_matches_path_oracle(args):
     # monte_carlo plays all paths as arrays; each must be iter_paths' path
@@ -302,3 +304,14 @@ def test_subnormal_prior_with_v_low_0_trades_at_once():
             ], (m0, type_draw)
             assert rows[2][i].tolist() == [r.discounted_revenue for r in recs], (m0, type_draw)
     assert monte_carlo(table, 5e-324, "fixed_high", 50, seed=2).mean_revenue == 1.0
+
+
+def test_subnormal_class_2_prior_accepts_in_period_0():
+    # at v_low / v_high = 1e-310 the low cutoffs are subnormal and
+    # (1 - m0) / m0 overflows at m0 = 3e-310, a class-2 prior; the high type
+    # still buys in period 0 with probability 1 - odds(mu_bar_1) / odds(m0),
+    # about 2/3, and else in period 1, where the next belief is 0, for sure
+    table = compute_cutoffs(MarketParams(1e-310, 1.0, 0.9))
+    assert table.delay_class(3e-310) == 2
+    hist = monte_carlo(table, 3e-310, "fixed_high", 1000, seed=0).trade_time_histogram
+    assert set(hist) == {0, 1} and abs(hist[0] / 1000 - 2 / 3) < 0.05
