@@ -21,14 +21,7 @@ from .mechanism import (
     posted_price_view,
 )
 from .sim import MonteCarloSummary, PathRecord, PathStep, iter_paths, monte_carlo, simulate_path
-from .value import (
-    RDecomposition,
-    buyer_rent,
-    decompose_R,
-    eval_R,
-    rent_correspondence,
-    seller_revenue,
-)
+from .value import buyer_rent, eval_R, seller_revenue
 from .verify import (
     DeviationReport,
     EnvelopePoint,
@@ -48,12 +41,9 @@ __all__ = [
     "CutoffTable",
     "compute_cutoffs",
     "indifference_gap",
-    "RDecomposition",
     "eval_R",
-    "decompose_R",
     "seller_revenue",
     "buyer_rent",
-    "rent_correspondence",
     "Split",
     "Mechanism",
     "PostedPrice",

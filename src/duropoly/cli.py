@@ -33,6 +33,11 @@ TOLERANCE_KEYS = ("deviation_gap",)
 # CSV text of a float: 17 significant digits read back to the same float64
 F17 = "%.17g"
 CSV_BLOCK = 4096  # rows rendered by one % call
+GRID_TEXT_SIZES = 4  # grid sizes whose text _grid_text keeps
+# ulps of v_high the 3-standard-error check always allows: where every path
+# pays the same price, the mean is off it by rounding alone (at most 4 ulps
+# over 840 random class-0 runs) and se is rounding noise, not 0
+MC_ROUNDING_ULPS = 8
 
 
 @dataclass
@@ -48,20 +53,39 @@ class RunConfig:
 
 def _write_json(path, data) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
+        fh.write(json.dumps(data, indent=2))  # one write, not one per encoder chunk
 
 
-def _write_csv(path, header, row, columns) -> None:
+def _write_csv(path, header, row, columns, lead=None) -> None:
     """Write `header`, then line i renders the `row` %-template with the i-th
     entries of the equal-length 1-D `columns`, as csv.writer would (no field
     needs quoting; lines end in \r\n).  Each block of CSV_BLOCK rows is one
-    % call, so no Python call is made per field."""
+    % call, so no Python call is made per field.  With `lead`, a
+    `_grid_text` pair, line i starts with the i-th value's text and a comma."""
     line = row + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(columns[0]), CSV_BLOCK):
             block = [col[lo:lo + CSV_BLOCK].tolist() for col in columns]
-            fh.write((line * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
+            if lead is None:
+                lines = line * len(block[0])
+            else:
+                text, starts = lead
+                lines = text[starts[lo]:starts[lo + len(block[0])]].replace("\n", "," + line)
+            fh.write(lines % tuple(chain.from_iterable(zip(*block))))
+
+
+@functools.lru_cache(maxsize=GRID_TEXT_SIZES)
+def _grid_text(grid_n: int) -> tuple[str, np.ndarray]:
+    """linspace(0, 1, grid_n) as F17 text, each value ended by "\n", and the
+    offsets at which the values' texts start, with the text's length last.
+    Solve's value table and sweep's priors share it, so a process formats
+    a grid once, not on every call."""
+    text = ((F17 + "\n") * grid_n) % tuple(np.linspace(0.0, 1.0, grid_n).tolist())
+    ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("\n")) + 1
+    starts = np.concatenate(([0], ends))
+    starts.flags.writeable = False  # every caller shares it
+    return text, starts
 
 
 def _number(name: str, value, kind=float):
@@ -153,8 +177,8 @@ def cmd_solve(cfg: RunConfig, table: CutoffTable) -> int:
     })
 
     grid = np.linspace(0.0, 1.0, cfg.grid_n)
-    _write_csv(out / "value_table.csv", ["mu_prime", "mu0", "R"],
-               ",".join((F17, F17 % cfg.mu0, F17)), [grid, eval_R(table, grid, cfg.mu0)])
+    _write_csv(out / "value_table.csv", ["mu_prime", "mu0", "R"], f"{F17 % cfg.mu0},{F17}",
+               [eval_R(table, grid, cfg.mu0)], lead=_grid_text(cfg.grid_n))
 
     n = table.delay_class(cfg.mu0)
     print(
@@ -239,7 +263,8 @@ def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: 
         f"(se {summary.se_revenue:.2e})"
     )
     if analytic is not None and summary.se_revenue > 0.0:
-        if abs(summary.mean_revenue - analytic) > 3.0 * summary.se_revenue:
+        tolerance = max(3.0 * summary.se_revenue, MC_ROUNDING_ULPS * math.ulp(cfg.params.v_high))
+        if abs(summary.mean_revenue - analytic) > tolerance:
             print(f"simulate: mean off analytic {analytic:.6g} by more than 3 se", file=sys.stderr)
             return 1
     return 0
@@ -248,10 +273,11 @@ def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: 
 def cmd_sweep(cfg: RunConfig, table: CutoffTable, sweep_paths: int) -> int:
     out = cfg.output_dir
     priors = np.linspace(0.0, 1.0, cfg.grid_n)[:-1]
-    columns = [priors, seller_revenue(table, priors),
+    columns = [seller_revenue(table, priors),
                mean_revenues(table, priors, sweep_paths, cfg.seed), buyer_rent(table, priors)]
+    # the priors' text is the grid's but for its last line, mu0 = 1
     _write_csv(out / "sweep.csv", ["mu0", "analytic_revenue", "mc_revenue", "rent"],
-               ",".join([F17] * 4), columns)
+               ",".join([F17] * 3), columns, lead=_grid_text(cfg.grid_n))
     print(f"sweep: {len(priors)} priors written to {out / 'sweep.csv'}")
     return 0
 

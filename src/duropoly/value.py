@@ -1,4 +1,4 @@
-"""Equilibrium value surface, its linear decomposition, and buyer rents.
+"""Equilibrium value surface and buyer rents.
 
 The continuation value of inducing posterior mu' at prior mu0 is linear in
 the prior's virtual value:
@@ -11,23 +11,10 @@ iteratively off that decomposition, so there is no recursion-depth risk.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import belief, virtual_value
 from .cutoffs import CutoffTable, _alpha_step
-
-CUTOFF_MATCH_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RDecomposition:
-    """Coefficients of R(mu', .) on v_high and on the prior's virtual value."""
-
-    alpha: float
-    gamma: float
-
 
 def _alpha_gamma(table: CutoffTable, mu_prime):
     """Vectorized (alpha, gamma) over posteriors; scalars in, scalars out."""
@@ -72,12 +59,6 @@ def eval_R(table: CutoffTable, mu_prime, mu0):
     return alpha * table.params.v_high + gamma * vhat
 
 
-def decompose_R(table: CutoffTable, mu_prime: float) -> RDecomposition:
-    """Coefficients (alpha, gamma) with R(mu', mu0) = alpha v_high + gamma vhat(mu0)."""
-    alpha, gamma = _alpha_gamma(table, belief(mu_prime))
-    return RDecomposition(alpha=alpha, gamma=gamma)
-
-
 def seller_revenue(table: CutoffTable, mu0):
     """Equilibrium revenue R(mu0, mu0); exactly mu0 * v_high when v_low = 0.
     A scalar prior gives a float, a 1-D array of priors an array."""
@@ -96,19 +77,3 @@ def buyer_rent(table: CutoffTable, mu0):
     rent = table.discounts[n] * (0.0 if table.degenerate else table.params.delta_v)
     return float(rent) if isinstance(n, int) else rent
 
-
-def rent_correspondence(table: CutoffTable, mu0: float) -> tuple[float, float]:
-    """High-type rent set at mu0: a singleton off cutoffs, the closed interval
-    [delta^i dv, delta^(i-1) dv] at cutoff i >= 1.  Only the nearer of the
-    two cutoffs bounding mu0's class can match, within 1e-12 relative to it."""
-    m0 = belief(mu0)
-    if table.degenerate:
-        return (0.0, 0.0)
-    p, c = table.params, table.cutoffs
-    i = table.delay_class(m0)
-    if i + 1 < len(c) and c[i + 1] - m0 < m0 - c[i]:
-        i += 1
-    if i >= 1 and abs(m0 - c[i]) <= CUTOFF_MATCH_TOL * c[i]:
-        return (p.delta**i * p.delta_v, p.delta ** (i - 1) * p.delta_v)
-    r = buyer_rent(table, m0)
-    return (r, r)

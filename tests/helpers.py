@@ -3,14 +3,20 @@
 Everything here re-derives values from first principles (direct recursion on
 the split definition, sign scans, brute-force hulls) without touching the
 library's alpha/gamma bookkeeping, so a library bug cannot hide in its own
-oracle.
+oracle.  The exceptions are `decompose_R` and `rent_correspondence` at the
+end: views of the library's own coefficients and rents that only the tests
+read.
 """
 from __future__ import annotations
 
 import csv
 import io
+from dataclasses import dataclass
 
 import numpy as np
+
+from duropoly import belief, buyer_rent
+from duropoly.value import _alpha_gamma
 
 
 def oracle_vhat(p, mu):
@@ -176,3 +182,37 @@ def solve_into(out, v_low, v_high, delta, mu0, grid=101):
     argv = ["solve", "--v-low", v_low, "--v-high", v_high, "--delta", delta,
             "--mu0", mu0, "--grid", grid, "--out", out]
     assert main([str(a) for a in argv]) == 0
+
+
+@dataclass(frozen=True)
+class RDecomposition:
+    """Coefficients of R(mu', .) on v_high and on the prior's virtual value."""
+
+    alpha: float
+    gamma: float
+
+
+def decompose_R(table, mu_prime: float) -> RDecomposition:
+    """Coefficients (alpha, gamma) with R(mu', mu0) = alpha v_high + gamma vhat(mu0)."""
+    alpha, gamma = _alpha_gamma(table, belief(mu_prime))
+    return RDecomposition(alpha=alpha, gamma=gamma)
+
+
+CUTOFF_MATCH_TOL = 1e-12
+
+
+def rent_correspondence(table, mu0: float) -> tuple[float, float]:
+    """High-type rent set at mu0: a singleton off cutoffs, the closed interval
+    [delta^i dv, delta^(i-1) dv] at cutoff i >= 1.  Only the nearer of the
+    two cutoffs bounding mu0's class can match, within 1e-12 relative to it."""
+    m0 = belief(mu0)
+    if table.degenerate:
+        return (0.0, 0.0)
+    p, c = table.params, table.cutoffs
+    i = table.delay_class(m0)
+    if i + 1 < len(c) and c[i + 1] - m0 < m0 - c[i]:
+        i += 1
+    if i >= 1 and abs(m0 - c[i]) <= CUTOFF_MATCH_TOL * c[i]:
+        return (p.delta**i * p.delta_v, p.delta ** (i - 1) * p.delta_v)
+    r = buyer_rent(table, m0)
+    return (r, r)

@@ -17,7 +17,6 @@ from duropoly import (
     class_price,
     compute_cutoffs,
     concave_envelope,
-    decompose_R,
     deviation_scan,
     eval_R,
     indifference_gap,
@@ -28,7 +27,7 @@ from duropoly import (
 )
 from duropoly.cli import main as cli_main
 
-from helpers import scan_cutoff
+from helpers import decompose_R, scan_cutoff
 
 
 def report(num, label, ok):

@@ -278,6 +278,30 @@ def test_simulate_subnormal_ratio(tmp_path, capsys):
     assert data["trade_time_histogram"] == {"0": 1000}
 
 
+@pytest.mark.parametrize("n_paths", [1000, 20000])
+def test_simulate_identical_revenues_exit_0(tmp_path, capsys, n_paths):
+    # in class 0 every path pays v_low = 0.1: the pooled mean is off the
+    # analytic revenue by rounding alone, and se is rounding noise above 0
+    code = run("simulate", "--v-low", 0.1, "--v-high", 1, "--delta", 0.9, "--mu0", 0.05,
+               "--paths", n_paths, "--out", tmp_path)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads((tmp_path / "simulation.json").read_text())
+    assert 0.0 < data["se_revenue"] < 1e-18
+
+
+@pytest.mark.parametrize("mu0, shift", [(0.05, 1e-12), (0.6, 0.1)])
+def test_simulate_mean_off_analytic_exit_1(tmp_path, capsys, monkeypatch, mu0, shift):
+    # a benchmark off by more than rounding (identical revenues at prior
+    # 0.05) or by more than 3 se (prior 0.6, se 5.6e-3) still fails the run
+    true_revenue = cli.seller_revenue
+    monkeypatch.setattr(cli, "seller_revenue", lambda table, m0: true_revenue(table, m0) + shift)
+    code = run("simulate", "--v-low", 0.1, "--v-high", 1, "--delta", 0.9, "--mu0", mu0,
+               "--paths", 1000, "--out", tmp_path)
+    assert code == 1
+    assert "by more than 3 se" in capsys.readouterr().err
+
+
 def test_sweep_full_surplus_bit_for_bit(tmp_path):
     code = run("sweep", "--v-low", 0, "--v-high", 1, "--delta", 0.9,
                "--mu0", 0.5, "--grid", 101, "--sweep-paths", 20,
@@ -343,6 +367,56 @@ def test_write_csv_matches_oracle(tmp_path, n_rows):
     cli._write_csv(path, header, f"%d,%s,%s,{cli.F17},{cli.F17}", columns)
     rows = zip(*(col.tolist() for col in columns))
     assert path.read_bytes() == oracle_csv(header, rows)
+    # the same rows after a grid column taken from _grid_text, whose last
+    # line is left out as sweep.csv leaves out prior 1
+    grid = np.linspace(0.0, 1.0, n_rows + 1)[:n_rows]
+    cli._write_csv(path, ["mu", *header], f"%d,%s,%s,{cli.F17},{cli.F17}", columns,
+                   lead=cli._grid_text(n_rows + 1))
+    rows = zip(grid.tolist(), *(col.tolist() for col in columns))
+    assert path.read_bytes() == oracle_csv(["mu", *header], rows)
+
+
+def test_grid_text_cache(tmp_path):
+    # solve and sweep take the grid's text from one bounded cache: each file
+    # matches the oracle whether the grid's text was formatted for it or reused
+    from duropoly import MarketParams, buyer_rent, compute_cutoffs, eval_R, seller_revenue
+
+    market = ("--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.6)
+    table = compute_cutoffs(MarketParams(1.0, 2.0, 0.8))
+    cli._grid_text.cache_clear()
+    for i, grid_n in enumerate((101, 1001, 2, 101)):
+        out = tmp_path / str(i)
+        assert run("solve", *market, "--grid", grid_n, "--out", out) == 0
+        assert run("sweep", *market, "--grid", grid_n, "--sweep-paths", 3, "--out", out) == 0
+        grid = np.linspace(0.0, 1.0, grid_n)
+        values = eval_R(table, grid, 0.6).tolist()
+        want = oracle_csv(["mu_prime", "mu0", "R"],
+                          ((g, 0.6, r) for g, r in zip(grid.tolist(), values)))
+        assert (out / "value_table.csv").read_bytes() == want, grid_n
+        priors = grid[:-1]
+        columns = [priors, seller_revenue(table, priors), sim.mean_revenues(table, priors, 3, 0),
+                   buyer_rent(table, priors)]
+        want = oracle_csv(["mu0", "analytic_revenue", "mc_revenue", "rent"],
+                          zip(*(col.tolist() for col in columns)))
+        assert (out / "sweep.csv").read_bytes() == want, grid_n
+    info = cli._grid_text.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (5, 3, 3)
+    for grid_n in range(3, 4 + info.maxsize):
+        assert run("solve", *market, "--grid", grid_n, "--out", tmp_path / "more") == 0
+    info = cli._grid_text.cache_info()
+    assert info.misses == 4 + info.maxsize
+    assert info.currsize == info.maxsize
+
+
+def test_json_artifacts_are_dumps_indent_2(tmp_path):
+    # each JSON file is written in one call, with json.dumps' own bytes
+    market = ("--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.6, "--out", tmp_path)
+    assert run("solve", *market) == 0
+    assert run("verify", *market) == 0
+    assert run("simulate", *market, "--paths", 1000) == 0
+    for name in ("cutoffs.json", "mechanism.json", "verify_report.json", "simulation.json"):
+        text = (tmp_path / name).read_bytes()
+        assert text == json.dumps(json.loads(text), indent=2).encode("utf-8"), name
 
 
 def _rerendered(path, kinds):

@@ -5,15 +5,20 @@ from duropoly import (
     MarketParams,
     buyer_rent,
     compute_cutoffs,
-    decompose_R,
     equilibrium_split,
     eval_R,
-    rent_correspondence,
     seller_revenue,
     virtual_value,
 )
 
-from helpers import class_one_revenue, commitment_revenue, oracle_R, oracle_vhat
+from helpers import (
+    class_one_revenue,
+    commitment_revenue,
+    decompose_R,
+    oracle_R,
+    oracle_vhat,
+    rent_correspondence,
+)
 
 
 def test_eval_R_one_shot_branch(table08):
