@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +32,11 @@ TOLERANCE_KEYS = ("deviation_gap",)
 # CSV text of a float: 17 significant digits read back to the same float64
 F17 = "%.17g"
 CSV_BLOCK = 4096  # rows rendered by one % call
-GRID_TEXT_SIZES = 4  # grid sizes whose text _grid_text keeps
+GRID_TEXT_SIZES = 4  # grid sizes whose text _grid_text keeps (each of at most CSV_BLOCK points)
 # ulps of v_high the 3-standard-error check always allows: where every path
 # pays the same price, the mean is off it by rounding alone (at most 4 ulps
-# over 840 random class-0 runs) and se is rounding noise, not 0
+# over 840 random class-0 runs of 1,000 to 100,000 paths and 3 ulps over 600
+# of 100,000 to 16,777,219) and se is rounding noise, not 0
 MC_ROUNDING_ULPS = 8
 
 
@@ -56,36 +56,39 @@ def _write_json(path, data) -> None:
         fh.write(json.dumps(data, indent=2))  # one write, not one per encoder chunk
 
 
-def _write_csv(path, header, row, columns, lead=None) -> None:
+def _write_csv(path, header, row, columns, grid_n=None) -> None:
     """Write `header`, then line i renders the `row` %-template with the i-th
     entries of the equal-length 1-D `columns`, as csv.writer would (no field
     needs quoting; lines end in \r\n).  Each block of CSV_BLOCK rows is one
-    % call, so no Python call is made per field.  With `lead`, a
-    `_grid_text` pair, line i starts with the i-th value's text and a comma."""
+    % call, so no Python call is made per field.  With `grid_n`, line i
+    starts with linspace(0, 1, grid_n)[i] and a comma; the columns may end
+    before the grid does."""
+    if grid_n is not None and grid_n > CSV_BLOCK:  # too long to keep: rendered with the rest
+        columns = [np.linspace(0.0, 1.0, grid_n)[:len(columns[0])], *columns]
+        row, grid_n = f"{F17},{row}", None
     line = row + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(columns[0]), CSV_BLOCK):
             block = [col[lo:lo + CSV_BLOCK].tolist() for col in columns]
-            if lead is None:
-                lines = line * len(block[0])
-            else:
-                text, starts = lead
-                lines = text[starts[lo]:starts[lo + len(block[0])]].replace("\n", "," + line)
-            fh.write(lines % tuple(chain.from_iterable(zip(*block))))
+            n_rows = len(block[0])
+            values = [None] * (len(block) * n_rows)  # the block's fields in row order
+            for j, col in enumerate(block):
+                values[j::len(block)] = col
+            if grid_n is None:
+                lines = line * n_rows
+            else:  # one block; the grid's lines past the columns' end keep their "\n" and go
+                lines = _grid_text(grid_n).replace("\n", "," + line, n_rows)
+                lines = lines[:lines.rfind("\r\n") + 2]
+            fh.write(lines % tuple(values))
 
 
 @functools.lru_cache(maxsize=GRID_TEXT_SIZES)
-def _grid_text(grid_n: int) -> tuple[str, np.ndarray]:
-    """linspace(0, 1, grid_n) as F17 text, each value ended by "\n", and the
-    offsets at which the values' texts start, with the text's length last.
-    Solve's value table and sweep's priors share it, so a process formats
-    a grid once, not on every call."""
-    text = ((F17 + "\n") * grid_n) % tuple(np.linspace(0.0, 1.0, grid_n).tolist())
-    ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("\n")) + 1
-    starts = np.concatenate(([0], ends))
-    starts.flags.writeable = False  # every caller shares it
-    return text, starts
+def _grid_text(grid_n: int) -> str:
+    """linspace(0, 1, grid_n) as F17 text, each value ended by "\n".  Solve's
+    value table and sweep's priors share it, so a process that writes them
+    more than once at a grid of at most CSV_BLOCK points formats it once."""
+    return ((F17 + "\n") * grid_n) % tuple(np.linspace(0.0, 1.0, grid_n).tolist())
 
 
 def _number(name: str, value, kind=float):
@@ -178,7 +181,7 @@ def cmd_solve(cfg: RunConfig, table: CutoffTable) -> int:
 
     grid = np.linspace(0.0, 1.0, cfg.grid_n)
     _write_csv(out / "value_table.csv", ["mu_prime", "mu0", "R"], f"{F17 % cfg.mu0},{F17}",
-               [eval_R(table, grid, cfg.mu0)], lead=_grid_text(cfg.grid_n))
+               [eval_R(table, grid, cfg.mu0)], grid_n=cfg.grid_n)
 
     n = table.delay_class(cfg.mu0)
     print(
@@ -263,9 +266,12 @@ def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: 
         f"(se {summary.se_revenue:.2e})"
     )
     if analytic is not None and summary.se_revenue > 0.0:
-        tolerance = max(3.0 * summary.se_revenue, MC_ROUNDING_ULPS * math.ulp(cfg.params.v_high))
+        floor = MC_ROUNDING_ULPS * math.ulp(cfg.params.v_high)
+        tolerance = max(3.0 * summary.se_revenue, floor)
         if abs(summary.mean_revenue - analytic) > tolerance:
-            print(f"simulate: mean off analytic {analytic:.6g} by more than 3 se", file=sys.stderr)
+            bound = "3 se" if tolerance > floor else f"{MC_ROUNDING_ULPS} ulps of v_high"
+            print(f"simulate: mean off analytic {analytic:.6g} by more than {tolerance:.3g} ({bound})",
+                  file=sys.stderr)
             return 1
     return 0
 
@@ -277,7 +283,7 @@ def cmd_sweep(cfg: RunConfig, table: CutoffTable, sweep_paths: int) -> int:
                mean_revenues(table, priors, sweep_paths, cfg.seed), buyer_rent(table, priors)]
     # the priors' text is the grid's but for its last line, mu0 = 1
     _write_csv(out / "sweep.csv", ["mu0", "analytic_revenue", "mc_revenue", "rent"],
-               ",".join([F17] * 3), columns, lead=_grid_text(cfg.grid_n))
+               ",".join([F17] * 3), columns, grid_n=cfg.grid_n)
     print(f"sweep: {len(priors)} priors written to {out / 'sweep.csv'}")
     return 0
 

@@ -290,16 +290,18 @@ def test_simulate_identical_revenues_exit_0(tmp_path, capsys, n_paths):
     assert 0.0 < data["se_revenue"] < 1e-18
 
 
-@pytest.mark.parametrize("mu0, shift", [(0.05, 1e-12), (0.6, 0.1)])
-def test_simulate_mean_off_analytic_exit_1(tmp_path, capsys, monkeypatch, mu0, shift):
+@pytest.mark.parametrize("mu0, shift, bound", [(0.05, 1e-12, "by more than 1.78e-15 (8 ulps of v_high)"),
+                                               (0.6, 0.1, "(3 se)")], ids=["floor", "3se"])
+def test_simulate_mean_off_analytic_exit_1(tmp_path, capsys, monkeypatch, mu0, shift, bound):
     # a benchmark off by more than rounding (identical revenues at prior
-    # 0.05) or by more than 3 se (prior 0.6, se 5.6e-3) still fails the run
+    # 0.05) or by more than 3 se (prior 0.6, se 5.6e-3) still fails the run,
+    # and the message names the tolerance that was used
     true_revenue = cli.seller_revenue
     monkeypatch.setattr(cli, "seller_revenue", lambda table, m0: true_revenue(table, m0) + shift)
     code = run("simulate", "--v-low", 0.1, "--v-high", 1, "--delta", 0.9, "--mu0", mu0,
                "--paths", 1000, "--out", tmp_path)
     assert code == 1
-    assert "by more than 3 se" in capsys.readouterr().err
+    assert bound in capsys.readouterr().err
 
 
 def test_sweep_full_surplus_bit_for_bit(tmp_path):
@@ -367,11 +369,12 @@ def test_write_csv_matches_oracle(tmp_path, n_rows):
     cli._write_csv(path, header, f"%d,%s,%s,{cli.F17},{cli.F17}", columns)
     rows = zip(*(col.tolist() for col in columns))
     assert path.read_bytes() == oracle_csv(header, rows)
-    # the same rows after a grid column taken from _grid_text, whose last
-    # line is left out as sweep.csv leaves out prior 1
+    # the same rows after a grid column one point longer, whose last point
+    # is left out as sweep.csv leaves out prior 1: from _grid_text's cached
+    # text up to CSV_BLOCK points, rendered with the other columns above
     grid = np.linspace(0.0, 1.0, n_rows + 1)[:n_rows]
     cli._write_csv(path, ["mu", *header], f"%d,%s,%s,{cli.F17},{cli.F17}", columns,
-                   lead=cli._grid_text(n_rows + 1))
+                   grid_n=n_rows + 1)
     rows = zip(grid.tolist(), *(col.tolist() for col in columns))
     assert path.read_bytes() == oracle_csv(["mu", *header], rows)
 
@@ -406,6 +409,14 @@ def test_grid_text_cache(tmp_path):
     info = cli._grid_text.cache_info()
     assert info.misses == 4 + info.maxsize
     assert info.currsize == info.maxsize
+    # a grid longer than one block is rendered with the other columns, never kept
+    grid_n = cli.CSV_BLOCK + 1
+    assert run("solve", *market, "--grid", grid_n, "--out", tmp_path / "long") == 0
+    assert cli._grid_text.cache_info()[:2] == info[:2]
+    grid = np.linspace(0.0, 1.0, grid_n)
+    want = oracle_csv(["mu_prime", "mu0", "R"],
+                      ((g, 0.6, r) for g, r in zip(grid.tolist(), eval_R(table, grid, 0.6).tolist())))
+    assert (tmp_path / "long" / "value_table.csv").read_bytes() == want
 
 
 def test_json_artifacts_are_dumps_indent_2(tmp_path):
