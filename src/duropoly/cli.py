@@ -183,9 +183,8 @@ def cmd_solve(cfg: RunConfig, table: CutoffTable) -> int:
     _write_csv(out / "value_table.csv", ["mu_prime", "mu0", "R"], f"{F17 % cfg.mu0},{F17}",
                [eval_R(table, grid, cfg.mu0)], grid_n=cfg.grid_n)
 
-    n = table.delay_class(cfg.mu0)
     print(
-        f"prior {cfg.mu0:g}: class n={n}, price {view.price:.6g}, "
+        f"prior {cfg.mu0:g}: class n={mech.n}, price {view.price:.6g}, "
         f"revenue {seller_revenue(table, cfg.mu0):.6g}, "
         f"rent {buyer_rent(table, cfg.mu0):.6g}"
     )
@@ -342,5 +341,8 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, table, sweep_paths)
     except MemoryError as exc:  # e.g. an oversize --grid
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # e.g. an artifact path taken by a directory
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

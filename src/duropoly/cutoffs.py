@@ -68,8 +68,12 @@ class CutoffTable:
 
     @cached_property
     def discounts(self) -> np.ndarray:
-        """delta^k per class, as scalar powers so that every value built on
-        them matches the scalar rent and price formulas bit for bit."""
+        """delta^k per class k, the discount on the low type's sale k periods
+        out, as scalar powers so that every value built on them matches the
+        scalar rent and price formulas bit for bit.  Zero when v_low = 0,
+        where that sale never happens."""
+        if self.degenerate:
+            return np.zeros(len(self.cutoffs))
         d = self.params.delta
         return np.asarray([d**k for k in range(len(self.cutoffs))])
 

@@ -142,7 +142,7 @@ def posted_price_view(m: Mechanism, table: CutoffTable) -> PostedPrice:
     Class 0 has no rejection on path: both types accept v_low.
     """
     p = table.params
-    if m.n == 0 and not (table.degenerate and m.prior > 0.0):
+    if m.n == 0:
         if table.degenerate:
             # belief 0 with v_low = 0: the null mechanism, never any trade
             return PostedPrice(price=p.v_high, accept_prob_high=0.0, reject_posterior=0.0)
@@ -155,7 +155,7 @@ def posted_price_view(m: Mechanism, table: CutoffTable) -> PostedPrice:
         raise MechanismConsistencyError(
             f"high-type indifference off by {gap} at prior {m.prior}"
         )
-    if not table.degenerate and not price > p.v_low:
+    if not price > p.v_low:
         raise MechanismConsistencyError(f"price {price} does not exclude the low type")
     return PostedPrice(
         price=price,

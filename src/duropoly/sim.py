@@ -210,12 +210,9 @@ def _play_paths(table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int
                                             initial=1.0), float, n + 1)
     next_mu = table.cutoff_array[:n][::-1]  # the belief after a rejection in period t
     odds = next_mu / (1.0 - next_mu)
-    if table.degenerate:
-        price, accept = np.full(n, p.v_high), np.ones(n)
-    else:
-        price = p.v_high - table.discounts[n:0:-1] * p.delta_v  # class_price(p, n - t)
-        mu = table.cutoff_array[n:0:-1]  # the belief in period t >= 1
-        accept = _accept_prob(mu, odds)
+    price = p.v_high - table.discounts[n:0:-1] * p.delta_v  # class_price(p, n - t)
+    # the acceptance probability in period t >= 1, at belief cutoffs[n - t]
+    accept = _accept_prob(table.cutoff_array[1:n][::-1], odds[1:])
     # by trade period, and last for no sale: the price paid and the high type's payoff
     paid = np.append(price, p.v_low)
     revenue_at = np.append(disc * paid, 0.0)
@@ -223,9 +220,8 @@ def _play_paths(table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int
     last = -1 if table.degenerate else n  # the period of a path that declines every price
 
     if n:
-        # each prior's own period-0 acceptance probability, as a column; 1 when v_low = 0
-        accept0 = (np.ones((len(m0), 1)) if table.degenerate
-                   else _accept_prob(m0[:, None], odds[0]))
+        # each prior's own period-0 acceptance probability, as a column
+        accept0 = _accept_prob(m0[:, None], odds[0])
     first = 1 if type_draw == "prior" else 0  # column of the period-0 accept draw
     shape = (len(m0), n_paths)
     is_high = np.empty(shape, dtype=bool)
@@ -249,7 +245,7 @@ def _play_paths(table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int
             for t in range(1, n):
                 if not live.size:
                     break
-                acc = draws[live, first + t] < accept[t]
+                acc = draws[live, first + t] < accept[t - 1]
                 later[live[acc]] = t
                 live = live[~acc]
             period[:] = later

@@ -5,9 +5,10 @@ the prior's virtual value:
 
     R(mu', mu0) = alpha(mu') * v_high + gamma(mu') * vhat(mu0),
 
-where gamma(mu') = (1 - mu') * delta^n for mu' in class D_n and alpha follows
-the split recursion down the cutoff chain.  Everything here is evaluated
-iteratively off that decomposition, so there is no recursion-depth risk.
+where gamma(mu') = (1 - mu') * delta^n for mu' in class D_n (0 if v_low = 0)
+and alpha follows the split recursion down the cutoff chain.  Everything here
+is evaluated iteratively off that decomposition, so there is no
+recursion-depth risk.
 """
 from __future__ import annotations
 
@@ -22,10 +23,6 @@ def _alpha_gamma(table: CutoffTable, mu_prime):
     m = np.atleast_1d(np.asarray(mu_prime, dtype=float))
     if np.any(m < 0.0) or np.any(m > 1.0):
         raise ValueError("posterior outside [0, 1]")
-
-    if table.degenerate:
-        alpha, gamma = m.copy(), np.zeros_like(m)
-        return (float(alpha[0]), float(gamma[0])) if scalar else (alpha, gamma)
 
     # beliefs at or beyond the last cutoff land in the last class
     idx = np.searchsorted(table.cutoff_array, m, side="right") - 1
@@ -74,6 +71,6 @@ def buyer_rent(table: CutoffTable, mu0):
     prior gives a float, a 1-D array of priors an array.
     """
     n = table.delay_class(mu0)
-    rent = table.discounts[n] * (0.0 if table.degenerate else table.params.delta_v)
+    rent = table.discounts[n] * table.params.delta_v
     return float(rent) if isinstance(n, int) else rent
 

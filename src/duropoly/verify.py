@@ -130,9 +130,6 @@ def _breakpoints(table: CutoffTable):
     """Breakpoints of w (every cutoff and 1) and (alpha, gamma) there on R's
     pieces of their own class (row 0) and of the class below (row 1)."""
     x = np.append(table.cutoff_array, 1.0)
-    if table.degenerate:
-        # R(mu', mu0) = mu' * v_high is affine on all of [0, 1]
-        return x, np.stack([x, x]), np.zeros((2, len(x)))
     k = np.arange(len(x))
     idx = np.stack([np.minimum(k, len(x) - 2), np.maximum(k - 1, 0)])
     alpha, gamma = _class_alpha_gamma(table, x, idx)
@@ -226,18 +223,16 @@ def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
     delayed = split.q_delay == 0.0
     path = delay[delayed]
     monotone = bool(np.all(path[1:] >= path[:-1]))
-    above = priors >= (0.0 if table.degenerate else table.cutoffs[1])
+    above = priors >= table.cutoffs[1]
     sells = (split.posterior_sale == 1.0) & (split.q_sale == 1.0)
     exempt = table.degenerate & (priors == 0.0)  # belief 0 with v_low = 0 never trades
     shape_ok = bool(np.all(delayed == above) and np.all(sells | ~above | exempt))
 
-    max_residual = 0.0
-    if not table.degenerate:
-        # every cutoff's indifference residual at once, at v_high = 1
-        cuts = table.cutoff_array
-        n = np.arange(1, len(cuts) - 1)
-        gaps = _gap(unit_params(p), cuts[n + 1], cuts, table.alphas, table.gammas, n)
-        max_residual = float(np.max(np.abs(gaps), initial=0.0))
+    # every cutoff's indifference residual at once, at v_high = 1
+    cuts = table.cutoff_array
+    n = np.arange(1, len(cuts) - 1)
+    gaps = _gap(unit_params(p), cuts[n + 1], cuts, table.alphas, table.gammas, n)
+    max_residual = float(np.max(np.abs(gaps), initial=0.0))
     residuals_ok = max_residual < RESIDUAL_TOL_PER_VHIGH
 
     return StructureReport(

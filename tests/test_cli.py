@@ -542,3 +542,17 @@ def test_oversize_grid_exit_2(tmp_path, capsys, command):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("solve", "cutoffs.csv"), ("verify", "verify_report.json"),
+    ("simulate", "simulation.json"), ("sweep", "sweep.csv")])
+def test_artifact_path_taken_by_directory_exit_2(tmp_path, capsys, command, artifact):
+    # a directory squatting on the command's first artifact name: opening it
+    # for writing raises IsADirectoryError, a bad input, not a failed check
+    (tmp_path / artifact).mkdir()
+    code = run(command, "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.6,
+               "--grid", 101, "--paths", 100, "--out", tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and artifact in err[0]

@@ -185,7 +185,7 @@ def record(command: str, out: Path) -> dict:
     stdout and of every file it wrote, by file name."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main([*command.format(out=out).split(), "--out", str(out)])
+        code = main([*(arg.format(out=out) for arg in command.split()), "--out", str(out)])
     files = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
     return {"exit": code, "stdout": _sha(buf.getvalue().replace(str(out), "<out>").encode()),
             **files}
