@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -53,7 +54,93 @@ class RunConfig:
 
 def _write_json(path, data) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data, indent=2))  # one write, not one per encoder chunk
+        fh.write(_json_text(data))
+
+
+def _json_text(data) -> str:
+    """json.dumps(data, indent=2), byte for byte, for trees with str keys
+    (any other key raises TypeError).
+
+    json.dumps with an indent runs the pure-Python encoder once per key and
+    scalar.  Here only the containers are walked, into a %-template of the
+    indented layout; every scalar goes into one list that one call of the
+    C encoder renders, split on its item separator "\\x1e" (JSON escapes
+    every control character, so no rendered scalar holds it).  A list of
+    scalars, or of flat dicts with one key order, is rendered from one row
+    template rather than item by item."""
+    template: list[str] = []
+    scalars: list = []
+    _walk(data, "\n", template, scalars)
+    texts = _encode_scalars(scalars)[1:-1].split("\x1e") if scalars else ()
+    return "".join(template) % tuple(texts)
+
+
+def _walk(o, nl: str, template: list, scalars: list) -> None:
+    """Add o's %-template to `template` and its scalars to `scalars`; `nl`
+    is a newline and the indent of o's own line.  (A module function, not a
+    closure: a closure that calls itself is a reference cycle, and would
+    keep each tree's scalars alive until the cycle collector runs.)"""
+    if not isinstance(o, _CONTAINERS):
+        scalars.append(o)
+        template.append("%s")
+        return
+    if not o:
+        template.append("{}" if isinstance(o, dict) else "[]")
+        return
+    inner = nl + "  "
+    if isinstance(o, dict):
+        sep = "{"
+        for key, value in o.items():
+            template.append(f"{sep}{inner}{_json_key(key)}: ")
+            _walk(value, inner, template, scalars)
+            sep = ","
+        template.append(nl + "}")
+    elif (row := _row_template(o, inner, scalars)) is not None:
+        template.append(f"[{inner}{(row + ',' + inner) * (len(o) - 1)}{row}{nl}]")
+    else:
+        sep = "["
+        for item in o:
+            template.append(sep + inner)
+            _walk(item, inner, template, scalars)
+            sep = ","
+        template.append(nl + "]")
+
+
+_CONTAINERS = (list, tuple, dict)
+# the C encoder, which json.dumps uses only without an indent
+_encode_scalars = json.JSONEncoder(separators=("\x1e", ": ")).encode
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+    return json.encoder.encode_basestring_ascii(key).replace("%", "%%")  # json.dumps(key)
+
+
+def _flat(values) -> bool:
+    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _row_template(items, nl: str, scalars: list) -> str | None:
+    """The %-template of one item of a non-empty list whose items are all
+    scalars, or all flat dicts with one key order, its items' lines starting
+    at `nl`; their scalars are added to `scalars` in order.  None, adding
+    nothing, for any other list."""
+    if _flat(items):
+        scalars.extend(items)
+        return "%s"
+    if not all(issubclass(t, dict) for t in set(map(type, items))):
+        return None
+    orders = set(map(tuple, items))
+    if len(orders) != 1:
+        return None
+    values = list(itertools.chain.from_iterable(map(dict.values, items)))
+    if not _flat(values):
+        return None
+    (keys,) = orders
+    scalars.extend(values)
+    inner = nl + "  "
+    return "{" + ",".join(f"{inner}{_json_key(k)}: %s" for k in keys) + nl + "}" if keys else "{}"
 
 
 def _write_csv(path, header, row, columns, grid_n=None) -> None:

@@ -157,8 +157,8 @@ def compute_cutoffs(p: MarketParams) -> CutoffTable:
     cutoff is within PROXIMITY_TO_ONE of it, when the remaining interval is
     too close to 1 for float64 to resolve the root (see RESOLUTION_GUARD),
     or when the next root rounds to 1.  A chain that would pass MAX_CUTOFFS
-    entries raises ValueError, as does a ratio so small that g(0) rounds to
-    0; no table is ever truncated.
+    entries raises ValueError, as does a ratio so small, or a delta so close
+    to 1, that g(0) rounds to 0; no table is ever truncated.
 
     v_low = 0 short-circuits to the two-entry table (0, 0): every positive
     prior then delays at posterior 0 forever on the low-type path.
@@ -196,10 +196,12 @@ def compute_cutoffs(p: MarketParams) -> CutoffTable:
             g1 = d**n * (1.0 - d) * unit.delta_v
         root = g0 / (g0 - g1)
         if not (g0 < 0.0 and last < root):
-            # g(0) scales with the ratio and has rounded to 0
+            # g(0) has rounded to 0, as it does at a tiny ratio or at a delta
+            # within rounding of 1
             raise ValueError(
-                f"v_low/v_high = {p.v_low!r}/{p.v_high!r} is too small for float64: the "
-                f"cutoff chain at delta = {d!r} underflows past cutoff {n}"
+                f"float64 cannot place cutoff {n + 1} of the chain at v_low/v_high = "
+                f"{p.v_low!r}/{p.v_high!r}, delta = {d!r}: the ratio is too small or delta "
+                f"too close to 1"
             )
         if root >= 1.0:
             # the root lies within rounding of belief 1: no further cutoff

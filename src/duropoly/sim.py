@@ -278,8 +278,16 @@ def mean_revenues(table: CutoffTable, priors, n_paths: int, seed: int) -> np.nda
     for lo, hi in zip(starts.tolist(), stops.tolist()):
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
-            out[a:b] = _play_paths(table, m0[a:b], "prior", n_paths, seed)[2].mean(axis=1)
+            revenue = _play_paths(table, m0[a:b], "prior", n_paths, seed)[2]
+            out[a:b] = _mean_in_v_high(revenue, table.params.v_high, axis=1)
     return out
+
+
+def _mean_in_v_high(x: np.ndarray, v_high: float, axis=None):
+    """The mean of x taken in units of v_high, so that a sum of values
+    near the float64 maximum cannot overflow; bit for bit x.mean(axis) at a
+    power-of-two v_high."""
+    return v_high * (x / v_high).mean(axis=axis)
 
 
 def monte_carlo(
@@ -300,17 +308,18 @@ def monte_carlo(
                                                           n_paths, seed)))
     revenue, payoff, is_high = paths.revenue, paths.payoff, paths.is_high
 
-    # in units of v_high, so squaring revenues near the float64 floor cannot underflow
+    # in units of v_high, so squaring revenues near the float64 floor cannot
+    # underflow, and neither sums nor squares near its maximum overflow
     v_high = table.params.v_high
     se = float(v_high * (revenue / v_high).std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     counts = np.bincount(paths.trade_period + 1)  # index 0 counts the no-sale paths
     seen = np.flatnonzero(counts)
     return MonteCarloSummary(
         n_paths=n_paths,
-        mean_revenue=float(revenue.mean()),
+        mean_revenue=float(_mean_in_v_high(revenue, v_high)),
         se_revenue=se,
-        mean_rent_high=float(payoff[is_high].mean()) if is_high.any() else 0.0,
-        mean_rent_low=float(payoff[~is_high].mean()) if (~is_high).any() else 0.0,
+        mean_rent_high=float(_mean_in_v_high(payoff[is_high], v_high)) if is_high.any() else 0.0,
+        mean_rent_low=float(_mean_in_v_high(payoff[~is_high], v_high)) if (~is_high).any() else 0.0,
         trade_time_histogram=dict(zip((seen - 1).tolist(), counts[seen].tolist())),
         seed=seed,
         paths=paths,

@@ -162,6 +162,18 @@ def test_chain_longer_than_max_cutoffs_exit_2(tmp_path, capsys, monkeypatch):
     assert len(err) == 1 and err[0].startswith("error:") and "v_low/v_high = 1e-100" in err[0]
 
 
+def test_delta_within_rounding_of_1_exit_2(tmp_path, capsys):
+    # at ratio 0.5 the chain fails only because delta rounds against 1: the
+    # message names both causes, not the ratio alone
+    code = run("solve", "--v-low", 1, "--v-high", 2, "--delta", 0.9999999999999999,
+               "--mu0", 0.5, "--out", tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "delta = 0.9999999999999999" in err[0] and "delta too close to 1" in err[0]
+    assert "ratio is too small" in err[0]
+
+
 def test_verify_passes(tmp_path):
     code = run("verify", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
                "--mu0", 0.5, "--grid", 301, "--out", tmp_path)
@@ -304,6 +316,28 @@ def test_simulate_mean_off_analytic_exit_1(tmp_path, capsys, monkeypatch, mu0, s
     assert bound in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("v_high, mu0, paths", [(1e304, 0.6, None), (1.7e308, 0.3, 2000)])
+def test_simulate_mean_finite_near_float_max(tmp_path, capsys, v_high, mu0, paths):
+    # a sum of the paths' revenues passes the float64 maximum; their mean,
+    # taken in units of v_high, does not (the default 100,000 paths at 1e304)
+    args = ["--paths", paths] if paths else []
+    code = run("simulate", "--v-low", 1, "--v-high", v_high, "--delta", 0.8, "--mu0", mu0,
+               *args, "--out", tmp_path)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads((tmp_path / "simulation.json").read_text())
+    for key in ("mean_revenue", "mean_rent_high"):
+        assert 0.0 < data[key] < v_high
+
+
+def test_sweep_mean_finite_near_float_max(tmp_path):
+    assert run("sweep", "--v-low", 1, "--v-high", 1e307, "--delta", 0.8, "--mu0", 0.5,
+               "--grid", 11, "--out", tmp_path) == 0
+    with open(tmp_path / "sweep.csv") as fh:
+        mc = [float(r["mc_revenue"]) for r in csv.DictReader(fh)]
+    assert len(mc) == 10 and all(0.0 <= x < 1e307 for x in mc) and max(mc) > 0.0
+
+
 def test_sweep_full_surplus_bit_for_bit(tmp_path):
     code = run("sweep", "--v-low", 0, "--v-high", 1, "--delta", 0.9,
                "--mu0", 0.5, "--grid", 101, "--sweep-paths", 20,
@@ -428,6 +462,51 @@ def test_json_artifacts_are_dumps_indent_2(tmp_path):
     for name in ("cutoffs.json", "mechanism.json", "verify_report.json", "simulation.json"):
         text = (tmp_path / name).read_bytes()
         assert text == json.dumps(json.loads(text), indent=2).encode("utf-8"), name
+
+
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('%"[]{}\\,:\x1e\n'), st.characters()), max_size=6)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), _JSON_TEXT,
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2**64 + 1, -(2**100),
+                     "%", "%s", "%%", '"', "[{", "\x1e", "é€😀"]),
+)
+
+
+@st.composite
+def _same_keyed_dicts(draw, values):
+    """A list of dicts with one key list; at times its last dict has the
+    keys in reverse order."""
+    keys = draw(st.lists(_JSON_TEXT, unique=True, max_size=4))
+    rows = draw(st.lists(st.lists(values, min_size=len(keys), max_size=len(keys)), max_size=5))
+    dicts = [dict(zip(keys, row)) for row in rows]
+    if dicts and draw(st.booleans()):
+        dicts[-1] = dict(reversed(dicts[-1].items()))
+    return dicts
+
+
+_JSON_TREES = st.recursive(_JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=5),
+    st.lists(children, max_size=5).map(tuple),
+    st.dictionaries(_JSON_TEXT, children, max_size=5),
+    st.lists(st.dictionaries(_JSON_TEXT, children, max_size=3), max_size=4),  # ragged
+    _same_keyed_dicts(_JSON_SCALARS),
+    _same_keyed_dicts(children),
+), max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tree=_JSON_TREES)
+@example(tree={"a%s": [[], {}, (), [{}, {}], [1.5, -0.0, "%d"]], "": ({"%": math.nan},)})
+@example(tree=[{"x": 1, "y": 2}, {"x": 3, "y": "\x1e"}, {"y": 4, "x": 5}])
+def test_json_text_is_dumps_indent_2(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("tree", [{1: 0}, {"a": {None: 0}}, [{2.5: 0}, {2.5: 1}],
+                                  [{"a": 1}, {"a": 2, (1,): 3}]])
+def test_json_text_rejects_non_str_keys(tree):
+    with pytest.raises(TypeError):
+        cli._json_text(tree)
 
 
 def _rerendered(path, kinds):

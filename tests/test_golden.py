@@ -1,10 +1,12 @@
 """Golden outputs: every artifact, stdout and exit code of reference commands.
 
-Each command runs through `cli.main` into a fresh directory; the test
-compares the sha256 of every file it writes, of its stdout (with the output
-directory replaced by "<out>") and its exit code against digests recorded
-from a known-good build.  A change that alters any output on purpose
-re-records them: run this file as a script to print the table.
+Each command runs through `cli.main` into a fresh directory, with "{out}"
+in it replaced by that directory and "{tests}" by this file's, which holds
+the config files the commands name.  The test compares the sha256 of every
+file a command writes, of its stdout (with the output directory replaced by
+"<out>") and its exit code against digests recorded from a known-good
+build.  A change that alters any output on purpose re-records them: run
+this file as a script to print the table.
 """
 import contextlib
 import hashlib
@@ -17,6 +19,8 @@ import pytest
 
 from duropoly.cli import main
 
+TESTS_DIR = Path(__file__).parent
+
 COMMANDS = {
     "solve-08": "solve --v-low 1 --v-high 2 --delta 0.8 --mu0 0.6",
     "solve-099": "solve --v-low 1 --v-high 2 --delta 0.99 --mu0 0.5",
@@ -25,6 +29,9 @@ COMMANDS = {
     "solve-bad-params": "solve --v-low 2 --v-high 1 --delta 0.8 --mu0 0.3",
     "verify-08": "verify --v-low 1 --v-high 2 --delta 0.8 --mu0 0.6",
     "verify-099": "verify --v-low 1 --v-high 2 --delta 0.99 --mu0 0.5",
+    # deviation_gap 1e-300: the rounding-level gaps at 8 of the 101 priors fail
+    "verify-failing": "verify --v-low 1 --v-high 2 --delta 0.8 --mu0 0.6 "
+                      "--config {tests}/golden_tight_gap.json",
     "simulate-08-csv": "simulate --v-low 1 --v-high 2 --delta 0.8 --mu0 0.6 --paths 2000 "
                        "--paths-csv {out}/paths.csv",
     "simulate-099-low": "simulate --v-low 1 --v-high 2 --delta 0.99 --mu0 0.999 --paths 500 "
@@ -95,6 +102,12 @@ GOLDEN = {
         "exit": 0,
         "stdout": "d06570e84f46771dedba826c8cd5b2604e5a040d8faa46d2969f236eace50108",
         "verify_report.json": "94632a342142ed426600d74e890cbee88e6812cfcc9e3bf6c9b36feafb09307e",
+    },
+    # recorded with json.dumps(indent=2) as the JSON writer
+    "verify-failing": {
+        "exit": 1,
+        "stdout": "a664125538573e04a5be5f2d994feb0938b014005cf66a577b36d30dec2bdbda",
+        "verify_report.json": "5c328d16af589ace8cd15737a14540fc00816c313f9879c0605138596c30fcea",
     },
     "simulate-08-csv": {
         "exit": 0,
@@ -185,7 +198,8 @@ def record(command: str, out: Path) -> dict:
     stdout and of every file it wrote, by file name."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main([*(arg.format(out=out) for arg in command.split()), "--out", str(out)])
+        argv = [arg.format(out=out, tests=TESTS_DIR) for arg in command.split()]
+        code = main([*argv, "--out", str(out)])
     files = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
     return {"exit": code, "stdout": _sha(buf.getvalue().replace(str(out), "<out>").encode()),
             **files}
