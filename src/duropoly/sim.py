@@ -4,15 +4,16 @@ belief updating, and Monte Carlo summaries.
 On the no-trade path the seller's belief is deterministic: a class-n prior
 walks down the cutoff chain, posts n declining prices and sells to the low
 type at v_low in period n.  So every untraded path shares one price and
-acceptance probability per period, and the kernel computes that schedule
-once and plays all paths at once, one array step per period.  The schedule
-depends on the prior only through its class, except for the type draw's
-threshold and the period-0 acceptance probability, and a run's draw matrix
-depends only on (seed, class); so one kernel pass plays a whole class of
-priors on shared draws.  monte_carlo plays one prior, mean_revenues one pass
-per class of a prior grid.  simulate_path and iter_paths play the same
-equilibrium one path at a time; they are the single-path reference the
-array kernel is tested against.
+acceptance probability per period.  The schedule depends on the prior only
+through its class, except for the type draw's threshold and the period-0
+acceptance probability, and a run's draw matrix depends only on (seed,
+class).  So the kernel has two parts: a class step reads a class's draws
+once and keeps three numbers per path (its type draw, its period-0 accept
+draw and its first accepting period t >= 1), and a per-prior gather plays
+any priors of the class from them by array expressions.  monte_carlo plays
+one prior; mean_revenues groups a prior grid by class and plays each class
+once.  simulate_path and iter_paths play the same equilibrium one path at a
+time; they are the single-path reference the array kernel is tested against.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ RNG_ALGORITHM = "pcg64(seed); uniform row i of a pre-drawn matrix is path i's su
 # so results do not depend on it; memory stays bounded at any path count and
 # any class.
 DRAW_BLOCK_SIZE = 4096 * 1001
-# (prior, path) cells one mean_revenues kernel pass plays; each pass draws
-# its class's uniforms afresh from pcg64(seed), so results do not depend on it.
+# (prior, path) cells one mean_revenues gather plays; every gather reads its
+# class's per-path numbers, drawn once, so results do not depend on it.
 PRIOR_BLOCK_SIZE = 1 << 13
 
 
@@ -187,73 +188,98 @@ def iter_paths(table: CutoffTable, mu0: float, type_draw: str, n_paths: int, see
         yield simulate_path(table, m0, btype, stream)
 
 
-def _play_paths(table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int, seed: int):
-    """Play every path at every prior of m0, a 1-D array of priors of one
-    delay class n, with the draws iter_paths reads: all priors share them.
+class _ClassPaths:
+    """Every path of one delay class n, played once for a 1-D array m0 of
+    priors of that class on the draws iter_paths reads: all priors of a
+    class share them.
 
-    Returns (is_high, trade_period, revenue, payoff), each a (priors x paths)
-    array, trade period -1 for no sale.  Only the type threshold and the
-    period-0 acceptance probability depend on the prior: from period 1 the
-    belief is cutoffs[n-1] ... cutoffs[1] and the price class_price(p, n - t)
-    in every class-n play.  So each path's first accepting period t >= 1 is
-    found once, for all priors, by a loop over periods on the compacted live
-    paths; a high type takes period 0 if its draw accepts the prior's own
-    period-0 price, else that period, and every path still untraded buys at
-    v_low in period n.  With v_low = 0 a positive prior posts v_high once,
-    accepted for sure, and belief 0 then never trades.  Draws come in blocks
-    of at most DRAW_BLOCK_SIZE.
+    Only the type threshold and the period-0 acceptance probability depend
+    on the prior: from period 1 the belief is cutoffs[n-1] ... cutoffs[1] and
+    the price class_price(p, n - t) in every class-n play.  So the class step
+    reads the draws once, in blocks of at most DRAW_BLOCK_SIZE, and keeps
+    three numbers per path: its type draw, its period-0 accept draw and its
+    first accepting period t >= 1, found by a loop over periods on the
+    compacted live paths, those high and declining period 0 at some prior of
+    m0.  The per-prior gather, trade_periods, then plays m0[lo:hi] by array
+    expressions: a high type takes period 0 if its draw accepts the prior's
+    own period-0 price, else that later period, which is n if it declines
+    every price; a low type buys at v_low in period n.  With v_low = 0 a
+    positive prior posts v_high once, accepted for sure, and belief 0 then
+    never trades.
     """
-    p = table.params
-    n = table.delay_class(m0[0])
-    # discounts by repeated multiplication, as simulate_path builds them
-    disc = np.fromiter(itertools.accumulate(itertools.repeat(p.delta, n), operator.mul,
-                                            initial=1.0), float, n + 1)
-    next_mu = table.cutoff_array[:n][::-1]  # the belief after a rejection in period t
-    odds = next_mu / (1.0 - next_mu)
-    price = p.v_high - table.discounts[n:0:-1] * p.delta_v  # class_price(p, n - t)
-    # the acceptance probability in period t >= 1, at belief cutoffs[n - t]
-    accept = _accept_prob(table.cutoff_array[1:n][::-1], odds[1:])
-    # by trade period, and last for no sale: the price paid and the high type's payoff
-    paid = np.append(price, p.v_low)
-    revenue_at = np.append(disc * paid, 0.0)
-    payoff_at = np.append(disc * (p.v_high - paid), 0.0)
-    last = -1 if table.degenerate else n  # the period of a path that declines every price
 
-    if n:
-        # each prior's own period-0 acceptance probability, as a column
-        accept0 = _accept_prob(m0[:, None], odds[0])
-    first = 1 if type_draw == "prior" else 0  # column of the period-0 accept draw
-    shape = (len(m0), n_paths)
-    is_high = np.empty(shape, dtype=bool)
-    trade_period = np.empty(shape, dtype=np.intp)
-    rng = np.random.default_rng(seed)
-    block = max(1, DRAW_BLOCK_SIZE // (n + 1))
-    for lo in range(0, n_paths, block):
-        rows = slice(lo, min(lo + block, n_paths))
-        draws = rng.random((rows.stop - lo, n + 1))
-        if type_draw == "prior":
-            high = draws[:, 0] < m0[:, None]
-        else:
-            high = np.full((len(m0), len(draws)), type_draw == "fixed_high")
-        is_high[:, rows] = high
-        period = trade_period[:, rows]
-        period[:] = last
-        if n:
-            at_once = draws[:, first] < accept0
-            later = np.full(len(draws), last)  # per path: its first accepting period t >= 1
-            live = np.flatnonzero((high & ~at_once).any(axis=0))
-            for t in range(1, n):
+    def __init__(self, table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int,
+                 seed: int):
+        p = table.params
+        n = table.delay_class(m0[0])
+        # discounts by repeated multiplication, as simulate_path builds them
+        disc = np.fromiter(itertools.accumulate(itertools.repeat(p.delta, n), operator.mul,
+                                                initial=1.0), float, n + 1)
+        next_mu = table.cutoff_array[:n][::-1]  # the belief after a rejection in period t
+        odds = next_mu / (1.0 - next_mu)
+        price = p.v_high - table.discounts[n:0:-1] * p.delta_v  # class_price(p, n - t)
+        # the acceptance probability in period t >= 1, at belief cutoffs[n - t]
+        accept = _accept_prob(table.cutoff_array[1:n][::-1], odds[1:])
+        # by trade period, and last for no sale: the price paid and the high type's payoff
+        paid = np.append(price, p.v_low)
+        self.revenue_at = np.append(disc * paid, 0.0)
+        self.payoff_at = np.append(disc * (p.v_high - paid), 0.0)
+        self.last = -1 if table.degenerate else n  # the period of a path declining every price
+
+        self.m0, self.n, self.type_draw = m0, n, type_draw
+        prior = type_draw == "prior"
+        first = 1 if prior else 0  # column of the period-0 accept draw
+        # each prior's own period-0 acceptance probability
+        self.accept0 = _accept_prob(m0, odds[0]) if n else None
+        self.u_type = np.empty(n_paths) if prior else None
+        self.u0 = np.empty(n_paths) if n else None
+        self.later = np.full(n_paths, self.last)
+        rng = np.random.default_rng(seed)
+        block = max(1, DRAW_BLOCK_SIZE // (n + 1))
+        for lo in range(0, n_paths, block):
+            draws = rng.random((min(block, n_paths - lo), n + 1))
+            rows = slice(lo, lo + len(draws))
+            if prior:
+                self.u_type[rows] = draws[:, 0]
+            if not n:
+                continue
+            self.u0[rows] = draws[:, first]
+            if type_draw == "fixed_low":
+                continue
+            # the paths high and declining period 0 at some prior of m0
+            live = self.u0[rows] >= self.accept0.min()
+            if prior:
+                live &= self.u_type[rows] < m0.max()
+            live = np.flatnonzero(live)
+            later = self.later[rows]
+            for t, (u, threshold) in enumerate(zip(draws.T[first + 1:], accept), 1):
                 if not live.size:
                     break
-                acc = draws[live, first + t] < accept[t - 1]
+                acc = u[live] < threshold
                 later[live[acc]] = t
                 live = live[~acc]
-            period[:] = later
-            period[at_once] = 0
-        period[~high] = last
-    revenue = revenue_at[trade_period]
-    payoff = payoff_at[trade_period]
-    payoff[~is_high] = 0.0  # the low type pays what the good is worth to it
+
+    def trade_periods(self, lo: int, hi: int):
+        """(is_high, trade_period) of every path at the priors m0[lo:hi], as
+        (priors x paths) arrays, trade period -1 for no sale."""
+        if self.u_type is not None:
+            is_high = self.u_type < self.m0[lo:hi, None]
+        else:
+            is_high = np.full((hi - lo, len(self.later)), self.type_draw == "fixed_high")
+        declines = self.u0 >= self.accept0[lo:hi, None] if self.n else True
+        # later, 0 or last by arithmetic on the masks, which beats np.where's
+        # branches on random masks
+        return is_high, (declines * self.later - self.last) * is_high + self.last
+
+
+def _play_paths(table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int, seed: int):
+    """(is_high, trade_period, revenue, payoff) of every path at every prior
+    of m0, a 1-D array of priors of one delay class, each a (priors x paths)
+    array; see _ClassPaths."""
+    paths = _ClassPaths(table, m0, type_draw, n_paths, seed)
+    is_high, trade_period = paths.trade_periods(0, len(m0))
+    revenue = paths.revenue_at[trade_period]
+    payoff = np.where(is_high, paths.payoff_at[trade_period], 0.0)  # a low type pays its value
     return is_high, trade_period, revenue, payoff
 
 
@@ -261,25 +287,28 @@ def mean_revenues(table: CutoffTable, priors, n_paths: int, seed: int) -> np.nda
     """monte_carlo(table, m0, "prior", n_paths, seed).mean_revenue at every
     prior m0 of a 1-D array, bit for bit.
 
-    All priors of one delay class read the same draws, so each run of
-    consecutive priors of one class is played by one kernel pass, in chunks
-    of at most PRIOR_BLOCK_SIZE (prior, path) cells; sorted priors make one
-    run per class.
+    All priors of one delay class read the same draws, so the priors are
+    grouped by class, in any order, and each class is played once; its
+    revenues are gathered in chunks of at most PRIOR_BLOCK_SIZE (prior,
+    path) cells.
     """
     _check_run("prior", n_paths)
     m0 = belief(priors)
     if np.any(m0 == 1.0):
         raise ValueError("simulation starts from a prior below 1")
     n = table.delay_class(m0)
+    order = np.argsort(n, kind="stable")
+    m0, n = m0[order], n[order]
     starts = np.flatnonzero(np.diff(n, prepend=-1))
     stops = np.append(starts[1:], len(m0))
     chunk = max(1, PRIOR_BLOCK_SIZE // n_paths)
     out = np.empty(len(m0))
     for lo, hi in zip(starts.tolist(), stops.tolist()):
+        paths = _ClassPaths(table, m0[lo:hi], "prior", n_paths, seed)
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
-            revenue = _play_paths(table, m0[a:b], "prior", n_paths, seed)[2]
-            out[a:b] = _mean_in_v_high(revenue, table.params.v_high, axis=1)
+            revenue = paths.revenue_at[paths.trade_periods(a - lo, b - lo)[1]]
+            out[order[a:b]] = _mean_in_v_high(revenue, table.params.v_high, axis=1)
     return out
 
 

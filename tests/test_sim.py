@@ -290,6 +290,51 @@ def test_class_kernel_matches_per_prior_runs(monkeypatch, args):
                         assert got[i].tolist() == getattr(one, name).tolist(), (m0, type_draw, name)
 
 
+@pytest.mark.parametrize("args", [(1.0, 2.0, 0.8), (1.0, 2.0, 0.99), (0.0, 1.0, 0.9)])
+def test_mean_revenues_live_set_bounds(monkeypatch, args):
+    # the class step follows only the paths high and declining period 0 at
+    # some prior of the class; a class's bottom cutoff, middle and last float
+    # set those bounds, and each prior still gets its own monte_carlo mean
+    table = compute_cutoffs(MarketParams(*args))
+    if table.degenerate:
+        priors = [0.0, 5e-324, 1e-9, 0.3, 0.99]
+    else:
+        c = np.append(table.cutoff_array, 1.0)
+        priors = [m for k in [0, 1, 2, 3, 4, len(c) - 2]
+                  for m in (c[k], 0.5 * (c[k] + c[k + 1]), np.nextafter(c[k + 1], 0.0))]
+    want = [monte_carlo(table, m0, "prior", 300, seed=3).mean_revenue for m0 in priors]
+    for block in (sim.DRAW_BLOCK_SIZE, 5):
+        monkeypatch.setattr(sim, "DRAW_BLOCK_SIZE", block)
+        assert sim.mean_revenues(table, np.array(priors), 300, seed=3).tolist() == want, block
+
+
+@pytest.mark.parametrize("market, grid", [((1.0, 2.0, 0.8), 251), ((0.0, 1.0, 0.9), 201)])
+def test_mean_revenues_plays_each_class_once(monkeypatch, market, grid):
+    # one class step per delay class, whatever the prior order and however
+    # many gathers a class takes; shuffled priors get the sorted priors'
+    # means, permuted, bit for bit
+    table = compute_cutoffs(MarketParams(*market))
+    priors = np.linspace(0.0, 1.0, grid)[:-1]
+    shuffle = np.random.default_rng(0).permutation(len(priors))
+    classes = sorted(set(table.delay_class(priors).tolist()))
+    steps = []  # the class of each class step's priors
+    class_step = sim._ClassPaths
+
+    def counted(table, m0, *args):
+        steps.append(table.delay_class(m0[0]))
+        return class_step(table, m0, *args)
+
+    monkeypatch.setattr(sim, "_ClassPaths", counted)
+    want = sim.mean_revenues(table, priors, 200, seed=0)
+    assert sorted(steps) == classes
+    for block in (sim.PRIOR_BLOCK_SIZE, 3 * 200):
+        monkeypatch.setattr(sim, "PRIOR_BLOCK_SIZE", block)
+        steps.clear()
+        got = sim.mean_revenues(table, priors[shuffle], 200, seed=0)
+        assert sorted(steps) == classes, block
+        assert got.tolist() == want[shuffle].tolist(), block
+
+
 def test_subnormal_prior_with_v_low_0_trades_at_once():
     # (1 - m0) / m0 overflows below about 5.6e-309 while the next belief's
     # odds are 0; with v_low = 0 the high type still buys in period 0 for sure
