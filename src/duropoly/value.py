@@ -1,59 +1,58 @@
 """Equilibrium value surface and buyer rents.
 
-The continuation value of inducing posterior mu' at prior mu0 is linear in
-the prior's virtual value:
+Every value is read off the class lines of cutoffs.py.  With z0 the prior's
+odds mu0 / (1 - mu0), inducing a posterior mu' of class n' is worth
 
-    R(mu', mu0) = alpha(mu') * v_high + gamma(mu') * vhat(mu0),
+    R(mu', mu0) = v_high (mu' + (1 - mu') (b_{n'} - delta^{n'} (1 - r) z0)),
 
-where gamma(mu') = (1 - mu') * delta^n for mu' in class D_n (0 if v_low = 0)
-and alpha follows the split recursion down the cutoff chain.  Everything here
-is evaluated iteratively off that decomposition, so there is no
-recursion-depth risk.
+and at mu' = mu0 of class n this is the revenue
+R(mu0, mu0) = v_high (mu0 p_n + (1 - mu0) b_n).  Both are formed in units of
+v_high and scaled once, so the revenue stays finite up to the float64
+maximum, and a continuation value overflows only where it lies beyond it.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import belief, virtual_value
-from .cutoffs import CutoffTable, _alpha_step
-
-def _alpha_gamma(table: CutoffTable, mu_prime):
-    """Vectorized (alpha, gamma) over posteriors; scalars in, scalars out."""
-    scalar = np.ndim(mu_prime) == 0
-    m = np.atleast_1d(np.asarray(mu_prime, dtype=float))
-    if np.any(m < 0.0) or np.any(m > 1.0):
-        raise ValueError("posterior outside [0, 1]")
-
-    # beliefs at or beyond the last cutoff land in the last class
-    idx = np.searchsorted(table.cutoff_array, m, side="right") - 1
-    alpha, gamma = _class_alpha_gamma(table, m, idx)
-    return (float(alpha[0]), float(gamma[0])) if scalar else (alpha, gamma)
+from .core import belief
+from .cutoffs import CutoffTable
 
 
-def _class_alpha_gamma(table: CutoffTable, m: np.ndarray, idx: np.ndarray):
-    """(alpha, gamma) at beliefs m on the affine pieces of classes idx.
+def _prior_odds(m0):
+    """Odds m0 / (1 - m0) of a validated prior, or of an array of priors;
+    rejects 1."""
+    if (m0 == 1.0) if isinstance(m0, float) else (m0 == 1.0).any():
+        raise ValueError("the continuation value has a pole at prior 1")
+    return m0 / (1.0 - m0)
 
-    The pieces extend to their class's closed ends, so this also gives the
-    left limit of R at a cutoff (the piece of the class below it).
-    """
-    prev = np.maximum(idx - 1, 0)
-    alpha_hi = _alpha_step(table.params.delta, m, table.cutoff_array[prev], table.alphas[prev])
-    alpha = np.where(idx == 0, m, alpha_hi)
-    gamma = (1.0 - m) * table.discounts[idx]
-    return alpha, gamma
+
+def _class_value(table: CutoffTable, x, n, z0):
+    """R(x, mu0) / v_high for beliefs x on the affine pieces of classes n,
+    at priors of odds z0, broadcast.  The pieces extend to their class's
+    closed ends, so this also gives the left limit of R at a cutoff (the
+    piece of the class below it)."""
+    return x + (1.0 - x) * (table.intercepts[n] - table.rents[n] * z0)
 
 
 def eval_R(table: CutoffTable, mu_prime, mu0):
     """Continuation value of inducing posterior mu_prime when the prior is mu0.
 
-    Below mu_bar_1 this is the one-shot virtual surplus; in class D_n it
-    chains the sale/delay split down to the previous cutoff.  At a cutoff
-    exactly, the delay branch applies (ties favor delay).  Arrays of
-    posteriors and priors broadcast against each other.
+    Below mu_bar_1 this is the one-shot virtual surplus; in class D_n it is
+    the class-n line.  At a cutoff exactly, the delay branch applies (ties
+    favor delay); beliefs at or beyond the last cutoff land in the last
+    class.  Arrays of posteriors and priors broadcast against each other.
     """
-    vhat = virtual_value(table.params, mu0)  # validates mu0 and rejects 1
-    alpha, gamma = _alpha_gamma(table, mu_prime)
-    return alpha * table.params.v_high + gamma * vhat
+    z0 = _prior_odds(belief(mu0))
+    m = np.asarray(mu_prime, dtype=float)
+    if np.any(m < 0.0) or np.any(m > 1.0):
+        raise ValueError("posterior outside [0, 1]")
+    n = np.searchsorted(table.cutoff_array, m, side="right") - 1
+    # near the float64 maximum a posterior far below the prior can be worth
+    # less than -1.8e308 (R(0, mu0) = v_low - z0 (v_high - v_low)), which
+    # rounds to -inf as any float64 result beyond the range does
+    with np.errstate(over="ignore"):
+        r = table.params.v_high * _class_value(table, m, n, z0)
+    return float(r) if np.ndim(r) == 0 else r
 
 
 def seller_revenue(table: CutoffTable, mu0):
@@ -73,4 +72,3 @@ def buyer_rent(table: CutoffTable, mu0):
     n = table.delay_class(mu0)
     rent = table.discounts[n] * table.params.delta_v
     return float(rent) if isinstance(n, int) else rent
-

@@ -16,7 +16,9 @@ indifferent between that class and the one below, and either chord alone
 can overshoot by the cutoff's residual over 1 - mu0; the check takes the
 smaller bound of the two.  A pass proves the equilibrium; on a failure the
 bound can exceed the real gain by orders of magnitude, so the report also
-gives the gain of its witness split, which some deviation attains.
+gives the gain of its witness split, which some deviation attains.  R is
+read off the class lines (see value.py), and the scan runs in units of
+v_high, so it stays finite up to the float64 maximum.
 
 structure_checks calls equilibrium_split itself once, on its whole prior
 grid, and checks the split's shape as array expressions over it.
@@ -27,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MarketParams, belief, virtual_value
-from .cutoffs import CutoffTable, _gap, unit_params
+from .core import belief, mu_bar_1
+from .cutoffs import CutoffTable
 from .mechanism import Split, equilibrium_split
-from .value import _alpha_gamma, _class_alpha_gamma
+from .value import _class_value, _prior_odds
 
 RESIDUAL_TOL_PER_VHIGH = 1e-10
 # Cells of the (priors x breakpoints) array deviation_scan holds at once, in
@@ -127,21 +129,21 @@ def concave_envelope(points) -> list[EnvelopePoint]:
 
 
 def _breakpoints(table: CutoffTable):
-    """Breakpoints of w (every cutoff and 1) and (alpha, gamma) there on R's
-    pieces of their own class (row 0) and of the class below (row 1)."""
+    """Breakpoints of w (every cutoff and 1) and the classes of R's pieces
+    there: their own (row 0) and the class below (row 1)."""
     x = np.append(table.cutoff_array, 1.0)
     k = np.arange(len(x))
-    idx = np.stack([np.minimum(k, len(x) - 2), np.maximum(k - 1, 0)])
-    alpha, gamma = _class_alpha_gamma(table, x, idx)
-    return x, alpha, gamma
+    return x, np.stack([np.minimum(k, len(x) - 2), np.maximum(k - 1, 0)])
 
 
-def _sale_delay(p: MarketParams, x, alpha, gamma, vhat):
-    """Sale and delay values at beliefs x for priors with virtual value vhat,
-    broadcast; w is their maximum."""
-    sale = x * p.v_high + (1.0 - x) * vhat
-    return sale, p.delta * np.maximum(alpha[0] * p.v_high + gamma[0] * vhat,
-                                      alpha[1] * p.v_high + gamma[1] * vhat)
+def _sale_delay(table: CutoffTable, x, n, z0):
+    """Sale and delay values, in units of v_high, at beliefs x for priors of
+    odds z0, with R on the pieces of classes n[0] and n[1], broadcast; w is
+    their maximum."""
+    r = mu_bar_1(table.params)
+    sale = x + (1.0 - x) * (r - (1.0 - r) * z0)  # (1 - x) times the virtual value
+    return sale, table.params.delta * np.maximum(_class_value(table, x, n[0], z0),
+                                                 _class_value(table, x, n[1], z0))
 
 
 def deviation_scan(table: CutoffTable, priors, tolerance: float | None = None) -> DeviationReport:
@@ -161,13 +163,12 @@ def deviation_scan(table: CutoffTable, priors, tolerance: float | None = None) -
     whose witness is the equilibrium itself, read 0.
     """
     m0 = np.atleast_1d(belief(priors))
-    if np.any(m0 == 1.0):
-        raise ValueError("priors must lie in [0, 1): the deviation scan has a pole at prior 1")
-    p = table.params
-    tol = 1e-8 * p.v_high if tolerance is None else tolerance
+    v_high = table.params.v_high
+    tol = 1e-8 * v_high if tolerance is None else tolerance
 
-    x, alpha, gamma = _breakpoints(table)
-    vhat = virtual_value(p, m0)
+    # values in units of v_high from here on
+    x, classes = _breakpoints(table)
+    z0 = _prior_odds(m0)  # rejects prior 1
     n = np.searchsorted(table.cutoff_array, m0, side="right") - 1
     # the chords' left ends, for the prior's class and the class below
     left = np.stack([np.maximum(n - 1, 0), np.maximum(n - 2, 0)])
@@ -175,7 +176,7 @@ def deviation_scan(table: CutoffTable, priors, tolerance: float | None = None) -
     rows = max(1, SCAN_BLOCK_SIZE // len(x))
     for lo in range(0, len(m0), rows):
         blk = slice(lo, lo + rows)
-        w = np.maximum(*_sale_delay(p, x, alpha, gamma, vhat[blk, None]))
+        w = np.maximum(*_sale_delay(table, x, classes, z0[blk, None]))
         for c in range(2):
             a, mb = left[c, blk, None], m0[blk, None]
             xa, wa, w1 = x[a], np.take_along_axis(w, a, 1), w[:, -1:]
@@ -185,18 +186,18 @@ def deviation_scan(table: CutoffTable, priors, tolerance: float | None = None) -
             bounds[c, blk] = (at_prior + np.maximum(over.max(axis=1, keepdims=True), 0.0))[:, 0]
 
     best, a, i = (np.choose(bounds[1] < bounds[0], v) for v in (bounds, left, worst))
-    eq_alpha, eq_gamma = _alpha_gamma(table, m0)
-    equilibrium = eq_alpha * p.v_high + eq_gamma * vhat
-    passed = best - equilibrium <= tol
+    equilibrium = _class_value(table, m0, n, z0)
+    passed = v_high * (best - equilibrium) <= tol
     # the chord's split, or on a failure the worst breakpoint and the far end
     pair = np.stack([np.where(passed | (x[i] > m0), a, i),
                      np.where(passed | (x[i] <= m0), len(x) - 1, i)])
-    sale, delay = _sale_delay(p, x[pair], alpha[:, pair], gamma[:, pair], vhat)
+    sale, delay = _sale_delay(table, x[pair], classes[:, pair], z0)
     weight_sale = (m0 - x[pair[0]]) / (x[pair[1]] - x[pair[0]])
     pool = passed & (n == 0)  # class 0 sells at the prior without information
     w = np.maximum(sale, delay)
     gain = np.where(pool, 0.0, (1.0 - weight_sale) * w[0] + weight_sale * w[1] - equilibrium)
-    fields = [m0, best, equilibrium, best - equilibrium, gain, *np.where(pool, m0, x[pair]),
+    fields = [m0, v_high * best, v_high * equilibrium, v_high * (best - equilibrium),
+              v_high * gain, *np.where(pool, m0, x[pair]),
               np.where(pool, 0.0, 1.0 - weight_sale), np.where(pool, 1.0, weight_sale),
               *np.where(pool, 1.0, sale >= delay)]
     if np.ndim(priors) == 0:
@@ -210,8 +211,12 @@ def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
     Checks that delay posteriors are always cutoffs, that the delay posterior
     is nondecreasing in the prior, that sales happen at posterior 1 with
     probability one while the delay posterior trades exactly when the prior
-    is below the first cutoff, and that every computed cutoff satisfies its
-    defining indifference to 1e-10 * v_high.
+    is below the first cutoff, and that at every cutoff the two class lines
+    meeting there cross at its odds: the indifference gap at z_{n+1},
+    (1 - delta)(delta^n (1 - r) z_{n+1} - z_n - b_n) / (1 + z_{n+1}) per
+    unit of belief mass, stays below 1e-10 * v_high.  It reads the odds, not
+    the cutoffs, which near belief 1 are rounded far coarser than 1e-10;
+    CutoffTable holds each cutoff within two ulps of its odds.
     """
     p = table.params
     priors = np.linspace(0.0, 1.0, grid_n)[:-1]
@@ -228,10 +233,10 @@ def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
     exempt = table.degenerate & (priors == 0.0)  # belief 0 with v_low = 0 never trades
     shape_ok = bool(np.all(delayed == above) and np.all(sells | ~above | exempt))
 
-    # every cutoff's indifference residual at once, at v_high = 1
-    cuts = table.cutoff_array
-    n = np.arange(1, len(cuts) - 1)
-    gaps = _gap(unit_params(p), cuts[n + 1], cuts, table.alphas, table.gammas, n)
+    # every cutoff's crossing residual at once, at v_high = 1
+    z, b = table.odds, table.intercepts
+    n = np.arange(1, len(z) - 1)
+    gaps = (1.0 - p.delta) * (table.rents[n] * z[n + 1] - (z[n] + b[n])) / (1.0 + z[n + 1])
     max_residual = float(np.max(np.abs(gaps), initial=0.0))
     residuals_ok = max_residual < RESIDUAL_TOL_PER_VHIGH
 

@@ -1,22 +1,33 @@
 """Independent oracles used by the test suite.
 
 Everything here re-derives values from first principles (direct recursion on
-the split definition, sign scans, brute-force hulls) without touching the
-library's alpha/gamma bookkeeping, so a library bug cannot hide in its own
-oracle.  The exceptions are `decompose_R` and `rent_correspondence` at the
-end: views of the library's own coefficients and rents that only the tests
-read.
+the split definition, the odds recurrence in 60-digit decimal arithmetic,
+sign scans, brute-force hulls) without touching the library's class lines,
+so a library bug cannot hide in its own oracle.  The exceptions are
+`decompose_R` and `rent_correspondence` at the end: views of the library's
+own coefficients and rents that only the tests read.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from duropoly import belief, buyer_rent
-from duropoly.value import _alpha_gamma
+
+# Within this distance of belief 1, times 1 - delta, no float64 belief can
+# hold the indifference residual in belief space below 1e-10 * v_high: the
+# gap's slope times half an ulp of the belief comes near it.  The chain once
+# placed a cutoff only while the one below it lay this far from 1, and the
+# residual at a cutoff's stored belief is asserted on those cutoffs alone;
+# every cutoff is checked in odds, by its crossing identity and against the
+# 60-digit chain.
+RESOLVED_IN_BELIEF = 2.3e-5
+# digits of the decimal chain
+EXACT_DIGITS = 60
 
 
 def oracle_vhat(p, mu):
@@ -24,7 +35,11 @@ def oracle_vhat(p, mu):
 
 
 def oracle_R(p, cuts, mu_prime, mu0):
-    """Continuation value by direct downward recursion on the cutoff chain."""
+    """Continuation value by direct downward recursion on the cutoff chain.
+    The recursion divides by 1 - mu_bar at each step, so it loses accuracy
+    on classes near belief 1: at (0.002, 2, 0.99) it is off by up to
+    2.5e-4 (1 + z0) v_high there, z0 the prior's odds.  Compare there
+    against `exact_R`."""
     vhat = oracle_vhat(p, mu0)
 
     def klass(m):
@@ -43,6 +58,74 @@ def oracle_R(p, cuts, mu_prime, mu0):
         return (m - c) / (1.0 - c) * p.v_high + p.delta * (1.0 - m) / (1.0 - c) * rec(c, n - 1)
 
     return rec(mu_prime, klass(mu_prime))
+
+
+@dataclass(frozen=True)
+class ExactChain:
+    """The odds recurrence z_{n+1} = (z_n + b_n) / (delta^n (1 - r)),
+    b_{n+1} = delta b_n - (1 - delta) z_n from (0, r), run in 60-digit
+    decimal arithmetic on the exact values of the floats r and delta; the
+    cutoffs are z_n / (1 + z_n)."""
+
+    ratio: Decimal
+    delta: Decimal
+    odds: tuple
+    intercepts: tuple
+    cutoffs: tuple
+
+
+def exact_chain(ratio: float, delta: float, n_cutoffs: int) -> ExactChain:
+    """The first n_cutoffs entries of the decimal chain at v_low / v_high =
+    ratio."""
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        r, d = Decimal(ratio), Decimal(delta)
+        z, b, dn = [Decimal(0)], [r], Decimal(1)
+        for n in range(n_cutoffs - 1):
+            z.append((z[n] + b[n]) / (dn * (1 - r)))
+            b.append(d * b[n] - (1 - d) * z[n])
+            dn *= d
+        return ExactChain(r, d, tuple(z), tuple(b), tuple(x / (1 + x) for x in z))
+
+
+def exact_R(chain: ExactChain, n: int, mu_prime: float, mu0: float) -> float:
+    """R(mu', mu0) / v_high on the class-n line of the decimal chain:
+    mu' + (1 - mu') (b_n - delta^n (1 - r) z0), z0 the prior's odds."""
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        m, m0 = Decimal(mu_prime), Decimal(mu0)
+        z0 = m0 / (1 - m0)
+        rent = chain.delta**n * (1 - chain.ratio)
+        return float(m + (1 - m) * (chain.intercepts[n] - rent * z0))
+
+
+def check_against_exact_chain(table):
+    """Assert that a table's cutoffs, odds and intercepts lie within 4 eps
+    per cutoff of the decimal chain, relative, in odds (over 150 random sets
+    rounding added at most a third of an eps per cutoff); that each cutoff's
+    two class lines cross at its odds; and that the decimal chain's next
+    cutoff rounds to 1 or to within an ulp of the last one, so the table
+    ends only at belief 1.  Returns the decimal chain."""
+    p = table.params
+    cuts, z, b = table.cutoffs, table.odds, table.intercepts
+    k = len(cuts)
+    tol = 4.0 * np.finfo(float).eps * k
+    exact = exact_chain(p.v_low / p.v_high, p.delta, k + 1)
+    for n in range(k):
+        zx, mx = exact.odds[n], exact.cutoffs[n]
+        # odds and intercepts below 1e-300 are subnormal in the table
+        assert abs(z[n] - float(zx)) <= tol * float(zx) + 1e-300, (n, z[n], zx)
+        assert abs(b[n] - float(exact.intercepts[n])) <= tol * (1.0 + float(zx)) + 1e-300, n
+        # the stored cutoff is rounded once more, by at most an ulp
+        err = abs(float(Decimal(cuts[n]) - mx))
+        assert err <= tol * float(min(mx, 1 - mx)) + np.spacing(cuts[n]), (n, cuts[n], mx)
+        if 1 <= n < k - 1:
+            rent = p.delta**n * (1.0 - p.v_low / p.v_high)
+            crossing = (1.0 - p.delta) * (rent * z[n + 1] - (z[n] + b[n])) / (1.0 + z[n + 1])
+            assert abs(crossing) <= 1e-10, (n, crossing)
+    last, nxt = cuts[-1], float(exact.cutoffs[k])
+    assert nxt >= 1.0 or nxt <= np.nextafter(last, 1.0), (last, nxt)
+    return exact
 
 
 def oracle_csv(header, rows) -> bytes:
@@ -193,9 +276,15 @@ class RDecomposition:
 
 
 def decompose_R(table, mu_prime: float) -> RDecomposition:
-    """Coefficients (alpha, gamma) with R(mu', mu0) = alpha v_high + gamma vhat(mu0)."""
-    alpha, gamma = _alpha_gamma(table, belief(mu_prime))
-    return RDecomposition(alpha=alpha, gamma=gamma)
+    """Coefficients (alpha, gamma) with R(mu', mu0) = alpha v_high + gamma vhat(mu0),
+    read off the class-n line of mu': gamma = (1 - mu') delta^n and
+    alpha = mu' + (1 - mu') (b_n - delta^n r)."""
+    m = belief(mu_prime)
+    n = int(np.searchsorted(table.cutoff_array, m, side="right")) - 1
+    disc = table.discounts[n]
+    r = table.params.v_low / table.params.v_high
+    return RDecomposition(alpha=float(m + (1.0 - m) * (table.intercepts[n] - disc * r)),
+                          gamma=float((1.0 - m) * disc))
 
 
 CUTOFF_MATCH_TOL = 1e-12

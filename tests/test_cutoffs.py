@@ -7,10 +7,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from duropoly import CutoffTable, MarketParams, compute_cutoffs, indifference_gap, structure_checks
-from duropoly.cutoffs import PROXIMITY_TO_ONE, RESOLUTION_GUARD
+from duropoly.cutoffs import MAX_CUTOFFS
 
 from conftest import MU2_08, MU3_08
-from helpers import SOLVE_CASES, oracle_gap, scan_cutoff, solve_into
+from helpers import (
+    RESOLVED_IN_BELIEF,
+    SOLVE_CASES,
+    check_against_exact_chain,
+    oracle_gap,
+    scan_cutoff,
+    solve_into,
+)
 
 
 def test_degenerate_table(tabledeg):
@@ -45,10 +52,19 @@ def test_cutoffs_strictly_increasing(table08, table095):
         assert all(0.0 <= c <= 1.0 for c in cuts)
 
 
+def check_residuals(p, table):
+    """The indifference residual at each cutoff's stored belief, on the
+    cutoffs float64 resolves there (see RESOLVED_IN_BELIEF), and every
+    cutoff in odds against the 60-digit chain."""
+    cuts = table.cutoffs
+    for n in range(1, len(cuts) - 1):
+        if 1.0 - cuts[n] >= RESOLVED_IN_BELIEF * (1.0 - p.delta):
+            assert abs(indifference_gap(p, table, n, cuts[n + 1])) < 1e-10 * p.v_high
+    check_against_exact_chain(table)
+
+
 def test_gap_zero_at_next_cutoff(p08, table08):
-    for n in range(1, len(table08.cutoffs) - 1):
-        r = indifference_gap(p08, table08, n, table08.cutoffs[n + 1])
-        assert abs(r) < 1e-10 * p08.v_high
+    check_residuals(p08, table08)
 
 
 def test_gap_negative_at_own_cutoff(p08, table08):
@@ -74,9 +90,17 @@ def test_gap_input_validation(p08, table08, tabledeg, pdeg):
     with pytest.raises(ValueError):
         indifference_gap(p08, table08, len(table08.cutoffs), 0.6)
     with pytest.raises(ValueError):
-        indifference_gap(p08, table08, 1, 1.0)
+        indifference_gap(p08, table08, 1, 1.1)
     with pytest.raises(ValueError):
         indifference_gap(pdeg, tabledeg, 1, 0.5)
+
+
+def test_gap_at_belief_one(p08, table08):
+    # the gap is affine in the belief, with no pole: at 1 it is
+    # delta^n (1 - delta)(v_high - v_low)
+    for n in (1, 2, 3):
+        g1 = indifference_gap(p08, table08, n, 1.0)
+        assert g1 == pytest.approx(0.8**n * 0.2 * p08.delta_v, rel=1e-15)
 
 
 def test_closed_form_matches_sign_scan(p08, table08):
@@ -95,8 +119,7 @@ def test_cutoffs_at_domain_edges(v_low, v_high, delta):
     table = compute_cutoffs(p)
     cuts = table.cutoffs
     assert all(a < b for a, b in zip(cuts[1:], cuts[2:])) and cuts[-1] < 1.0
-    for n in range(1, len(cuts) - 1):
-        assert abs(indifference_gap(p, table, n, cuts[n + 1])) < 1e-10 * v_high
+    check_residuals(p, table)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -115,18 +138,33 @@ def test_every_chain_reaches_one(log_ratio, delta, prior):
     table = compute_cutoffs(p)
     cuts = table.cutoffs
     assert all(a < b for a, b in zip(cuts[1:], cuts[2:]))
-    # the chain stops only at belief 1: its last cutoff is within the stop
-    # distance of 1, or the next root is.  The next gap is affine, with
-    # g(1) = delta^k (1 - delta)(v_high - v_low) in closed form.
+    # the chain stops only at belief 1: the exact chain's next cutoff rounds
+    # to 1 or onto the last one
     last, k = cuts[-1], len(cuts) - 1
-    if not (last >= 1.0 - PROXIMITY_TO_ONE or 1.0 - last < RESOLUTION_GUARD * (1.0 - delta)):
-        g0 = float(oracle_gap(p, cuts, k, 0.0))
-        g1 = delta**k * (1.0 - delta) * p.delta_v
-        assert g0 / (g0 - g1) >= 1.0 - 1e-12
+    check_residuals(p, table)
     assert structure_checks(table, grid_n=101).max_cutoff_residual <= 1e-10 * p.v_high
     for m in (0.0, prior, last, (1.0 + last) / 2.0, float(np.nextafter(1.0, 0.0))):
         n = table.delay_class(m)
         assert 0 <= n <= k and cuts[n] <= m
+
+
+@pytest.mark.parametrize("v_low, delta, count", [
+    # 59,586 cutoffs when the chain stopped short of belief 1 under a
+    # 60,000-cutoff bound
+    (1e-300, 0.9999996, 60_010),
+    # the longest chain of that old domain, which then held 59,978 cutoffs
+    (3.8e-4, 0.9999999998602016, 75_097),
+])
+def test_long_chains_of_the_domain_build(v_low, delta, count):
+    assert count <= MAX_CUTOFFS
+    assert len(compute_cutoffs(MarketParams(v_low, 1.0, delta)).cutoffs) == count
+
+
+def test_chain_past_max_cutoffs_raises():
+    # (1e-300, 1, 0.99999975) takes 75,877 cutoffs and 0.9999998 more than
+    # MAX_CUTOFFS
+    with pytest.raises(ValueError, match=f"needs more than {MAX_CUTOFFS} cutoffs"):
+        compute_cutoffs(MarketParams(1e-300, 1.0, 0.9999998))
 
 
 def test_table_rejects_non_increasing_cutoffs(p08, table08):
@@ -150,7 +188,7 @@ def test_delay_class_steps_exactly_at_cutoffs(table08):
     for n in range(1, len(table08.cutoffs) - 1):
         c = table08.cutoffs[n]
         assert table08.delay_class(c) == n
-        assert table08.delay_class(c - 1e-9) == n - 1
+        assert table08.delay_class(np.nextafter(c, 0.0)) == n - 1
 
 
 def test_delay_class_monotone(table08):
@@ -160,8 +198,13 @@ def test_delay_class_monotone(table08):
 
 
 def test_delay_class_beyond_table(table08):
-    # the table reached 1, so the tail belongs to the last class
-    assert table08.delay_class(1.0 - 1e-8) == len(table08.cutoffs) - 1
+    # the table reaches the largest float below 1, which is the last class;
+    # 1 - 1e-8 lies between two cutoffs of the tail
+    cuts, last = table08.cutoffs, len(table08.cutoffs) - 1
+    assert cuts[-1] == np.nextafter(1.0, 0.0)
+    assert table08.delay_class(cuts[-1]) == table08.delay_class(1.0) == last
+    n = table08.delay_class(1.0 - 1e-8)
+    assert n < last and cuts[n] <= 1.0 - 1e-8 < cuts[n + 1]
 
 
 def test_delay_class_degenerate(tabledeg):
@@ -170,15 +213,55 @@ def test_delay_class_degenerate(tabledeg):
     assert tabledeg.delay_class(0.999) == 1
 
 
-def test_alphas_and_gammas(table08):
-    # alpha at a cutoff follows the split chain; gamma is (1 - c) delta^k
-    cuts, d = table08.cutoffs, table08.params.delta
-    assert table08.alphas[0] == 0.0
-    assert table08.alphas[1] == 0.5
-    expected_a2 = (cuts[2] - 0.5) / 0.5 + d * (1.0 - cuts[2]) / 0.5 * 0.5
-    assert table08.alphas[2] == pytest.approx(expected_a2, abs=1e-15)
-    for k, c in enumerate(cuts):
-        assert table08.gammas[k] == (1.0 - c) * d**k
+# (v_low, v_high, delta, cutoffs): the five sets that first showed the odds
+# recurrence, then a subnormal ratio the root-finding chain misplaced by
+# 4.9e-3 and one it could not build at all
+ODDS_SETS = [
+    (1.0, 2.0, 0.8, 17),
+    (0.5, 1.0, 0.99, 42),
+    (1e-3, 1.0, 0.999, 288),
+    (1e-3, 1.0, 0.99999, 2605),
+    (1e-300, 1.0, 0.999997, 21947),
+    (5e-324, 1.0, 0.5, 48),
+    (1e-320, 1.0, 0.9999, 3931),
+]
+
+
+@pytest.mark.parametrize("v_low, v_high, delta, count", ODDS_SETS)
+def test_odds_and_intercepts(v_low, v_high, delta, count):
+    # (z_n, b_n) from (0, r), every one against the 60-digit chain
+    table = compute_cutoffs(MarketParams(v_low, v_high, delta))
+    ratio = v_low / v_high
+    assert len(table.cutoffs) == count
+    assert (table.odds[0], table.intercepts[0], table.intercepts[1]) == (0.0, ratio, delta * ratio)
+    check_against_exact_chain(table)
+
+
+def test_table_from_cutoffs_alone(table08):
+    # a table given only cutoffs takes their odds and runs the intercept
+    # recursion on them; on the chain's own cutoffs below the tail that is
+    # the chain to rounding
+    t = CutoffTable(table08.params, table08.cutoffs)
+    c = table08.cutoff_array
+    assert t.odds.tolist() == (c / (1.0 - c)).tolist()
+    head = slice(0, 10)
+    err = np.abs(t.intercepts - table08.intercepts)[head]
+    assert np.all(err <= 1e-12 * (1.0 + table08.odds[head]))
+
+
+def test_table_rejects_odds_off_its_cutoffs(table08):
+    # the odds the chain stores lie on its cutoffs; moving one odds entry,
+    # in the head or the tail, or dropping one, fails the table.  Its second
+    # last cutoff is 1 - 4e-15, which holds 1 - mu to about 5%
+    t = table08
+    CutoffTable(t.params, t.cutoffs, t.odds, t.intercepts)
+    for n, factor in ((2, 1.0 + 1e-9), (len(t.cutoffs) - 2, 0.5)):
+        z = t.odds.copy()
+        z[n] *= factor
+        with pytest.raises(ValueError, match="odds do not match"):
+            CutoffTable(t.params, t.cutoffs, z, t.intercepts)
+    with pytest.raises(ValueError, match="odds do not match"):
+        CutoffTable(t.params, t.cutoffs, t.odds[:-1], t.intercepts)
 
 
 def test_csv_json_round_trip(tmp_path):

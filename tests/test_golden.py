@@ -26,10 +26,13 @@ COMMANDS = {
     "solve-099": "solve --v-low 1 --v-high 2 --delta 0.99 --mu0 0.5",
     "solve-ratio-1e-3": "solve --v-low 1e-3 --v-high 1 --delta 0.999 --mu0 0.5",
     "solve-vhigh-1e300": "solve --v-low 1 --v-high 1e300 --delta 0.99 --mu0 0.4",
+    # the revenue, formed in units of v_high, stays finite near the float64
+    # maximum; R(0, 0.6) = -1.5 v_high is beyond it and reads -inf
+    "solve-vhigh-1.7e308": "solve --v-low 1 --v-high 1.7e308 --delta 0.8 --mu0 0.6",
     "solve-bad-params": "solve --v-low 2 --v-high 1 --delta 0.8 --mu0 0.3",
     "verify-08": "verify --v-low 1 --v-high 2 --delta 0.8 --mu0 0.6",
     "verify-099": "verify --v-low 1 --v-high 2 --delta 0.99 --mu0 0.5",
-    # deviation_gap 1e-300: the rounding-level gaps at 8 of the 101 priors fail
+    # deviation_gap 1e-300: the rounding-level gaps at 11 of the 101 priors fail
     "verify-failing": "verify --v-low 1 --v-high 2 --delta 0.8 --mu0 0.6 "
                       "--config {tests}/golden_tight_gap.json",
     "simulate-08-csv": "simulate --v-low 1 --v-high 2 --delta 0.8 --mu0 0.6 --paths 2000 "
@@ -55,39 +58,49 @@ COMMANDS = {
                              "--paths 500 --paths-csv {out}/paths.csv",
 }
 
-# recorded before the v_low = 0 market ran through the ordinary cutoff table
+# recorded before the v_low = 0 market ran through the ordinary cutoff table;
+# the solve, verify and sweep digests of markets with v_low > 0 since the
+# cutoff chain runs in odds
 GOLDEN = {
     "solve-08": {
         "exit": 0,
         "stdout": "3eb257d164d09e3096708488d45cc2f45705e091658c93fbd623c9887c00348b",
-        "cutoffs.csv": "08a7699104d5e11d67dae68f281f60e864ac329c3b108287cf3992f1f3f0bdf0",
-        "cutoffs.json": "894fc75e1ea40a53498e2eb8f636a2bff8417295fcea73fd2995a0a43d3874e3",
+        "cutoffs.csv": "45b13c58c0ad7880b7eb7da72a359ac3d019599818b738341a2ce15c4df3cacb",
+        "cutoffs.json": "a2058c38aaa3c5bbd560e0899f0dcc146ae2537131e0cd87c605f60bda908498",
         "mechanism.json": "c1991e664a2f6037771883225d4744c38cb7554596d44ebd1314eff276ece0af",
-        "value_table.csv": "1601bbeb94b3f7933add0ded678f5c3285d54e836a063ce3636363f991fb3e63",
+        "value_table.csv": "b17b1aa045234f78b6471751e9982702858a2c5c7d4571e74c3e1dcb95db1f77",
     },
     "solve-099": {
         "exit": 0,
         "stdout": "75993b7d82822450d445a99b1986f95c084c7a3f8f53ab6badf4047dcb2b20e1",
-        "cutoffs.csv": "fea3806ecdd2cc187a9d11d31d2d3dec828aa36a976470f049f0644f0a23cadb",
-        "cutoffs.json": "20adc9c240777d19230dc6253e2960c21ef3bac9e1249ac8eb29cbdedd4de5d8",
+        "cutoffs.csv": "c5df52f566b974df5657bb6283df69ac8b09d8a8065ab49453b18d3a4f46ac2e",
+        "cutoffs.json": "ee345a2b1e8f7525d96609d7d4e02347ae79d5124c38714093ca79d179e00df9",
         "mechanism.json": "35726ae4cd2d8534a4cfb95fa6f850e189444965576308f4e3a007b0cd1e57a9",
-        "value_table.csv": "9b8b0d4d412a6833b5d1143d1d136aff2432dffa6d3342e376d4d187bab9ba11",
+        "value_table.csv": "8d438fb5948b057b9f677809451b4150bb8dc765ac4f40faed2a60dcff9d6aac",
     },
     "solve-ratio-1e-3": {
         "exit": 0,
         "stdout": "fa9698d6705694fcc3cd7f306e04e2da67e4e86f895c0602073fc6da26a07e67",
-        "cutoffs.csv": "9e001dc9c81acc3d5c212d9fefa9cff7ea86a81b95ca27f534f946ef1bc1e059",
-        "cutoffs.json": "809043e310664d79217e0127146f8f15864eb5b4408a9fec75eaca755c28f563",
-        "mechanism.json": "2b31d45e1d68ff3cbfa88487f81544e05bd03a7c0dc32462e6c429816ae17dcd",
-        "value_table.csv": "fe52b39207a3486fc09f7af421486e0ffa87ac9576c2356df4df87edaada6ad3",
+        "cutoffs.csv": "bbfda893b4a9a8f716a74df7da1e0fb23a8ee7157d5f6f9d02cb83a0ced20b41",
+        "cutoffs.json": "820336ba6db05a23beba03f9047384d9408e33336ecd1628cf3ac53e009f0b3b",
+        "mechanism.json": "8dd46243ca57b7db497444de6a19dec4c2384f14488d23ae47df92ca09251cd9",
+        "value_table.csv": "adc3cef059a1d69fe35cbd824f29e4bc9741222b09a4e0ade11c038926530b1d",
     },
     "solve-vhigh-1e300": {
         "exit": 0,
         "stdout": "8cd7a4a0223550afea1252c4a8e03f7996d737fbdb0f6fbc333f65296547a810",
-        "cutoffs.csv": "2cbca686f3111a35d30a0769d2f7c5a341fb8d4e4ef34855e0514b3edc206c29",
-        "cutoffs.json": "c929810fa826ede1cfbb7751d6f68d8bd5aa190634cfdb536aa5b00ee97bda0b",
-        "mechanism.json": "1dcfa8a9efbd54d049c6ad060f77d3da62d083330b843c26e57b54639c28e253",
-        "value_table.csv": "ac8eedcbda6aa1070a451019f62d0c532557c76e7870d491e90062dc6b4b3767",
+        "cutoffs.csv": "cea1961d969be8c0869e9426438279659589cbc724e4b6cc7b9b83bd838a6ad1",
+        "cutoffs.json": "d0e1ea95d3e48068e8f5045e7e1b08c5f6dda92625831757560f150f45a0ec64",
+        "mechanism.json": "08cdb16ffc8ad944684b18cb0add53d9cee8685dc0f1d5603ea524ce7eaffa76",
+        "value_table.csv": "9ccb38ab317d3c55820d0d800101eedbcf2c94a184022d9f4eff1c38aa7acca9",
+    },
+    "solve-vhigh-1.7e308": {
+        "exit": 0,
+        "stdout": "34eb61e9cb5909a4648818acfd1e91c7df593560dcfa6484021b3bb24799ff15",
+        "cutoffs.csv": "6ef367054108d5c192cec3afe9d1ca368eef125cd9a2d8a3f5708c47781d5ff0",
+        "cutoffs.json": "5951c93859279d3ad0b86ccb7cfb243fdce79f0a99f1eab41a44468b1e2c6624",
+        "mechanism.json": "afb12409747c2aeb303592d24e72f8893ce4814e5e558ada33415963e70190ae",
+        "value_table.csv": "075ba8d3002edbcef0c037436060fede24c4bdc6dade08b1cb4eb721d9dae837",
     },
     "solve-bad-params": {
         "exit": 2,
@@ -96,18 +109,17 @@ GOLDEN = {
     "verify-08": {
         "exit": 0,
         "stdout": "a757bcb1adfbacef1f55478a33e492073815f78df66c34ccda6e262fc7578f9d",
-        "verify_report.json": "ccee54fdef83f120100ec4903f23390a8c5bf4b262525cfcd563f911c7c6f246",
+        "verify_report.json": "3f405438f2485107adc5b202e85eb82e42aa8d4c333b3236f544d6191ffc8d28",
     },
     "verify-099": {
         "exit": 0,
-        "stdout": "d06570e84f46771dedba826c8cd5b2604e5a040d8faa46d2969f236eace50108",
-        "verify_report.json": "94632a342142ed426600d74e890cbee88e6812cfcc9e3bf6c9b36feafb09307e",
+        "stdout": "a757bcb1adfbacef1f55478a33e492073815f78df66c34ccda6e262fc7578f9d",
+        "verify_report.json": "d171070bbdab98bc91d4f3696b7f5cbe1eedaa25580d575a6451103e7cd8988e",
     },
-    # recorded with json.dumps(indent=2) as the JSON writer
     "verify-failing": {
         "exit": 1,
-        "stdout": "a664125538573e04a5be5f2d994feb0938b014005cf66a577b36d30dec2bdbda",
-        "verify_report.json": "5c328d16af589ace8cd15737a14540fc00816c313f9879c0605138596c30fcea",
+        "stdout": "2db4605f73ff96c671df12205982bd1cdc53cee471e40ea6d87900c5eb761a3d",
+        "verify_report.json": "eaa747f9834df2f47a8dfd766ccea9faa4e970d3ad835411e45f208120dc9a98",
     },
     "simulate-08-csv": {
         "exit": 0,
@@ -123,7 +135,7 @@ GOLDEN = {
     "sweep-08": {
         "exit": 0,
         "stdout": "8cb4072c4a4afd4c49aecceffa489394bd73d828b069274b11f8d6a7875f1eb5",
-        "sweep.csv": "3cdebdc2958d957020278b4fb31e099c95c310947476e4affc109c3cdd6b3b83",
+        "sweep.csv": "1b25266fd2f352d3ebbdbd0c3f74af3ff47fe3d27efaa57caf47b4412fcc6868",
     },
     "solve-vlow0": {
         "exit": 0,

@@ -174,6 +174,12 @@ def test_high_rent_equals_analytic_everywhere(table08):
         assert mc.mean_rent_high == pytest.approx(buyer_rent(table08, m0), abs=1e-12)
 
 
+def _middle(c, k):
+    """The middle of class k, the interval [c[k], c[k + 1]), kept inside it:
+    the top class can be the single float 1 - 2^-53."""
+    return min(0.5 * (c[k] + c[k + 1]), np.nextafter(c[k + 1], 0.0))
+
+
 def _class_priors(table):
     """Prior 0 and the middle of classes 0, 1, 2 and the top class (the
     degenerate table has classes 0 = {0} and 1 only), plus the cutoff
@@ -182,7 +188,7 @@ def _class_priors(table):
     top = len(table.cutoffs) - 1
     priors = [0.0]
     for k in sorted({0, 1, 2, top} & set(range(top + 1))):
-        m = 0.5 * (c[k] + c[k + 1])
+        m = _middle(c, k)
         assert table.delay_class(m) == k
         priors.append(m)
     if top >= 2:
@@ -274,7 +280,7 @@ def test_class_kernel_matches_per_prior_runs(monkeypatch, args):
     else:
         c = np.append(table.cutoff_array, 1.0)
         # each class's bottom cutoff, middle and last float, for classes 0-4 and the top one
-        groups = [[c[k], 0.5 * (c[k] + c[k + 1]), np.nextafter(c[k + 1], 0.0)]
+        groups = [[c[k], _middle(c, k), np.nextafter(c[k + 1], 0.0)]
                   for k in [0, 1, 2, 3, 4, len(c) - 2]]
     for group in groups:
         priors = np.array(group)
@@ -301,7 +307,7 @@ def test_mean_revenues_live_set_bounds(monkeypatch, args):
     else:
         c = np.append(table.cutoff_array, 1.0)
         priors = [m for k in [0, 1, 2, 3, 4, len(c) - 2]
-                  for m in (c[k], 0.5 * (c[k] + c[k + 1]), np.nextafter(c[k + 1], 0.0))]
+                  for m in (c[k], _middle(c, k), np.nextafter(c[k + 1], 0.0))]
     want = [monte_carlo(table, m0, "prior", 300, seed=3).mean_revenue for m0 in priors]
     for block in (sim.DRAW_BLOCK_SIZE, 5):
         monkeypatch.setattr(sim, "DRAW_BLOCK_SIZE", block)
