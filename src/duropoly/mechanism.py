@@ -71,26 +71,31 @@ def class_price(p: MarketParams, n: int) -> float:
     return p.v_high - p.delta**n * p.delta_v
 
 
-def equilibrium_split(table: CutoffTable, mu0) -> Split:
-    """Sale/delay split at one prior, or at each of a 1-D array of priors
-    (then every field is an array).
-
-    Class 0 sells at the prior with no information; class n >= 1 splits
-    between posterior 1 (sell) and the previous cutoff (delay).  With
-    v_low = 0, every positive prior splits between 1 and an absorbing
-    no-trade posterior 0, and belief 0 itself never trades.
-    """
-    m0 = np.atleast_1d(belief(mu0))
-    n = table.delay_class(m0)
+def _class_split(table: CutoffTable, m0: np.ndarray, n: np.ndarray) -> Split:
+    """The class-n[i] split at each prior m0[i], fields as arrays.  Class 0
+    sells at the prior with no information (with v_low = 0 it never trades);
+    class n >= 1 splits between cutoff n - 1 (delay), at or below the prior,
+    and posterior 1 (sell)."""
     c = table.cutoff_array[np.maximum(n - 1, 0)]
     pool = n == 0
     trade = 0.0 if table.degenerate else 1.0  # class 0's trade probability
     w_sale = np.where(pool, trade, (m0 - c) / (1.0 - c))
-    fields = [np.where(pool, m0, c), np.where(pool, m0, 1.0), 1.0 - w_sale, w_sale,
-              np.where(pool, trade, 0.0), np.where(pool, trade, 1.0)]
+    return Split(np.where(pool, m0, c), np.where(pool, m0, 1.0), 1.0 - w_sale, w_sale,
+                 np.where(pool, trade, 0.0), np.where(pool, trade, 1.0))
+
+
+def equilibrium_split(table: CutoffTable, mu0) -> Split:
+    """Sale/delay split at one prior, or at each of a 1-D array of priors
+    (then every field is an array): the split of the prior's delay class.
+
+    With v_low = 0, every positive prior splits between 1 and an absorbing
+    no-trade posterior 0, and belief 0 itself never trades.
+    """
+    m0 = np.atleast_1d(belief(mu0))
+    split = _class_split(table, m0, table.delay_class(m0))
     if np.ndim(mu0) == 0:
-        fields = [float(f[0]) for f in fields]
-    return Split(*fields)
+        split = Split(*(float(f[0]) for f in vars(split).values()))
+    return split
 
 
 def build_mechanism(table: CutoffTable, mu0: float) -> Mechanism:

@@ -1,24 +1,24 @@
 """Independent equilibrium verification.
 
 At each prior mu0, every Bayes-plausible distribution over posteriors is
-valued at w, the better of selling now and delaying.  The best value is the
-concave hull of w at the prior, the least line l >= w read at mu0, and the
-equilibrium names its own line: the chord of w through its split's
-posteriors, mu_bar_{n-1} and 1, in delay class n >= 1; in class 0 the sale
-line x v_high + (1 - x) vhat(mu0), which is the chord through 0 and 1; with
-v_low = 0 the chord through 0 and 1.  So the gain of the best deviation is at
-most l(mu0) - R(mu0, mu0) + max (w - l)^+.  On each class the sale value and
-delta * R(., mu0) are affine in the posterior, so w is convex there and the
-maximum is taken at the breakpoints, every cutoff and 1, where w is the
-larger of its own class's value and the left limit of the class below (R
-jumps at every cutoff but the prior).  At a prior on a cutoff the seller is
-indifferent between that class and the one below, and either chord alone
-can overshoot by the cutoff's residual over 1 - mu0; the check takes the
-smaller bound of the two.  A pass proves the equilibrium; on a failure the
-bound can exceed the real gain by orders of magnitude, so the report also
-gives the gain of its witness split, which some deviation attains.  R is
-read off the class lines (see value.py), and the scan runs in units of
-v_high, so it stays finite up to the float64 maximum.
+valued at w, the better of selling now and delaying.  Take values in units
+of v_high and per unit of low-type mass: a posterior mu of odds x is worth
+w(mu) / (1 - mu), and belief 1 adds a ray of slope 1 in x, so a split is
+worth the prior's odds z0 plus the low-mass average of w(mu) / (1 - mu) - x.
+Net of that ray every option is a line in z0 (r = v_low / v_high; z_k, b_k,
+rho_k the table's odds, intercepts and rents):
+
+    sell now:               s   = r - (1 - r) z0, at any posterior;
+    delay to cutoff k:      d_k = delta (b_k - rho_k z0) - (1 - delta) z_k;
+    the prior's own class:  c_n = b_n - rho_n z0.
+
+Delaying on class k falls in x, so its best posterior is cutoff k, and by
+the intercept recursion d_k = c_{k+1}.  No split beats the best option, so
+the best deviation gains at most v_high (1 - mu0) (max(s, d_0..d_K, c_n) -
+c_n), and exactly that when the best option's posterior lies at or below the
+prior, where a split with posterior 1 reaches it.  A pass proves the
+equilibrium.  The scan runs in units of v_high, so it stays finite up to the
+float64 maximum.
 
 structure_checks calls equilibrium_split itself once, on its whole prior
 grid, and checks the split's shape as array expressions over it.
@@ -31,11 +31,11 @@ import numpy as np
 
 from .core import belief, mu_bar_1
 from .cutoffs import CutoffTable
-from .mechanism import Split, equilibrium_split
-from .value import _class_value, _prior_odds
+from .mechanism import Split, _class_split, equilibrium_split
+from .value import _prior_odds
 
 RESIDUAL_TOL_PER_VHIGH = 1e-10
-# Cells of the (priors x breakpoints) array deviation_scan holds at once, in
+# Cells of the (priors x options) array deviation_scan holds at once, in
 # whole rows; rows are independent, so results do not depend on it.
 SCAN_BLOCK_SIZE = 1 << 14
 
@@ -128,78 +128,47 @@ def concave_envelope(points) -> list[EnvelopePoint]:
     return [EnvelopePoint(float(xi), float(yi), float(ei)) for xi, yi, ei in zip(x, y, env)]
 
 
-def _breakpoints(table: CutoffTable):
-    """Breakpoints of w (every cutoff and 1) and the classes of R's pieces
-    there: their own (row 0) and the class below (row 1)."""
-    x = np.append(table.cutoff_array, 1.0)
-    k = np.arange(len(x))
-    return x, np.stack([np.minimum(k, len(x) - 2), np.maximum(k - 1, 0)])
-
-
-def _sale_delay(table: CutoffTable, x, n, z0):
-    """Sale and delay values, in units of v_high, at beliefs x for priors of
-    odds z0, with R on the pieces of classes n[0] and n[1], broadcast; w is
-    their maximum."""
-    r = mu_bar_1(table.params)
-    sale = x + (1.0 - x) * (r - (1.0 - r) * z0)  # (1 - x) times the virtual value
-    return sale, table.params.delta * np.maximum(_class_value(table, x, n[0], z0),
-                                                 _class_value(table, x, n[1], z0))
-
-
 def deviation_scan(table: CutoffTable, priors, tolerance: float | None = None) -> DeviationReport:
-    """Bound on the best two-point deviation at every prior at once, from the
-    equilibrium's own line (see the module docstring): the smaller bound of
-    the chords of the prior's class and of the class below, ties to its own.
+    """Bound on the best two-point deviation at every prior at once, from
+    the option lines of the module docstring.
 
     A scalar prior gives scalar fields, an array of priors arrays.  PASS, a
     gap of at most the tolerance (default 1e-8 * v_high), proves that no
-    deviation is profitable; worst_gap is then exact to rounding, and on a
-    failure an upper bound.  The witness is the chosen chord's split, which
-    is `equilibrium_split` except within rounding of a cutoff; on a failure
-    it pairs the breakpoint of largest excess with the chord's far end.
-    witness_gain is the witness's value under w minus the equilibrium value,
-    a gain that deviations attain or, at a left limit, approach: so
-    worst_gap >= the best gain >= witness_gain, and passing class-0 priors,
-    whose witness is the equilibrium itself, read 0.
+    deviation is profitable.  The witness is the best option whose delay
+    posterior lies at or below the prior, ties to the prior's own class:
+    selling at the prior (the class-0 split) or delaying to cutoff k (the
+    class-(k + 1) split).  witness_gain is its gain, which some deviation
+    attains, so worst_gap >= the best gain >= witness_gain, equal when the
+    best option is the witness; a prior whose own class wins reads 0.
     """
     m0 = np.atleast_1d(belief(priors))
-    v_high = table.params.v_high
-    tol = 1e-8 * v_high if tolerance is None else tolerance
+    p = table.params
+    tol = 1e-8 * p.v_high if tolerance is None else tolerance
 
-    # values in units of v_high from here on
-    x, classes = _breakpoints(table)
+    # values in units of v_high from here on; column j of the options is
+    # the class-j split: selling at the prior, then delaying to cutoff j - 1
+    z, b, rho, r, d = table.odds, table.intercepts, table.rents, mu_bar_1(p), p.delta
+    shift = (1.0 - d) * z
     z0 = _prior_odds(m0)  # rejects prior 1
-    n = np.searchsorted(table.cutoff_array, m0, side="right") - 1
-    # the chords' left ends, for the prior's class and the class below
-    left = np.stack([np.maximum(n - 1, 0), np.maximum(n - 2, 0)])
-    bounds, worst = np.empty(left.shape), np.empty(left.shape, dtype=np.intp)
-    rows = max(1, SCAN_BLOCK_SIZE // len(x))
+    n = table.delay_class(m0)
+    top, best, j = np.empty(len(m0)), np.empty(len(m0)), np.empty(len(m0), dtype=np.intp)
+    cols = np.arange(len(z) + 1)
+    rows = max(1, SCAN_BLOCK_SIZE // len(cols))
     for lo in range(0, len(m0), rows):
         blk = slice(lo, lo + rows)
-        w = np.maximum(*_sale_delay(table, x, classes, z0[blk, None]))
-        for c in range(2):
-            a, mb = left[c, blk, None], m0[blk, None]
-            xa, wa, w1 = x[a], np.take_along_axis(w, a, 1), w[:, -1:]
-            over = w - (wa * (1.0 - x) + w1 * (x - xa)) / (1.0 - xa)
-            worst[c, blk] = np.argmax(over, axis=1)
-            at_prior = (wa * (1.0 - mb) + w1 * (mb - xa)) / (1.0 - xa)
-            bounds[c, blk] = (at_prior + np.maximum(over.max(axis=1, keepdims=True), 0.0))[:, 0]
+        zb = z0[blk, None]
+        options = np.concatenate([r - (1.0 - r) * zb, d * (b - rho * zb) - shift], axis=1)
+        top[blk] = options.max(axis=1)
+        options[cols > n[blk, None] + 1] = -np.inf  # delays to cutoffs above the prior
+        j[blk] = options.argmax(axis=1)
+        best[blk] = options.max(axis=1)
 
-    best, a, i = (np.choose(bounds[1] < bounds[0], v) for v in (bounds, left, worst))
-    equilibrium = _class_value(table, m0, n, z0)
-    passed = v_high * (best - equilibrium) <= tol
-    # the chord's split, or on a failure the worst breakpoint and the far end
-    pair = np.stack([np.where(passed | (x[i] > m0), a, i),
-                     np.where(passed | (x[i] <= m0), len(x) - 1, i)])
-    sale, delay = _sale_delay(table, x[pair], classes[:, pair], z0)
-    weight_sale = (m0 - x[pair[0]]) / (x[pair[1]] - x[pair[0]])
-    pool = passed & (n == 0)  # class 0 sells at the prior without information
-    w = np.maximum(sale, delay)
-    gain = np.where(pool, 0.0, (1.0 - weight_sale) * w[0] + weight_sale * w[1] - equilibrium)
-    fields = [m0, v_high * best, v_high * equilibrium, v_high * (best - equilibrium),
-              v_high * gain, *np.where(pool, m0, x[pair]),
-              np.where(pool, 0.0, 1.0 - weight_sale), np.where(pool, 1.0, weight_sale),
-              *np.where(pool, 1.0, sale >= delay)]
+    own = b[n] - rho[n] * z0
+    j = np.where(own >= best, n, j)  # ties to the prior's own class
+    top, best, low, v = np.maximum(top, own), np.maximum(best, own), 1.0 - m0, p.v_high
+    # m0 + low * own is R(mu0, mu0) / v_high, read off the prior's class line
+    fields = [m0, v * (m0 + low * top), v * (m0 + low * own), v * (low * (top - own)),
+              v * (low * (best - own)), *vars(_class_split(table, m0, j)).values()]
     if np.ndim(priors) == 0:
         fields = [float(f[0]) for f in fields]
     return DeviationReport(*fields[:5], witness=Split(*fields[5:]), tolerance=tol)

@@ -32,7 +32,7 @@ COMMANDS = {
     "solve-bad-params": "solve --v-low 2 --v-high 1 --delta 0.8 --mu0 0.3",
     "verify-08": "verify --v-low 1 --v-high 2 --delta 0.8 --mu0 0.6",
     "verify-099": "verify --v-low 1 --v-high 2 --delta 0.99 --mu0 0.5",
-    # deviation_gap 1e-300: the rounding-level gaps at 11 of the 101 priors fail
+    # deviation_gap 1e-300: the rounding-level gaps at 19 of the 101 priors fail
     "verify-failing": "verify --v-low 1 --v-high 2 --delta 0.8 --mu0 0.6 "
                       "--config {tests}/golden_tight_gap.json",
     "simulate-08-csv": "simulate --v-low 1 --v-high 2 --delta 0.8 --mu0 0.6 --paths 2000 "
@@ -59,8 +59,9 @@ COMMANDS = {
 }
 
 # recorded before the v_low = 0 market ran through the ordinary cutoff table;
-# the solve, verify and sweep digests of markets with v_low > 0 since the
-# cutoff chain runs in odds
+# the solve and sweep digests of markets with v_low > 0 since the cutoff
+# chain runs in odds, and their verify digests since the deviation check
+# compares option lines
 GOLDEN = {
     "solve-08": {
         "exit": 0,
@@ -108,18 +109,18 @@ GOLDEN = {
     },
     "verify-08": {
         "exit": 0,
-        "stdout": "a757bcb1adfbacef1f55478a33e492073815f78df66c34ccda6e262fc7578f9d",
-        "verify_report.json": "3f405438f2485107adc5b202e85eb82e42aa8d4c333b3236f544d6191ffc8d28",
+        "stdout": "914887d843a192318189eadaa8d86218cdd473aa8d17d6db97e490c78dec93ea",
+        "verify_report.json": "408e99290da97c3d3d2de1136d8111b01c81907bdab5269d44c16ed126ab95c2",
     },
     "verify-099": {
         "exit": 0,
-        "stdout": "a757bcb1adfbacef1f55478a33e492073815f78df66c34ccda6e262fc7578f9d",
-        "verify_report.json": "d171070bbdab98bc91d4f3696b7f5cbe1eedaa25580d575a6451103e7cd8988e",
+        "stdout": "a92c6391be9785cc1787c3d16e6687fc6de3e34796bbe10e260e79fce9000b03",
+        "verify_report.json": "aea085c86c1a73131e11b7ad92d9ff9f7b848c63b835412b33096132ad9b3fbf",
     },
     "verify-failing": {
         "exit": 1,
-        "stdout": "2db4605f73ff96c671df12205982bd1cdc53cee471e40ea6d87900c5eb761a3d",
-        "verify_report.json": "eaa747f9834df2f47a8dfd766ccea9faa4e970d3ad835411e45f208120dc9a98",
+        "stdout": "1fb20d2f488dc5118a895d620e8a5a59335f4b13f8caf689c62407edccf7040a",
+        "verify_report.json": "12695f3fb015dae98c74eb16f6e344b92c206ccdafe1e41a20c38ca5759231b9",
     },
     "simulate-08-csv": {
         "exit": 0,

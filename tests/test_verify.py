@@ -18,7 +18,6 @@ from duropoly import (
     virtual_value,
 )
 from duropoly import verify
-from duropoly.verify import _breakpoints, _sale_delay
 
 from helpers import RESOLVED_IN_BELIEF, best_three_point, best_two_point, brute_cav
 
@@ -106,7 +105,8 @@ def test_scan_one_delay_prior(table08):
 def test_scan_witness_matches_split(table08, tabledeg):
     # class 0 (0.02, 0.2, 0.45) sells at the prior; the rest delay
     cases = [(table08, m0) for m0 in (0.02, 0.2, 0.45, 0.55, 0.65, 0.85, 0.95)]
-    cases += [(tabledeg, m0) for m0 in (1e-9, 0.2, 0.55, 0.95)]
+    # with v_low = 0 belief 0 never trades
+    cases += [(tabledeg, m0) for m0 in (0.0, 1e-9, 0.2, 0.55, 0.95)]
     for t, m0 in cases:
         rep = deviation_scan(t, m0)
         assert rep.passed
@@ -160,14 +160,23 @@ def test_scan_matches_two_point_oracle(table08, table095, tabledeg):
 
 
 def test_breakpoint_values_are_suprema(table08):
-    # R jumps down at cutoffs above the prior, so there w's supremum can be
-    # its left limit, seen one ulp below the cutoff (at prior 0.97, cutoff 4)
+    # net of the ray to belief 1, per unit of low-type mass, selling is worth
+    # s at every posterior and delaying on class k falls in the posterior's
+    # odds, so w's supremum on the class is max(s, d_k), taken at cutoff k;
+    # the class's left limit at cutoff k + 1 is no more.  R jumps down at
+    # cutoffs above the prior, so that left limit can exceed w at the cutoff
+    # itself, seen one ulp below it (at prior 0.97, cutoff 4)
+    t, p = table08, table08.params
+    x, z, b, rho = t.cutoff_array, t.odds, t.intercepts, t.rents
+    r, d = p.v_low / p.v_high, p.delta
     jumped = False
-    x, classes = _breakpoints(table08)
     for m0 in (0.3, 0.6, 0.85, 0.97):
-        w = table08.params.v_high * np.maximum(*_sale_delay(table08, x, classes, m0 / (1.0 - m0)))
-        at, below = _w(table08, x, m0), _w(table08, np.nextafter(x, 0.0), m0)
-        assert np.max(np.abs(w - np.maximum(at, below))) <= 1e-12 * table08.params.v_high
+        z0 = m0 / (1.0 - m0)
+        option = np.maximum(r - (1.0 - r) * z0, d * (b - rho * z0) - (1.0 - d) * z)
+        at, below = _w(t, x, m0), _w(t, np.nextafter(x, 0.0), m0)
+        assert np.max(np.abs(at - p.v_high * (x + (1.0 - x) * option))) <= 1e-12 * p.v_high
+        sup_below = p.v_high * (x[1:] + (1.0 - x[1:]) * option[:-1])
+        assert np.all(below[1:] <= sup_below + 1e-12 * p.v_high)
         jumped |= bool(np.any(below > at + 1e-3))
     assert jumped
 
@@ -269,28 +278,45 @@ def test_negative_control_residuals_fail(table08):
     assert report.max_cutoff_residual > 1e-4
 
 
+def _witness_value(table, s, m0):
+    """The witness split's value under w, after checking its Bayes
+    plausibility."""
+    assert s.weight_delay * s.posterior_delay + s.weight_sale * s.posterior_sale == pytest.approx(m0)
+    posteriors = np.array([s.posterior_delay, s.posterior_sale])
+    return np.dot([s.weight_delay, s.weight_sale], _w(table, posteriors, m0))
+
+
 def test_negative_control_deviation_fails(table08):
     bad_table = _perturbed(table08)
+    tol = 1e-12 * table08.params.v_high
     m0 = table08.cutoffs[2] + 0.005  # true class 2, mislabeled class 1
     rep = deviation_scan(bad_table, m0)
     assert not rep.passed
     assert rep.worst_gap > 1e-4
     # the witness is itself a profitable deviation
-    s = rep.witness
-    posteriors = np.array([s.posterior_delay, s.posterior_sale])
-    value = np.dot([s.weight_delay, s.weight_sale], _w(bad_table, posteriors, m0))
-    assert s.weight_delay * s.posterior_delay + s.weight_sale * s.posterior_sale == pytest.approx(m0)
+    value = _witness_value(bad_table, rep.witness, m0)
     assert value > rep.equilibrium_value + 1e-4
-    # the report's own witness_gain is that gain, below the bound
-    assert rep.witness_gain == pytest.approx(value - rep.equilibrium_value, abs=1e-12)
-    assert rep.witness_gain < rep.worst_gap
+    # the report's own witness_gain is that gain, and the bound is exact
+    assert rep.witness_gain == pytest.approx(value - rep.equilibrium_value, abs=tol)
+    assert rep.worst_gap == pytest.approx(rep.witness_gain, abs=tol)
+
+    # so is every failing prior's
+    priors = np.linspace(0.0, 0.999, 1000)
+    reps = deviation_scan(bad_table, priors)
+    failing = np.flatnonzero(~reps.passed)
+    assert len(failing) > 10
+    for i in failing.tolist():
+        s = Split(*(float(f[i]) for f in vars(reps.witness).values()))
+        value = _witness_value(bad_table, s, priors[i])
+        assert reps.witness_gain[i] == pytest.approx(value - reps.equilibrium_value[i], abs=tol)
+        assert reps.worst_gap[i] == pytest.approx(reps.witness_gain[i], abs=tol), priors[i]
 
 
 def test_witness_gain_near_one_is_exact():
     # on the table cut where root finding once stopped, at the first cutoff
     # within RESOLVED_IN_BELIEF (1 - delta) of 1, a prior above its last
-    # cutoff fails: the bound reads 7.41 v_high, while the witness, a split
-    # that delays to the last cutoff, gains 3.3e-3 v_high
+    # cutoff fails: the witness, a split that delays to the last cutoff,
+    # gains 3.3e-3 v_high, and worst_gap is that gain
     full = compute_cutoffs(MarketParams(0.1, 1.0, 0.5))
     placed = sum(1 for c in full.cutoffs if 1.0 - c >= RESOLVED_IN_BELIEF * 0.5) + 1
     t = CutoffTable(full.params, full.cutoffs[:placed])
@@ -298,12 +324,12 @@ def test_witness_gain_near_one_is_exact():
     assert deviation_scan(full, m0).passed
     rep = deviation_scan(t, m0)
     s = rep.witness
-    assert not rep.passed and rep.worst_gap > 7.0
+    assert not rep.passed
     assert s.posterior_delay == t.cutoffs[-1] and s.posterior_sale == 1.0
-    posteriors = np.array([s.posterior_delay, s.posterior_sale])
-    value = np.dot([s.weight_delay, s.weight_sale], _w(t, posteriors, m0))
+    value = _witness_value(t, s, m0)
     assert rep.witness_gain == pytest.approx(value - rep.equilibrium_value, abs=1e-12)
     assert rep.witness_gain == pytest.approx(3.295e-3, rel=1e-3)
+    assert rep.worst_gap == pytest.approx(rep.witness_gain, abs=1e-12)
 
 
 def _fields(obj):
