@@ -139,21 +139,21 @@ def compute_cutoffs(p: MarketParams) -> CutoffTable:
     mu_bar_n = z_n / (1 + z_n).  The chain stops when the next cutoff is not
     below 1 or not above the last one, which covers a NaN too.  A chain that
     would pass MAX_CUTOFFS entries raises ValueError, as does a ratio that
-    underflows to 0, or a delta so close to 1 that class 1's posted price
-    rounds to v_low; no table is ever truncated.
+    underflows to 0, or a market where class 1's posted price rounds onto
+    v_low; no table is ever truncated.
 
-    v_low = 0 short-circuits to the two-entry table (0, 0): every positive
-    prior then delays at posterior 0 forever on the low-type path.
+    With v_low = 0 the chain stops at once on the table (0, 0), with zero
+    odds and intercepts: every positive prior then delays at posterior 0
+    forever on the low-type path.
     """
-    if p.v_low == 0.0:
-        return CutoffTable(p, (0.0, 0.0))
-
     d, r = p.delta, mu_bar_1(p)
-    # r == 0 is an underflow here; the second test is class_price(p, 1) > v_low
-    if r == 0.0 or not p.v_high - d * p.delta_v > p.v_low:
+    # with v_low > 0: r == 0 is an underflow, the second test class_price(p, 1) > v_low
+    if p.v_low > 0.0 and (r == 0.0 or not p.v_high - d * p.delta_v > p.v_low):
         raise ValueError(
             f"float64 cannot place the cutoff chain at v_low/v_high = {p.v_low!r}/{p.v_high!r}, "
-            f"delta = {d!r}: the ratio is too small or delta too close to 1"
+            f"delta = {d!r}: " + ("the ratio is too small, it underflows to 0" if r == 0.0 else
+            "class 1's price v_high - delta (v_high - v_low) rounds onto v_low, with delta "
+            "too close to 1 or v_low within rounding of v_high, not because the ratio is too small")
         )
     cuts = [0.0, r]
     z = [0.0, r * SCALE / (1.0 - r)]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MarketParams, belief
-from .cutoffs import CutoffTable
+from .cutoffs import SCALE, CutoffTable
 from .value import buyer_rent
 
 INDIFFERENCE_TOL = 1e-12
@@ -127,7 +127,10 @@ def build_mechanism(table: CutoffTable, mu0: float) -> Mechanism:
         return Mechanism(m0, 0, {"low": {m0: 1.0}, "high": {m0: 1.0}}, {m0: 1.0}, {m0: p.v_low})
 
     c = table.cutoffs[n - 1]
-    b_delay_high = (1.0 - m0) / m0 * (c / (1.0 - c))
+    # (1 - m0) / m0 * odds(c), each factor scaled by SCALE, which is exact: the
+    # same float wherever the plain product is finite, and finite at a
+    # subnormal m0, where (1 - m0) / m0 overflows
+    b_delay_high = (1.0 - m0) / (m0 * SCALE) * (c / (1.0 - c) * SCALE)
     price = class_price(p, n)
     return Mechanism(
         m0,

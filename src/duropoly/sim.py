@@ -3,16 +3,18 @@ belief updating, and Monte Carlo summaries.
 
 On the no-trade path the seller's belief is deterministic: a class-n prior
 walks down the cutoff chain, posts n declining prices and sells to the low
-type at v_low in period n.  So every untraded path shares one price and
-acceptance probability per period.  The schedule depends on the prior only
-through its class, except for the type draw's threshold and the period-0
-acceptance probability, and a run's draw matrix depends only on (seed,
-class).  So the kernel has two parts: a class step reads a class's draws
-once and keeps three numbers per path (its type draw, its period-0 accept
-draw and its first accepting period t >= 1), and a per-prior gather plays
-any priors of the class from them by array expressions.  monte_carlo plays
-one prior; mean_revenues groups a prior grid by class and plays each class
-once.  simulate_path and iter_paths play the same equilibrium one path at a
+type at v_low in period n.  In odds z = mu / (1 - mu) each rejection is one
+division: a class-k high type accepts with probability 1 - z_{k-1} / z,
+z_{k-1} read from the table's odds and z the prior's own odds in period 0,
+z_k after.  So every untraded path shares one price and acceptance
+probability per period.  The schedule depends on the prior only through its
+class, except for the type draw's threshold and the period-0 acceptance
+probability, and a run's draw matrix depends only on (seed, class).  So the
+kernel has two parts: a class step reads a class's draws once and keeps
+three numbers per path (its type draw, its period-0 accept draw and its
+first accepting period t >= 1), and a per-prior gather plays any priors of
+the class from them by array expressions.  monte_carlo plays one prior;
+mean_revenues groups a prior grid by class and plays each class once.  simulate_path and iter_paths play the same equilibrium one path at a
 time; they are the single-path reference the array kernel is tested against.
 """
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .core import belief
 from .cutoffs import CutoffTable
-from .mechanism import class_price
 
 RNG_ALGORITHM = "pcg64(seed); uniform row i of a pre-drawn matrix is path i's substream"
 
@@ -85,16 +86,6 @@ class MonteCarloSummary:
     paths: PathArrays | None = field(default=None, compare=False, repr=False)
 
 
-def _accept_prob(mu, next_odds):
-    """The high type's acceptance probability at belief mu > 0 that makes a
-    rejection update the belief onto odds next_odds: 1 - next_odds / odds(mu).
-    Scaling by 2^64 is exact, so this rounds as 1 - (1 - mu) / mu * next_odds
-    wherever that is finite, and it stays finite (exactly 1 at next_odds 0)
-    at a subnormal mu, where (1 - mu) / mu overflows."""
-    s = 2.0**64
-    return 1.0 - (1.0 - mu) / (mu * s) * (next_odds * s)
-
-
 class _RowStream:
     """Sequential uniform draws from one pre-drawn row."""
 
@@ -111,12 +102,13 @@ class _RowStream:
 def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathRecord:
     """Play the equilibrium strategy once for a fixed buyer type.
 
-    Each period the class-n posted price v_low + (1 - delta^n) dv is quoted;
-    the high type accepts with the probability that makes a rejection update
-    the belief exactly onto the next cutoff, the low type rejects anything
-    above v_low.  With v_low = 0 the price is v_high, a rejection drops the
-    belief to 0, and the low type never trades (the path ends flagged as a
-    no-sale once belief 0 is reached, since no further period can trade).
+    Each period a class-n seller quotes v_high - discounts[n] dv, which is
+    v_high with v_low = 0; the high type accepts with the probability
+    1 - z_{n-1} / z that makes a rejection move the belief's odds z onto the
+    next cutoff's, both read from table.odds except the prior's own,
+    mu0 / (1 - mu0); the low type rejects anything above v_low.  Class 0
+    sells at v_low, except that with v_low = 0 belief 0 is absorbing: the
+    path ends there flagged as a no-sale.
     """
     if buyer_type not in ("low", "high"):
         raise ValueError(f"buyer_type must be 'low' or 'high', got {buyer_type!r}")
@@ -128,34 +120,27 @@ def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathR
 
     steps = []
     disc = 1.0
+    odds = mu / (1.0 - mu)
     for t in itertools.count():
-        if table.degenerate:
-            if mu == 0.0:
+        n = table.delay_class(mu)
+        if n == 0:
+            if p.v_low == 0.0:
                 # absorbing no-trade state: the seller quotes v_high forever
                 steps.append(PathStep(t, mu, p.v_high, buyer_type, "reject"))
                 return PathRecord(tuple(steps), None, 0.0, 0.0, buyer_type)
-            price = p.v_high
-            next_mu = 0.0
-            accept_prob = 1.0
-        else:
-            n = table.delay_class(mu)
-            if n == 0:
-                steps.append(PathStep(t, mu, p.v_low, buyer_type, "accept"))
-                return PathRecord(
-                    tuple(steps), t, disc * p.v_low, disc * (v_buyer - p.v_low), buyer_type
-                )
-            price = class_price(p, n)
-            next_mu = table.cutoffs[n - 1]
-            accept_prob = _accept_prob(mu, next_mu / (1.0 - next_mu))
-
-        accepts = buyer_type == "high" and rng.random() < accept_prob
-        if accepts:
+            steps.append(PathStep(t, mu, p.v_low, buyer_type, "accept"))
+            return PathRecord(
+                tuple(steps), t, disc * p.v_low, disc * (v_buyer - p.v_low), buyer_type
+            )
+        price = p.v_high - table.discounts[n] * p.delta_v
+        next_odds = table.odds[n - 1]
+        if buyer_type == "high" and rng.random() < 1.0 - next_odds / odds:
             steps.append(PathStep(t, mu, price, buyer_type, "accept"))
             return PathRecord(
                 tuple(steps), t, disc * price, disc * (v_buyer - price), buyer_type
             )
         steps.append(PathStep(t, mu, price, buyer_type, "reject"))
-        mu = next_mu
+        mu, odds = table.cutoffs[n - 1], next_odds
         disc *= p.delta
 
 
@@ -194,8 +179,9 @@ class _ClassPaths:
     class share them.
 
     Only the type threshold and the period-0 acceptance probability depend
-    on the prior: from period 1 the belief is cutoffs[n-1] ... cutoffs[1] and
-    the price class_price(p, n - t) in every class-n play.  So the class step
+    on the prior: from period 1 the belief is cutoffs[n-1] ... cutoffs[1],
+    the price class n - t's and the acceptance probability
+    1 - odds[n-t-1] / odds[n-t] in every class-n play.  So the class step
     reads the draws once, in blocks of at most DRAW_BLOCK_SIZE, and keeps
     three numbers per path: its type draw, its period-0 accept draw and its
     first accepting period t >= 1, found by a loop over periods on the
@@ -215,11 +201,10 @@ class _ClassPaths:
         # discounts by repeated multiplication, as simulate_path builds them
         disc = np.fromiter(itertools.accumulate(itertools.repeat(p.delta, n), operator.mul,
                                                 initial=1.0), float, n + 1)
-        next_mu = table.cutoff_array[:n][::-1]  # the belief after a rejection in period t
-        odds = next_mu / (1.0 - next_mu)
-        price = p.v_high - table.discounts[n:0:-1] * p.delta_v  # class_price(p, n - t)
-        # the acceptance probability in period t >= 1, at belief cutoffs[n - t]
-        accept = _accept_prob(table.cutoff_array[1:n][::-1], odds[1:])
+        odds = table.odds[:n][::-1]  # the odds after a rejection in period t
+        price = p.v_high - table.discounts[n:0:-1] * p.delta_v  # class n - t's price
+        # the acceptance probability in period t >= 1, at odds[t - 1]
+        accept = 1.0 - odds[1:] / odds[:-1]
         # by trade period, and last for no sale: the price paid and the high type's payoff
         paid = np.append(price, p.v_low)
         self.revenue_at = np.append(disc * paid, 0.0)
@@ -230,7 +215,7 @@ class _ClassPaths:
         prior = type_draw == "prior"
         first = 1 if prior else 0  # column of the period-0 accept draw
         # each prior's own period-0 acceptance probability
-        self.accept0 = _accept_prob(m0, odds[0]) if n else None
+        self.accept0 = 1.0 - odds[0] / (m0 / (1.0 - m0)) if n else None
         self.u_type = np.empty(n_paths) if prior else None
         self.u0 = np.empty(n_paths) if n else None
         self.later = np.full(n_paths, self.last)

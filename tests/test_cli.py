@@ -174,6 +174,39 @@ def test_delta_within_rounding_of_1_exit_2(tmp_path, capsys):
     assert "ratio is too small" in err[0]
 
 
+def test_class_1_price_on_v_low_exit_2(tmp_path, capsys):
+    # a ratio within an ulp of 1 at delta 0.5: class 1's price rounds onto
+    # v_low, and the message names that, not a ratio that is too small
+    code = run("verify", "--v-low", 1, "--v-high", 1.0000000000000002, "--delta", 0.5,
+               "--mu0", 0.5, "--out", tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "class 1's price" in err[0] and "rounds onto v_low" in err[0]
+    assert "delta = 0.5" in err[0]
+
+
+def test_solve_at_subnormal_prior_writes_finite_mechanism(tmp_path):
+    # at the class-2 prior 3e-310, (1 - m0) / m0 overflows; the high type's
+    # device still holds finite weights summing to 1 (about 1/3 and 2/3), and
+    # both binding constraints hold
+    from duropoly import MarketParams, build_mechanism, check_binding_constraints, compute_cutoffs
+
+    def no_constant(name):
+        raise ValueError(f"mechanism.json holds {name}")
+
+    code = run("solve", "--v-low", 1e-310, "--v-high", 1, "--delta", 0.9, "--mu0", 3e-310,
+               "--out", tmp_path)
+    assert code == 0
+    mech = json.loads((tmp_path / "mechanism.json").read_text(), parse_constant=no_constant)
+    weights = [w for _, w in mech["device"]["high"]]
+    assert len(weights) == 2 and math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+    assert mech["posted_price"]["accept_prob_high"] == pytest.approx(2.0 / 3.0, rel=1e-12)
+    table = compute_cutoffs(MarketParams(1e-310, 1.0, 0.9))
+    res = check_binding_constraints(build_mechanism(table, 3e-310), table)
+    assert abs(res.participation_low) <= 1e-12 and abs(res.truthtelling_high) <= 1e-12
+
+
 def test_verify_passes(tmp_path):
     code = run("verify", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
                "--mu0", 0.5, "--grid", 301, "--out", tmp_path)

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from duropoly import (
     simulate_path,
 )
 from duropoly import sim
+
+from helpers import EXACT_DIGITS, exact_chain
 
 
 def test_no_delay_prior_trades_immediately(table08):
@@ -342,8 +346,9 @@ def test_mean_revenues_plays_each_class_once(monkeypatch, market, grid):
 
 
 def test_subnormal_prior_with_v_low_0_trades_at_once():
-    # (1 - m0) / m0 overflows below about 5.6e-309 while the next belief's
-    # odds are 0; with v_low = 0 the high type still buys in period 0 for sure
+    # the prior's odds m0 / (1 - m0) stay finite, and the next belief's odds
+    # are 0; with v_low = 0 the high type buys in period 0 for sure, at the
+    # smallest subnormal prior too
     table = compute_cutoffs(MarketParams(0.0, 1.0, 0.9))
     priors = np.array([5e-324, 1e-310, 0.3])
     for type_draw in ("prior", "fixed_high"):
@@ -358,11 +363,46 @@ def test_subnormal_prior_with_v_low_0_trades_at_once():
 
 
 def test_subnormal_class_2_prior_accepts_in_period_0():
-    # at v_low / v_high = 1e-310 the low cutoffs are subnormal and
-    # (1 - m0) / m0 overflows at m0 = 3e-310, a class-2 prior; the high type
-    # still buys in period 0 with probability 1 - odds(mu_bar_1) / odds(m0),
+    # at v_low / v_high = 1e-310 the low cutoffs are subnormal, and so is
+    # m0 = 3e-310, a class-2 prior, whose odds m0 / (1 - m0) stay finite; the
+    # high type buys in period 0 with probability 1 - odds(mu_bar_1) / odds(m0),
     # about 2/3, and else in period 1, where the next belief is 0, for sure
     table = compute_cutoffs(MarketParams(1e-310, 1.0, 0.9))
     assert table.delay_class(3e-310) == 2
     hist = monte_carlo(table, 3e-310, "fixed_high", 1000, seed=0).trade_time_histogram
     assert set(hist) == {0, 1} and abs(hist[0] / 1000 - 2 / 3) < 0.05
+
+
+class _DeclineUntil:
+    """A uniform stream that declines every period before t (draw 1), draws
+    u in period t, and declines after it."""
+
+    def __init__(self, t: int, u: float):
+        self.t, self.u, self.k = t, u, -1
+
+    def random(self) -> float:
+        self.k += 1
+        return self.u if self.k == self.t else 1.0
+
+
+@pytest.mark.parametrize("market, m0", [((1.0, 2.0, 0.99), 1.0 - 1e-14),
+                                        ((1.0, 2.0, 0.8), 1.0 - 2.0**-52)])
+def test_accept_thresholds_are_the_exact_chains(market, m0):
+    # in period t a class-n high type accepts below 1 - z_{n-t-1} / z_{n-t},
+    # z_n the 60-digit chain's odds and z_n at t = 0 the prior's own: a draw
+    # 1e-9 below that threshold, relative, trades in period t, one 1e-9 above
+    # does not
+    table = compute_cutoffs(MarketParams(*market))
+    n = table.delay_class(m0)
+    chain = exact_chain(market[0] / market[1], market[2], n)
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        odds = chain.odds + (Decimal(m0) / (1 - Decimal(m0)),)
+        thresholds = [float(1 - odds[n - t - 1] / odds[n - t]) for t in range(n)]
+    assert n > 10
+    misses = []
+    for t, a in enumerate(thresholds):
+        for u, trades in ((a * (1.0 - 1e-9), True), (a * (1.0 + 1e-9), False)):
+            if (simulate_path(table, m0, "high", _DeclineUntil(t, u)).trade_period == t) != trades:
+                misses.append((t, u, trades))
+    assert misses == []
