@@ -26,59 +26,52 @@ from .core import MarketParams, belief, mu_bar_1
 
 # Longest chain compute_cutoffs builds.  The count levels off near 30,000 as
 # delta -> 1 at v_low / v_high = 1e-3, but grows without bound as the ratio
-# -> 0 and delta -> 1 together (12,032 at 1e-300 and 1 - 1e-5).  Every
-# market that a 60,000-cutoff chain stopping short of belief 1 covered still
-# builds: the longest, near ratio 3.8e-4, now takes about 75,100 cutoffs.
-# Longer chains lie outside the domain.
+# -> 0 and delta -> 1 together (12,032 at 1e-300 and 1 - 1e-5).  Longer
+# chains lie outside the domain.
 MAX_CUTOFFS = 80_000
 # The chain runs on (z, b) times this power of two, which is exact, so that
 # odds and intercepts of subnormal size keep their precision.
 SCALE = 2.0**64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutoffTable:
-    """Increasing cutoffs mu_bar_0 = 0 <= mu_bar_1 < mu_bar_2 < ... up to
-    belief 1; the last class runs to 1.
-
-    odds and intercepts hold the class lines' z_n and b_n (see the module
-    docstring) as the chain computed them; each cutoff must lie within two
-    ulps of its odds' belief.  A table given cutoffs alone takes
-    z_n = mu_bar_n / (1 - mu_bar_n) and runs the intercept recursion on them.
+    """The class lines' odds z_n and intercepts b_n (see the module
+    docstring) as the chain computed them, with z_0 = 0, and the cutoffs
+    they place: mu_bar_0 = 0 <= mu_bar_1 < mu_bar_2 < ... up to belief 1,
+    the last class running to 1.  Each cutoff is the belief of its odds,
+    except mu_bar_1 = v_low / v_high, which holds by definition.
     """
 
     params: MarketParams
-    cutoffs: tuple[float, ...]
-    odds: np.ndarray | None = field(default=None, repr=False, compare=False)
-    intercepts: np.ndarray | None = field(default=None, repr=False, compare=False)
+    odds: np.ndarray = field(repr=False)
+    intercepts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = self.cutoffs
-        if len(c) < 2 or c[0] != 0.0 or c[1] < 0.0 or any(b <= a for a, b in zip(c[1:], c[2:])):
-            raise ValueError(f"need cutoffs 0 = mu_bar_0 <= mu_bar_1 < mu_bar_2 < ..., got {c}")
-        if self.odds is None:
-            object.__setattr__(self, "odds", self.cutoff_array / (1.0 - self.cutoff_array))
-        else:
-            z, mu = np.asarray(self.odds), self.cutoff_array
-            # 1 - mu is the accurate side of the top half, as in compute_cutoffs
-            if z.shape != mu.shape or np.any(np.abs(
-                    np.where(z < 1.0, z / (1.0 + z), 1.0 - 1.0 / (1.0 + z)) - mu) > 2.0 * np.spacing(mu)):
-                raise ValueError("the odds do not match the cutoffs")
-        if self.intercepts is None:
-            d, b = self.params.delta, [mu_bar_1(self.params)]
-            for z in self.odds[:-1].tolist():
-                b.append(d * b[-1] - (1.0 - d) * z)
-            object.__setattr__(self, "intercepts", np.asarray(b))
+        z = self.odds
+        if (len(z) < 2 or z[0] != 0.0 or len(self.intercepts) != len(z)
+                or np.any(self.cutoff_array[2:] <= self.cutoff_array[1:-1])):
+            raise ValueError(
+                "need odds z_0 = 0, one intercept per odds entry and cutoffs "
+                f"mu_bar_1 < mu_bar_2 < ..., got odds {z}")
+
+    @cached_property
+    def cutoff_array(self) -> np.ndarray:
+        # 1 - mu is the accurate side of the top half, as in compute_cutoffs
+        z = self.odds * SCALE
+        c = np.where(z < SCALE, z / (SCALE + z), 1.0 - SCALE / (SCALE + z))
+        c[1] = mu_bar_1(self.params)
+        return c
+
+    @cached_property
+    def cutoffs(self) -> tuple[float, ...]:
+        return tuple(self.cutoff_array.tolist())
 
     @property
     def degenerate(self) -> bool:
         """v_low = 0 collapses the partition: every positive prior delays at
         posterior 0 and the low type is never served."""
         return self.params.v_low == 0.0
-
-    @cached_property
-    def cutoff_array(self) -> np.ndarray:
-        return np.asarray(self.cutoffs)
 
     @cached_property
     def discounts(self) -> np.ndarray:
@@ -155,23 +148,23 @@ def compute_cutoffs(p: MarketParams) -> CutoffTable:
             "class 1's price v_high - delta (v_high - v_low) rounds onto v_low, with delta "
             "too close to 1 or v_low within rounding of v_high, not because the ratio is too small")
         )
-    cuts = [0.0, r]
     z = [0.0, r * SCALE / (1.0 - r)]
     b = [r * SCALE, d * (r * SCALE)]
+    last = r
     while True:
-        n = len(cuts) - 1
+        n = len(z) - 1
         z_next = (z[n] + b[n]) / (d**n * (1.0 - r))
         # 1 - mu is the accurate side of the top half
         mu = z_next / (SCALE + z_next) if z_next < SCALE else 1.0 - SCALE / (SCALE + z_next)
-        if not cuts[-1] < mu < 1.0:
+        if not last < mu < 1.0:
             break
-        if len(cuts) >= MAX_CUTOFFS:
+        if len(z) >= MAX_CUTOFFS:
             raise ValueError(
                 f"the cutoff chain at v_low/v_high = {r:g}, delta = {d!r} "
                 f"needs more than {MAX_CUTOFFS} cutoffs"
             )
-        cuts.append(mu)
+        last = mu
         z.append(z_next)
         b.append(d * b[n] - (1.0 - d) * z[n])
 
-    return CutoffTable(p, tuple(cuts), np.asarray(z) / SCALE, np.asarray(b) / SCALE)
+    return CutoffTable(p, np.asarray(z) / SCALE, np.asarray(b) / SCALE)

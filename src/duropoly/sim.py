@@ -14,8 +14,9 @@ kernel has two parts: a class step reads a class's draws once and keeps
 three numbers per path (its type draw, its period-0 accept draw and its
 first accepting period t >= 1), and a per-prior gather plays any priors of
 the class from them by array expressions.  monte_carlo plays one prior;
-mean_revenues groups a prior grid by class and plays each class once.  simulate_path and iter_paths play the same equilibrium one path at a
-time; they are the single-path reference the array kernel is tested against.
+mean_revenues groups a prior grid by class and plays each class once.
+simulate_path and iter_paths play the same equilibrium one path at a time;
+they are the single-path reference the array kernel is tested against.
 """
 from __future__ import annotations
 
@@ -108,7 +109,8 @@ def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathR
     next cutoff's, both read from table.odds except the prior's own,
     mu0 / (1 - mu0); the low type rejects anything above v_low.  Class 0
     sells at v_low, except that with v_low = 0 belief 0 is absorbing: the
-    path ends there flagged as a no-sale.
+    path ends there flagged as a no-sale.  The prior is classified once;
+    each rejection steps to the class below and its cutoff.
     """
     if buyer_type not in ("low", "high"):
         raise ValueError(f"buyer_type must be 'low' or 'high', got {buyer_type!r}")
@@ -121,8 +123,8 @@ def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathR
     steps = []
     disc = 1.0
     odds = mu / (1.0 - mu)
+    n = table.delay_class(mu)
     for t in itertools.count():
-        n = table.delay_class(mu)
         if n == 0:
             if p.v_low == 0.0:
                 # absorbing no-trade state: the seller quotes v_high forever
@@ -133,14 +135,14 @@ def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathR
                 tuple(steps), t, disc * p.v_low, disc * (v_buyer - p.v_low), buyer_type
             )
         price = p.v_high - table.discounts[n] * p.delta_v
-        next_odds = table.odds[n - 1]
-        if buyer_type == "high" and rng.random() < 1.0 - next_odds / odds:
+        if buyer_type == "high" and rng.random() < 1.0 - table.odds[n - 1] / odds:
             steps.append(PathStep(t, mu, price, buyer_type, "accept"))
             return PathRecord(
                 tuple(steps), t, disc * price, disc * (v_buyer - price), buyer_type
             )
         steps.append(PathStep(t, mu, price, buyer_type, "reject"))
-        mu, odds = table.cutoffs[n - 1], next_odds
+        n -= 1
+        mu, odds = table.cutoffs[n], table.odds[n]
         disc *= p.delta
 
 

@@ -185,7 +185,7 @@ def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
     (1 - delta)(delta^n (1 - r) z_{n+1} - z_n - b_n) / (1 + z_{n+1}) per
     unit of belief mass, stays below 1e-10 * v_high.  It reads the odds, not
     the cutoffs, which near belief 1 are rounded far coarser than 1e-10;
-    CutoffTable holds each cutoff within two ulps of its odds.
+    CutoffTable derives each cutoff from its odds.
     """
     p = table.params
     priors = np.linspace(0.0, 1.0, grid_n)[:-1]

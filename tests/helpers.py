@@ -4,8 +4,9 @@ Everything here re-derives values from first principles (direct recursion on
 the split definition, the odds recurrence in 60-digit decimal arithmetic,
 sign scans, brute-force hulls) without touching the library's class lines,
 so a library bug cannot hide in its own oracle.  The exceptions are
-`decompose_R` and `rent_correspondence` at the end: views of the library's
-own coefficients and rents that only the tests read.
+`decompose_R`, `rent_correspondence` and `misplaced_table` at the end:
+views of the library's own coefficients and rents that only the tests read,
+and the negative controls' deliberately wrong table.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from duropoly import belief, buyer_rent
+from duropoly import CutoffTable, belief, buyer_rent
 
 # Within this distance of belief 1, times 1 - delta, no float64 belief can
 # hold the indifference residual in belief space below 1e-10 * v_high: the
@@ -305,3 +306,18 @@ def rent_correspondence(table, mu0: float) -> tuple[float, float]:
         return (p.delta**i * p.delta_v, p.delta ** (i - 1) * p.delta_v)
     r = buyer_rent(table, m0)
     return (r, r)
+
+
+def misplaced_table(table, n: int, shift: float):
+    """The table with cutoff n moved by shift: the odds of the moved
+    cutoffs, mu / (1 - mu), and the intercept recursion
+    b_{k+1} = delta b_k - (1 - delta) z_k from b_0 = v_low / v_high run on
+    them, so every class line above cutoff n is off too.  The negative
+    controls' table, which no equilibrium passes."""
+    c = table.cutoff_array.copy()
+    c[n] += shift
+    z = c / (1.0 - c)
+    d, b = table.params.delta, [table.params.v_low / table.params.v_high]
+    for zk in z[:-1].tolist():
+        b.append(d * b[-1] - (1.0 - d) * zk)
+    return CutoffTable(table.params, z, np.asarray(b))

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from duropoly import (
-    CutoffTable,
     MarketParams,
     build_mechanism,
     check_binding_constraints,
@@ -27,7 +26,13 @@ from duropoly import (
 )
 from duropoly.cli import main as cli_main
 
-from helpers import RESOLVED_IN_BELIEF, check_against_exact_chain, decompose_R, scan_cutoff
+from helpers import (
+    RESOLVED_IN_BELIEF,
+    check_against_exact_chain,
+    decompose_R,
+    misplaced_table,
+    scan_cutoff,
+)
 
 
 def report(num, label, ok):
@@ -66,9 +71,7 @@ def test_criterion_2_deviation_scans():
     # negative control: a table with the second cutoff shifted must fail
     p = MarketParams(1.0, 2.0, 0.8)
     good = compute_cutoffs(p)
-    cuts = list(good.cutoffs)
-    cuts[2] += 0.01
-    bad = CutoffTable(p, tuple(cuts))
+    bad = misplaced_table(good, 2, 0.01)
     bad_rep = deviation_scan(bad, good.cutoffs[2] + 0.005)
     ok &= not bad_rep.passed
     ok &= not structure_checks(bad, grid_n=201).cutoff_residuals_ok

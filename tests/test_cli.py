@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from duropoly import cli, cutoffs, sim
 from duropoly.cli import main
 
-from helpers import SOLVE_CASES, oracle_csv, solve_into
+from helpers import SOLVE_CASES, misplaced_table, oracle_csv, solve_into
 
 
 def run(*args):
@@ -222,12 +222,9 @@ def test_verify_passes(tmp_path):
 def test_verify_failures_report_witness_gain(tmp_path, monkeypatch):
     # a misplaced cutoff: each failing prior records the bound and what its
     # witness split really gains, which lies between 0 and the bound
-    from duropoly import CutoffTable, MarketParams, compute_cutoffs, deviation_scan
+    from duropoly import MarketParams, compute_cutoffs, deviation_scan
 
-    table = compute_cutoffs(MarketParams(1.0, 2.0, 0.8))
-    cuts = list(table.cutoffs)
-    cuts[2] += 0.01
-    bad = CutoffTable(table.params, tuple(cuts))
+    bad = misplaced_table(compute_cutoffs(MarketParams(1.0, 2.0, 0.8)), 2, 0.01)
     monkeypatch.setattr(cli, "compute_cutoffs", lambda params: bad)
     code = run("verify", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
                "--mu0", 0.5, "--out", tmp_path)

@@ -168,13 +168,17 @@ def test_chain_past_max_cutoffs_raises():
 
 
 def test_table_rejects_non_increasing_cutoffs(p08, table08):
-    cuts = table08.cutoffs
-    for bad in ((0.0, 0.5, 0.5, 0.9), (0.0, 0.5, 0.4), (0.1, 0.5, 0.7), (0.0,)):
+    # at (1, 2, 0.8) mu_bar_1 = 0.5, whatever odds[1]; odds 0.9 is belief 0.47
+    b = np.zeros(4)
+    for bad in ((0.0, 1.0, 1.0, 9.0), (0.0, 1.0, 0.5), (0.0, 0.1, 0.9), (0.1, 1.0, 9.0), (0.0,)):
         with pytest.raises(ValueError):
-            CutoffTable(p08, bad)
+            CutoffTable(p08, np.asarray(bad), b[:len(bad)])
+    with pytest.raises(ValueError):  # one intercept per odds entry
+        CutoffTable(p08, table08.odds, table08.intercepts[:-1])
     # the degenerate table keeps mu_bar_0 = mu_bar_1 = 0
-    CutoffTable(p08, (0.0, 0.0))
-    CutoffTable(p08, cuts)
+    t = CutoffTable(MarketParams(0.0, 1.0, 0.8), np.zeros(2), np.zeros(2))
+    assert t.cutoffs == (0.0, 0.0)
+    assert CutoffTable(p08, table08.odds, table08.intercepts).cutoffs == table08.cutoffs
 
 
 def test_delay_class_examples(table08):
@@ -235,33 +239,6 @@ def test_odds_and_intercepts(v_low, v_high, delta, count):
     assert len(table.cutoffs) == count
     assert (table.odds[0], table.intercepts[0], table.intercepts[1]) == (0.0, ratio, delta * ratio)
     check_against_exact_chain(table)
-
-
-def test_table_from_cutoffs_alone(table08):
-    # a table given only cutoffs takes their odds and runs the intercept
-    # recursion on them; on the chain's own cutoffs below the tail that is
-    # the chain to rounding
-    t = CutoffTable(table08.params, table08.cutoffs)
-    c = table08.cutoff_array
-    assert t.odds.tolist() == (c / (1.0 - c)).tolist()
-    head = slice(0, 10)
-    err = np.abs(t.intercepts - table08.intercepts)[head]
-    assert np.all(err <= 1e-12 * (1.0 + table08.odds[head]))
-
-
-def test_table_rejects_odds_off_its_cutoffs(table08):
-    # the odds the chain stores lie on its cutoffs; moving one odds entry,
-    # in the head or the tail, or dropping one, fails the table.  Its second
-    # last cutoff is 1 - 4e-15, which holds 1 - mu to about 5%
-    t = table08
-    CutoffTable(t.params, t.cutoffs, t.odds, t.intercepts)
-    for n, factor in ((2, 1.0 + 1e-9), (len(t.cutoffs) - 2, 0.5)):
-        z = t.odds.copy()
-        z[n] *= factor
-        with pytest.raises(ValueError, match="odds do not match"):
-            CutoffTable(t.params, t.cutoffs, z, t.intercepts)
-    with pytest.raises(ValueError, match="odds do not match"):
-        CutoffTable(t.params, t.cutoffs, t.odds[:-1], t.intercepts)
 
 
 def test_csv_json_round_trip(tmp_path):

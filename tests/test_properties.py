@@ -1,5 +1,6 @@
 """Properties over the market domain: (v_low / v_high, delta, prior) drawn
 at random, with v_low = 0 among the ratios."""
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,26 @@ def test_equilibrium_holds_over_the_domain(ratio, delta, mu0, mu_prime):
         assert abs(r - want) <= tol
 
     assert deviation_scan(table, mu0).passed
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    ratio=st.one_of(st.just(0.0), st.floats(5e-324, 0.99)),
+    delta=st.floats(0.01, 0.99999),
+)
+@example(ratio=5e-324, delta=0.99999)
+@example(ratio=0.99, delta=0.99999)
+@example(ratio=0.99, delta=0.01)
+@example(ratio=0.0, delta=0.5)
+def test_table_invariants_over_the_domain(ratio, delta):
+    table = compute_cutoffs(MarketParams(ratio * V_HIGH, V_HIGH, delta))
+    z, c = table.odds, table.cutoff_array
+    assert z[0] == 0.0 and c[1] == ratio
+    assert np.all(c[2:] > c[1:-1]) and c[-1] < 1.0
+    assert len(table.intercepts) == len(z)
+    # each cutoff is the belief of its odds, from 1 - mu in the top half
+    mu = np.where(z < 1.0, z / (1.0 + z), 1.0 - 1.0 / (1.0 + z))
+    assert np.all(np.abs(mu - c) <= 2.0 * np.spacing(c))
 
 
 def test_prior_above_last_placed_cutoff_is_an_equilibrium(table08):

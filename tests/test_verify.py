@@ -19,7 +19,13 @@ from duropoly import (
 )
 from duropoly import verify
 
-from helpers import RESOLVED_IN_BELIEF, best_three_point, best_two_point, brute_cav
+from helpers import (
+    RESOLVED_IN_BELIEF,
+    best_three_point,
+    best_two_point,
+    brute_cav,
+    misplaced_table,
+)
 
 
 def test_envelope_affine_is_identity():
@@ -265,14 +271,8 @@ def test_degenerate_delay_posterior_is_zero(tabledeg):
         assert equilibrium_split(tabledeg, float(m0)).posterior_delay == 0.0
 
 
-def _perturbed(table08):
-    cuts = list(table08.cutoffs)
-    cuts[2] += 0.01
-    return CutoffTable(table08.params, tuple(cuts))
-
-
 def test_negative_control_residuals_fail(table08):
-    bad_table = _perturbed(table08)
+    bad_table = misplaced_table(table08, 2, 0.01)
     report = structure_checks(bad_table, grid_n=201)
     assert not report.cutoff_residuals_ok
     assert report.max_cutoff_residual > 1e-4
@@ -287,7 +287,7 @@ def _witness_value(table, s, m0):
 
 
 def test_negative_control_deviation_fails(table08):
-    bad_table = _perturbed(table08)
+    bad_table = misplaced_table(table08, 2, 0.01)
     tol = 1e-12 * table08.params.v_high
     m0 = table08.cutoffs[2] + 0.005  # true class 2, mislabeled class 1
     rep = deviation_scan(bad_table, m0)
@@ -319,7 +319,7 @@ def test_witness_gain_near_one_is_exact():
     # gains 3.3e-3 v_high, and worst_gap is that gain
     full = compute_cutoffs(MarketParams(0.1, 1.0, 0.5))
     placed = sum(1 for c in full.cutoffs if 1.0 - c >= RESOLVED_IN_BELIEF * 0.5) + 1
-    t = CutoffTable(full.params, full.cutoffs[:placed])
+    t = CutoffTable(full.params, full.odds[:placed], full.intercepts[:placed])
     m0 = 1.0 - 1e-9
     assert deviation_scan(full, m0).passed
     rep = deviation_scan(t, m0)
@@ -338,7 +338,7 @@ def _fields(obj):
 
 def test_scan_blocks_do_not_change_results(monkeypatch, table08, table095):
     priors = np.concatenate([np.linspace(0.0, 0.999, 301), table095.cutoffs[1:]])
-    for t in (table095, _perturbed(table08)):
+    for t in (table095, misplaced_table(table08, 2, 0.01)):
         whole = deviation_scan(t, priors)
         monkeypatch.setattr(verify, "SCAN_BLOCK_SIZE", 1)  # one row per block
         blocked = deviation_scan(t, priors)
