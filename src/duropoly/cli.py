@@ -230,8 +230,10 @@ def _build_config(args) -> RunConfig:
         output_dir=Path(output_dir),
         **counts,
     )
-    if cfg.grid_n < 2 or cfg.mc_paths < 1:
-        raise ValueError("counts must be positive")
+    if cfg.grid_n < 2:
+        raise ValueError(f"grid must be at least 2, got {cfg.grid_n}")
+    if cfg.mc_paths < 1:
+        raise ValueError(f"paths must be at least 1, got {cfg.mc_paths}")
     if cfg.deviation_gap is not None and cfg.deviation_gap <= 0:
         raise ValueError("tolerances must be positive")
     if cfg.seed < 0:

@@ -12,8 +12,9 @@ the one below, so from (z_0, b_0) = (0, r) the whole chain is
     z_{n+1} = (z_n + b_n) / (delta^n (1 - r)),
     b_{n+1} = delta b_n - (1 - delta) z_n.
 
-The chain depends only on r and delta.  It runs up to belief 1, stopping only
-where the next cutoff rounds to 1 or onto the last one.
+The chain depends only on r and delta.  It runs in odds up to ODDS_TOP, the
+highest odds of a float64 belief below 1, and a prior's class is decided by
+its odds alone: each cutoff is the first float belief whose odds reach z_n.
 """
 from __future__ import annotations
 
@@ -24,23 +25,32 @@ import numpy as np
 
 from .core import MarketParams, belief, mu_bar_1
 
-# Longest chain compute_cutoffs builds.  The count levels off near 30,000 as
-# delta -> 1 at v_low / v_high = 1e-3, but grows without bound as the ratio
-# -> 0 and delta -> 1 together (12,032 at 1e-300 and 1 - 1e-5).  Longer
-# chains lie outside the domain.
-MAX_CUTOFFS = 80_000
+# Longest chain compute_cutoffs runs, counted before the cut at the first
+# belief tie.  It grows without bound as v_low / v_high -> 0 and delta -> 1
+# together; 110,000 admits every market an 80,000 bound on the cut table did
+# (the longest, at 10^-3.45 and 1 - 10^-9.816, runs 101,424).
+MAX_CUTOFFS = 110_000
 # The chain runs on (z, b) times this power of two, which is exact, so that
 # odds and intercepts of subnormal size keep their precision.
 SCALE = 2.0**64
+# The odds of 1 - 2^-53, the highest odds of a float64 belief below 1: no
+# float prior falls in a class whose odds exceed it.
+ODDS_TOP = 2.0**53 - 1.0
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class CutoffTable:
     """The class lines' odds z_n and intercepts b_n (see the module
-    docstring) as the chain computed them, with z_0 = 0, and the cutoffs
-    they place: mu_bar_0 = 0 <= mu_bar_1 < mu_bar_2 < ... up to belief 1,
-    the last class running to 1.  Each cutoff is the belief of its odds,
-    except mu_bar_1 = v_low / v_high, which holds by definition.
+    docstring) as the chain computed them, 0 = z_0 <= z_1 < z_2 < ..., and
+    the cutoffs they place below belief 1, the last class running to 1.
+    Each cutoff is the first float belief of its class, the least mu whose
+    odds mu / (1 - mu) reach z_n, except mu_bar_1 = v_low / v_high, which
+    holds by definition.  The table makes its arrays read-only.
     """
 
     params: MarketParams
@@ -49,19 +59,29 @@ class CutoffTable:
 
     def __post_init__(self):
         z = self.odds
-        if (len(z) < 2 or z[0] != 0.0 or len(self.intercepts) != len(z)
-                or np.any(self.cutoff_array[2:] <= self.cutoff_array[1:-1])):
+        if (len(z) < 2 or z[0] != 0.0 or len(self.intercepts) != len(z) or np.any(z[2:] <= z[1:-1])
+                or np.any(self.cutoff_array[2:] < self.cutoff_array[1])):
             raise ValueError(
-                "need odds z_0 = 0, one intercept per odds entry and cutoffs "
-                f"mu_bar_1 < mu_bar_2 < ..., got odds {z}")
+                "need odds z_0 = 0 and z_1 < z_2 < ..., one intercept per odds entry "
+                f"and no cutoff below mu_bar_1, got odds {z}")
+        _read_only(z)
+        _read_only(self.intercepts)
 
     @cached_property
     def cutoff_array(self) -> np.ndarray:
-        # 1 - mu is the accurate side of the top half, as in compute_cutoffs
-        z = self.odds * SCALE
-        c = np.where(z < SCALE, z / (SCALE + z), 1.0 - SCALE / (SCALE + z))
+        # the least mu whose odds, formed as value._prior_odds forms a
+        # prior's, reach z_n; z / (1 + z) lies within two ulps of it
+        z = self.odds
+        c = z / (1.0 + z)
+        with np.errstate(divide="ignore"):  # belief 1 has odds inf
+            while (short := c / (1.0 - c) < z).any():
+                c[short] = np.nextafter(c[short], 1.0)
+            prev = np.nextafter(c, -1.0)
+            while (reach := prev / (1.0 - prev) >= z).any():
+                c[reach] = prev[reach]
+                prev = np.nextafter(c, -1.0)
         c[1] = mu_bar_1(self.params)
-        return c
+        return _read_only(c)
 
     @cached_property
     def cutoffs(self) -> tuple[float, ...]:
@@ -80,15 +100,15 @@ class CutoffTable:
         scalar rent and price formulas bit for bit.  Zero when v_low = 0,
         where that sale never happens."""
         if self.degenerate:
-            return np.zeros(len(self.cutoffs))
+            return _read_only(np.zeros(len(self.cutoffs)))
         d = self.params.delta
-        return np.asarray([d**k for k in range(len(self.cutoffs))])
+        return _read_only(np.asarray([d**k for k in range(len(self.cutoffs))]))
 
     @cached_property
     def rents(self) -> np.ndarray:
         """The high type's rent delta^k (1 - r) per class k, in units of
         v_high: one minus the class line's slope."""
-        return self.discounts * (1.0 - mu_bar_1(self.params))
+        return _read_only(self.discounts * (1.0 - mu_bar_1(self.params)))
 
     def delay_class(self, mu):
         """Number of periods until the no-trade belief path hits 0.
@@ -127,13 +147,13 @@ def indifference_gap(p: MarketParams, table_prefix: CutoffTable, n: int, mu: flo
 def compute_cutoffs(p: MarketParams) -> CutoffTable:
     """Build the cutoff table for one parameter set.
 
-    Starts from mu_bar_0 = 0 and mu_bar_1 = v_low / v_high and runs the
-    odds recurrence of the module docstring, on (z, b) times SCALE, placing
-    mu_bar_n = z_n / (1 + z_n).  The chain stops when the next cutoff is not
-    below 1 or not above the last one, which covers a NaN too.  A chain that
-    would pass MAX_CUTOFFS entries raises ValueError, as does a ratio that
-    underflows to 0, or a market where class 1's posted price rounds onto
-    v_low; no table is ever truncated.
+    Starts from z_0 = 0 and z_1 = r / (1 - r), r = v_low / v_high, and runs
+    the odds recurrence of the module docstring, on (z, b) times SCALE.  The
+    chain stops when the next odds are not above the last or exceed
+    ODDS_TOP, which covers a NaN too; CutoffTable places the cutoffs.  The
+    table is then cut at the first belief tie.  A chain that would pass
+    MAX_CUTOFFS entries raises ValueError, as does a ratio that underflows
+    to 0, or a market where class 1's posted price rounds onto v_low.
 
     With v_low = 0 the chain stops at once on the table (0, 0), with zero
     odds and intercepts: every positive prior then delays at posterior 0
@@ -150,21 +170,25 @@ def compute_cutoffs(p: MarketParams) -> CutoffTable:
         )
     z = [0.0, r * SCALE / (1.0 - r)]
     b = [r * SCALE, d * (r * SCALE)]
-    last = r
+    top = ODDS_TOP * SCALE
     while True:
         n = len(z) - 1
         z_next = (z[n] + b[n]) / (d**n * (1.0 - r))
-        # 1 - mu is the accurate side of the top half
-        mu = z_next / (SCALE + z_next) if z_next < SCALE else 1.0 - SCALE / (SCALE + z_next)
-        if not last < mu < 1.0:
+        if not z[n] < z_next <= top:
             break
         if len(z) >= MAX_CUTOFFS:
             raise ValueError(
                 f"the cutoff chain at v_low/v_high = {r:g}, delta = {d!r} "
                 f"needs more than {MAX_CUTOFFS} cutoffs"
             )
-        last = mu
         z.append(z_next)
         b.append(d * b[n] - (1.0 - d) * z[n])
 
-    return CutoffTable(p, np.asarray(z) / SCALE, np.asarray(b) / SCALE)
+    table = CutoffTable(p, np.asarray(z) / SCALE, np.asarray(b) / SCALE)
+    # stop at the first class no float prior reaches alone, so that the
+    # cutoffs strictly increase; the classes above it go uncovered
+    c = table.cutoff_array
+    ties = np.flatnonzero(c[2:] == c[1:-1])
+    if len(ties):
+        table = CutoffTable(p, table.odds[:ties[0] + 2], table.intercepts[:ties[0] + 2])
+    return table

@@ -110,28 +110,18 @@ def build_mechanism(table: CutoffTable, mu0: float) -> Mechanism:
     """
     m0 = belief(mu0)
     p = table.params
-
-    if table.degenerate:
-        if m0 == 0.0:
-            return Mechanism(m0, 0, {"low": {0.0: 1.0}, "high": {0.0: 1.0}}, {0.0: 0.0}, {0.0: 0.0})
-        return Mechanism(
-            m0,
-            table.delay_class(m0),
-            {"low": {0.0: 1.0}, "high": {1.0: 1.0}},
-            {1.0: 1.0, 0.0: 0.0},
-            {1.0: p.v_high, 0.0: 0.0},
-        )
-
     n = table.delay_class(m0)
     if n == 0:
+        if table.degenerate:  # belief 0 with v_low = 0: no trade
+            return Mechanism(m0, 0, {"low": {0.0: 1.0}, "high": {0.0: 1.0}}, {0.0: 0.0}, {0.0: 0.0})
         return Mechanism(m0, 0, {"low": {m0: 1.0}, "high": {m0: 1.0}}, {m0: 1.0}, {m0: p.v_low})
 
     c = table.cutoffs[n - 1]
-    # (1 - m0) / m0 * odds(c), each factor scaled by SCALE, which is exact: the
+    # (1 - m0) / m0 * z_{n-1}, each factor scaled by SCALE, which is exact: the
     # same float wherever the plain product is finite, and finite at a
     # subnormal m0, where (1 - m0) / m0 overflows
-    b_delay_high = (1.0 - m0) / (m0 * SCALE) * (c / (1.0 - c) * SCALE)
-    price = class_price(p, n)
+    b_delay_high = float((1.0 - m0) / (m0 * SCALE) * (table.odds[n - 1] * SCALE))
+    price = float(p.v_high - table.discounts[n] * p.delta_v)
     return Mechanism(
         m0,
         n,

@@ -100,13 +100,26 @@ def exact_R(chain: ExactChain, n: int, mu_prime: float, mu0: float) -> float:
         return float(m + (1 - m) * (chain.intercepts[n] - rent * z0))
 
 
+def first_float_prior(z: Decimal) -> float:
+    """The least float64 mu below 1 whose float odds mu / (1 - mu) reach z,
+    for 0 < z <= 2^53 - 1 (the odds of 1 - 2^-53), by stepping ulps from
+    the rounded belief."""
+    mu = min(float(z / (1 + z)), 1.0 - 2.0**-53)
+    while Decimal(mu / (1.0 - mu)) < z:
+        mu = float(np.nextafter(mu, 1.0))
+    while Decimal((prev := float(np.nextafter(mu, 0.0))) / (1.0 - prev)) >= z:
+        mu = prev
+    return mu
+
+
 def check_against_exact_chain(table):
     """Assert that a table's cutoffs, odds and intercepts lie within 4 eps
     per cutoff of the decimal chain, relative, in odds (over 150 random sets
     rounding added at most a third of an eps per cutoff); that each cutoff's
     two class lines cross at its odds; and that the decimal chain's next
-    cutoff rounds to 1 or to within an ulp of the last one, so the table
-    ends only at belief 1.  Returns the decimal chain."""
+    odds exceed 2^53 - 1, the odds of the largest float below 1, or its
+    first float prior ties with the last cutoff, so the table ends only
+    where float priors run out of classes.  Returns the decimal chain."""
     p = table.params
     cuts, z, b = table.cutoffs, table.odds, table.intercepts
     k = len(cuts)
@@ -124,8 +137,8 @@ def check_against_exact_chain(table):
             rent = p.delta**n * (1.0 - p.v_low / p.v_high)
             crossing = (1.0 - p.delta) * (rent * z[n + 1] - (z[n] + b[n])) / (1.0 + z[n + 1])
             assert abs(crossing) <= 1e-10, (n, crossing)
-    last, nxt = cuts[-1], float(exact.cutoffs[k])
-    assert nxt >= 1.0 or nxt <= np.nextafter(last, 1.0), (last, nxt)
+    nxt = exact.odds[k]
+    assert nxt > 2**53 - 1 or first_float_prior(nxt) == cuts[-1], (cuts[-1], nxt)
     return exact
 
 

@@ -152,6 +152,15 @@ def test_long_cutoff_chains_run(tmp_path, args):
         assert abs(gap) <= 1e-12 * v_high
 
 
+def test_largest_prior_below_1_gets_its_class(tmp_path):
+    # 1 - 2^-53 has odds 2^53 - 1, in class 15; a table that stopped on a
+    # rounded belief put it in class 16, which no float prior reaches and
+    # whose split gains 4.06e-3 on the equilibrium
+    assert run("solve", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
+               "--mu0", 0.9999999999999999, "--out", tmp_path) == 0
+    assert json.loads((tmp_path / "mechanism.json").read_text())["n"] == 15
+
+
 def test_chain_longer_than_max_cutoffs_exit_2(tmp_path, capsys, monkeypatch):
     # (1e-100, 1, 0.999) needs 705 cutoffs
     monkeypatch.setattr(cutoffs, "MAX_CUTOFFS", 50)
@@ -259,6 +268,22 @@ def test_bad_mc_and_prior_input_exit_2(tmp_path, capsys, args):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("flag, key, value, rule", [
+    ("--grid", "grid_n", 1, "grid must be at least 2"),
+    ("--paths", "mc_paths", 0, "paths must be at least 1"),
+])
+def test_count_below_its_floor_exit_2(tmp_path, capsys, flag, key, value, rule):
+    # the message names the count and its floor, whether a flag or the config set it
+    params = {"v_low": 1.0, "v_high": 2.0, "delta": 0.8, "mu0": 0.3}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params, key: value}))
+    market = ("--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.3)
+    for args in ((*market, flag, value), ("--config", cfg)):
+        assert run("simulate", *args, "--out", tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and rule in err[0], err
 
 
 def test_prior_1_allowed_where_mu0_is_unused(tmp_path):

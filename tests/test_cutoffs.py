@@ -7,13 +7,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from duropoly import CutoffTable, MarketParams, compute_cutoffs, indifference_gap, structure_checks
-from duropoly.cutoffs import MAX_CUTOFFS
+from duropoly.cutoffs import MAX_CUTOFFS, ODDS_TOP
 
 from conftest import MU2_08, MU3_08
 from helpers import (
     RESOLVED_IN_BELIEF,
     SOLVE_CASES,
     check_against_exact_chain,
+    exact_chain,
+    misplaced_table,
     oracle_gap,
     scan_cutoff,
     solve_into,
@@ -138,22 +140,30 @@ def test_every_chain_reaches_one(log_ratio, delta, prior):
     table = compute_cutoffs(p)
     cuts = table.cutoffs
     assert all(a < b for a, b in zip(cuts[1:], cuts[2:]))
-    # the chain stops only at belief 1: the exact chain's next cutoff rounds
-    # to 1 or onto the last one
+    # the chain stops only where float priors run out of classes: the exact
+    # chain's next odds pass 2^53 - 1 or its first float prior ties with the
+    # last cutoff
     last, k = cuts[-1], len(cuts) - 1
     check_residuals(p, table)
     assert structure_checks(table, grid_n=101).max_cutoff_residual <= 1e-10 * p.v_high
     for m in (0.0, prior, last, (1.0 + last) / 2.0, float(np.nextafter(1.0, 0.0))):
         n = table.delay_class(m)
         assert 0 <= n <= k and cuts[n] <= m
+        # the class by belief is the class by odds, the largest n with z_n <= odds
+        if cuts[1] < m < 1.0:
+            assert n == np.searchsorted(table.odds, m / (1.0 - m), side="right") - 1
 
 
 @pytest.mark.parametrize("v_low, delta, count", [
     # 59,586 cutoffs when the chain stopped short of belief 1 under a
     # 60,000-cutoff bound
-    (1e-300, 0.9999996, 60_010),
-    # the longest chain of that old domain, which then held 59,978 cutoffs
-    (3.8e-4, 0.9999999998602016, 75_097),
+    (1e-300, 0.9999996, 60_006),
+    # the longest chain of that old domain, which then held 59,978 cutoffs;
+    # 95,083 odds before the cut at the first belief tie
+    (3.8e-4, 0.9999999998602016, 75_065),
+    # the longest chain before the cut of that domain: 101,424 odds, where a
+    # chain stopped at a rounded belief tie held 79,960 cutoffs
+    (0.0003548133892335753, 0.9999999998472434, 79_999),
 ])
 def test_long_chains_of_the_domain_build(v_low, delta, count):
     assert count <= MAX_CUTOFFS
@@ -161,10 +171,10 @@ def test_long_chains_of_the_domain_build(v_low, delta, count):
 
 
 def test_chain_past_max_cutoffs_raises():
-    # (1e-300, 1, 0.99999975) takes 75,877 cutoffs and 0.9999998 more than
-    # MAX_CUTOFFS
+    # (1e-300, 1, 0.99999985) runs 98,204 odds before its cut and 0.9999999
+    # more than MAX_CUTOFFS
     with pytest.raises(ValueError, match=f"needs more than {MAX_CUTOFFS} cutoffs"):
-        compute_cutoffs(MarketParams(1e-300, 1.0, 0.9999998))
+        compute_cutoffs(MarketParams(1e-300, 1.0, 0.9999999))
 
 
 def test_table_rejects_non_increasing_cutoffs(p08, table08):
@@ -179,6 +189,19 @@ def test_table_rejects_non_increasing_cutoffs(p08, table08):
     t = CutoffTable(MarketParams(0.0, 1.0, 0.8), np.zeros(2), np.zeros(2))
     assert t.cutoffs == (0.0, 0.0)
     assert CutoffTable(p08, table08.odds, table08.intercepts).cutoffs == table08.cutoffs
+    # odds 2^53 - 2 and 2^53 - 1 share their first float prior, 1 - 2^-53
+    t = CutoffTable(p08, np.asarray([0.0, 1.0, ODDS_TOP - 1.0, ODDS_TOP]), b)
+    assert t.cutoffs[2:] == (1.0 - 2.0**-53,) * 2
+
+
+def test_table_is_read_only(table08):
+    for a in (table08.odds, table08.intercepts, table08.cutoff_array, table08.discounts,
+              table08.rents):
+        with pytest.raises(ValueError):
+            a[2] = 0.9
+    assert table08.delay_class(0.95) == 3
+    # the negative controls' table copies the cutoffs it moves
+    assert misplaced_table(table08, 2, 0.01).cutoffs[2] == table08.cutoffs[2] + 0.01
 
 
 def test_delay_class_examples(table08):
@@ -202,10 +225,12 @@ def test_delay_class_monotone(table08):
 
 
 def test_delay_class_beyond_table(table08):
-    # the table reaches the largest float below 1, which is the last class;
-    # 1 - 1e-8 lies between two cutoffs of the tail
+    # the next class's odds pass 2^53 - 1, those of the largest float below
+    # 1, so no float prior lies beyond the last class; 1 - 1e-8 lies between
+    # two cutoffs of the tail
     cuts, last = table08.cutoffs, len(table08.cutoffs) - 1
-    assert cuts[-1] == np.nextafter(1.0, 0.0)
+    assert exact_chain(0.5, 0.8, last + 2).odds[-1] > ODDS_TOP
+    assert cuts[-1] < np.nextafter(1.0, 0.0)
     assert table08.delay_class(cuts[-1]) == table08.delay_class(1.0) == last
     n = table08.delay_class(1.0 - 1e-8)
     assert n < last and cuts[n] <= 1.0 - 1e-8 < cuts[n + 1]
@@ -221,11 +246,11 @@ def test_delay_class_degenerate(tabledeg):
 # recurrence, then a subnormal ratio the root-finding chain misplaced by
 # 4.9e-3 and one it could not build at all
 ODDS_SETS = [
-    (1.0, 2.0, 0.8, 17),
+    (1.0, 2.0, 0.8, 16),
     (0.5, 1.0, 0.99, 42),
-    (1e-3, 1.0, 0.999, 288),
-    (1e-3, 1.0, 0.99999, 2605),
-    (1e-300, 1.0, 0.999997, 21947),
+    (1e-3, 1.0, 0.999, 289),
+    (1e-3, 1.0, 0.99999, 2608),
+    (1e-300, 1.0, 0.999997, 21945),
     (5e-324, 1.0, 0.5, 48),
     (1e-320, 1.0, 0.9999, 3931),
 ]

@@ -61,46 +61,48 @@ COMMANDS = {
 # recorded before the v_low = 0 market ran through the ordinary cutoff table;
 # the solve and sweep digests of markets with v_low > 0 since the cutoff
 # chain runs in odds, and their verify digests since the deviation check
-# compares option lines
+# compares option lines; the solve digests and verify-099's since each
+# cutoff is the first float prior of its class and the chain ends at the
+# odds of the largest float below 1
 GOLDEN = {
     "solve-08": {
         "exit": 0,
         "stdout": "3eb257d164d09e3096708488d45cc2f45705e091658c93fbd623c9887c00348b",
-        "cutoffs.csv": "45b13c58c0ad7880b7eb7da72a359ac3d019599818b738341a2ce15c4df3cacb",
-        "cutoffs.json": "a2058c38aaa3c5bbd560e0899f0dcc146ae2537131e0cd87c605f60bda908498",
+        "cutoffs.csv": "f174dfa1fe8fb291563e892daf74230282183259da2efbc7bf1986cb2bb50a63",
+        "cutoffs.json": "ebcfb069e3745551428d68c70bfee28dbfc4c20a7020e5b1ef3fc0b26028be2f",
         "mechanism.json": "c1991e664a2f6037771883225d4744c38cb7554596d44ebd1314eff276ece0af",
         "value_table.csv": "b17b1aa045234f78b6471751e9982702858a2c5c7d4571e74c3e1dcb95db1f77",
     },
     "solve-099": {
         "exit": 0,
         "stdout": "75993b7d82822450d445a99b1986f95c084c7a3f8f53ab6badf4047dcb2b20e1",
-        "cutoffs.csv": "c5df52f566b974df5657bb6283df69ac8b09d8a8065ab49453b18d3a4f46ac2e",
-        "cutoffs.json": "ee345a2b1e8f7525d96609d7d4e02347ae79d5124c38714093ca79d179e00df9",
+        "cutoffs.csv": "f392762425d628f609be81e54935f2532cdd91a70095b8730b6583becde3e412",
+        "cutoffs.json": "03851415083e01a62dfd8c41d4219e1d9135931559c33177e3a37d7b4967ec96",
         "mechanism.json": "35726ae4cd2d8534a4cfb95fa6f850e189444965576308f4e3a007b0cd1e57a9",
         "value_table.csv": "8d438fb5948b057b9f677809451b4150bb8dc765ac4f40faed2a60dcff9d6aac",
     },
     "solve-ratio-1e-3": {
         "exit": 0,
         "stdout": "fa9698d6705694fcc3cd7f306e04e2da67e4e86f895c0602073fc6da26a07e67",
-        "cutoffs.csv": "bbfda893b4a9a8f716a74df7da1e0fb23a8ee7157d5f6f9d02cb83a0ced20b41",
-        "cutoffs.json": "820336ba6db05a23beba03f9047384d9408e33336ecd1628cf3ac53e009f0b3b",
-        "mechanism.json": "8dd46243ca57b7db497444de6a19dec4c2384f14488d23ae47df92ca09251cd9",
+        "cutoffs.csv": "c28cc9ddf2fb0fb1435d700e8b96b8db2efa6079643a85038605c9e4a144efe0",
+        "cutoffs.json": "39cc1e2949ad5d730ae98e26c001ca0187b13fc80b4b895ee5dcb85a624a2d2d",
+        "mechanism.json": "5372f0de67529db219cfd5b1bef7d2164f669b917978824776f730980e1f041a",
         "value_table.csv": "adc3cef059a1d69fe35cbd824f29e4bc9741222b09a4e0ade11c038926530b1d",
     },
     "solve-vhigh-1e300": {
         "exit": 0,
         "stdout": "8cd7a4a0223550afea1252c4a8e03f7996d737fbdb0f6fbc333f65296547a810",
-        "cutoffs.csv": "cea1961d969be8c0869e9426438279659589cbc724e4b6cc7b9b83bd838a6ad1",
-        "cutoffs.json": "d0e1ea95d3e48068e8f5045e7e1b08c5f6dda92625831757560f150f45a0ec64",
+        "cutoffs.csv": "0cf9d99883b42d523191f034dda620d0311980a31859753464a233bc25336606",
+        "cutoffs.json": "58dadc6ebe6ee2b67c4afd99cdba44ea35a4e801ac2ece4f91de80d3502ca4f1",
         "mechanism.json": "08cdb16ffc8ad944684b18cb0add53d9cee8685dc0f1d5603ea524ce7eaffa76",
         "value_table.csv": "9ccb38ab317d3c55820d0d800101eedbcf2c94a184022d9f4eff1c38aa7acca9",
     },
     "solve-vhigh-1.7e308": {
         "exit": 0,
         "stdout": "34eb61e9cb5909a4648818acfd1e91c7df593560dcfa6484021b3bb24799ff15",
-        "cutoffs.csv": "6ef367054108d5c192cec3afe9d1ca368eef125cd9a2d8a3f5708c47781d5ff0",
-        "cutoffs.json": "5951c93859279d3ad0b86ccb7cfb243fdce79f0a99f1eab41a44468b1e2c6624",
-        "mechanism.json": "afb12409747c2aeb303592d24e72f8893ce4814e5e558ada33415963e70190ae",
+        "cutoffs.csv": "12908aa8c451afca7a9c6d2b07edae0063b6bb41cf1456a24bd55d4ae3fd350e",
+        "cutoffs.json": "5b69a7c81a6edd1ea78dae4884ae9ef2dea7e9c497c0cf4e363641a1606b519a",
+        "mechanism.json": "463b9dfa8db83c1a44cce43591064f0df353c414832cea919b5f1154ca05c775",
         "value_table.csv": "075ba8d3002edbcef0c037436060fede24c4bdc6dade08b1cb4eb721d9dae837",
     },
     "solve-bad-params": {
@@ -115,7 +117,7 @@ GOLDEN = {
     "verify-099": {
         "exit": 0,
         "stdout": "a92c6391be9785cc1787c3d16e6687fc6de3e34796bbe10e260e79fce9000b03",
-        "verify_report.json": "aea085c86c1a73131e11b7ad92d9ff9f7b848c63b835412b33096132ad9b3fbf",
+        "verify_report.json": "7bf4120f61003391431079ec403a9135c5a8e7afd60eb5b73003b0af4d7637fa",
     },
     "verify-failing": {
         "exit": 1,
@@ -143,7 +145,7 @@ GOLDEN = {
         "stdout": "14a19c5393eddd763bc8617839edcf99f72eed3f475fb59796efbb39f6004ce1",
         "cutoffs.csv": "b312e684c57ce706381070c03af9334b16a898bbfb9514fcf1267158b08d89c9",
         "cutoffs.json": "2a887cb8836dd4c555ffbc0db6d6ab11b6863e9a6cda81de43de34e72a399f99",
-        "mechanism.json": "66878e80766bb803547e318ded0747d8bc02de55d96e93aaeafc96b4ba372751",
+        "mechanism.json": "aa4679e02aaafd9f10fb30ab081a7655f5ccdbcd9c388b851d9144ad98e3b74a",
         "value_table.csv": "e0c08e2afe08f06e398622c2d23466a427ce1e913bedda1a3b419c8ec9e83803",
     },
     "solve-vlow0-prior0": {
@@ -159,7 +161,7 @@ GOLDEN = {
         "stdout": "35d52b81c6304de5a6000d2365035bf9e0f7d662f530191b3da5378bad596ab3",
         "cutoffs.csv": "b312e684c57ce706381070c03af9334b16a898bbfb9514fcf1267158b08d89c9",
         "cutoffs.json": "a9842b8e49ccf532326dfcc0d2195e0def3681d45de810ce5a49ab63d18d1c61",
-        "mechanism.json": "568cb6ca1b38d1374a19103752321001b4ca036c2610a118cdc368fea5b976ec",
+        "mechanism.json": "07bf6a4092e14eae8bf04626c40c6133c3af508a746c403930dd134e15ed2866",
         "value_table.csv": "0bc229db44a3e2095896ac809c1eeaefe5fb210e3ac5d2efbddc670ac0f8ec1d",
     },
     "verify-vlow0": {

@@ -106,7 +106,8 @@ def test_mechanism_two_delay(table08):
 def test_mechanism_degenerate(tabledeg):
     m = build_mechanism(tabledeg, 0.5)
     assert m.transfer[1.0] == tabledeg.params.v_high
-    assert m.device == {"low": {0.0: 1.0}, "high": {1.0: 1.0}}
+    # the class-1 mechanism with cutoff 0 and zero delay weight
+    assert m.device == {"low": {0.0: 1.0}, "high": {0.0: 0.0, 1.0: 1.0}}
     null = build_mechanism(tabledeg, 0.0)
     assert null.trade_prob == {0.0: 0.0}
 

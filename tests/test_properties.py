@@ -1,6 +1,7 @@
 """Properties over the market domain: (v_low / v_high, delta, prior) drawn
 at random, with v_low = 0 among the ratios."""
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,11 +24,12 @@ V_HIGH = 2.0  # a power of two: v_low / v_high is the drawn ratio exactly
 @given(
     ratio=st.one_of(st.just(0.0), st.floats(1e-6, 0.99)),
     delta=st.floats(0.05, 0.995),
-    # up to 1 - 1e-10; within an ulp of a cutoff much nearer 1, rounding the
-    # cutoff to float64 can cost more than the scan's 1e-8 * v_high
-    mu0=st.floats(0.0, 1.0 - 1e-10),
+    mu0=st.floats(0.0, float(np.nextafter(1.0, 0.0))),
     mu_prime=st.floats(0.0, 1.0),
 )
+# the largest float prior below 1, which a chain stopped at a rounded belief
+# put one class too high
+@example(ratio=0.5, delta=0.8, mu0=1 - 2**-53, mu_prime=0.5)
 @example(ratio=0.0, delta=0.9, mu0=0.0, mu_prime=0.0)
 @example(ratio=0.0, delta=0.9, mu0=0.3, mu_prime=0.5)
 @example(ratio=0.0, delta=0.9, mu0=5e-324, mu_prime=1.0)
@@ -69,11 +71,27 @@ def test_table_invariants_over_the_domain(ratio, delta):
     table = compute_cutoffs(MarketParams(ratio * V_HIGH, V_HIGH, delta))
     z, c = table.odds, table.cutoff_array
     assert z[0] == 0.0 and c[1] == ratio
-    assert np.all(c[2:] > c[1:-1]) and c[-1] < 1.0
+    assert np.all(z[2:] > z[1:-1]) and np.all(c[2:] > c[1:-1]) and c[-1] < 1.0
     assert len(table.intercepts) == len(z)
-    # each cutoff is the belief of its odds, from 1 - mu in the top half
-    mu = np.where(z < 1.0, z / (1.0 + z), 1.0 - 1.0 / (1.0 + z))
-    assert np.all(np.abs(mu - c) <= 2.0 * np.spacing(c))
+    # each cutoff from the second on is the first float prior of its class:
+    # its odds reach z_n, the odds of the float below it do not
+    prev = np.nextafter(c[2:], 0.0)
+    assert np.all(c[2:] / (1.0 - c[2:]) >= z[2:]) and np.all(z[2:] > prev / (1.0 - prev))
+
+
+@pytest.mark.parametrize("v_low, v_high, delta", [
+    (1.0, 2.0, 0.8), (1.0, 2.0, 0.99), (1.0, 2.0, 0.999), (0.1, 1.0, 0.5)])
+def test_every_prior_near_one_is_an_equilibrium(v_low, v_high, delta):
+    # every cutoff, its two float neighbours and 1 - 2^-k: where a cutoff
+    # rounded an ulp off its odds, or the chain ended on a rounded belief,
+    # 1 to 8 of these priors lay in a class whose line is not their best
+    table = compute_cutoffs(MarketParams(v_low, v_high, delta))
+    c = table.cutoff_array[1:]
+    priors = np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0),
+                             1.0 - 2.0 ** -np.arange(1, 54)])
+    priors = priors[priors < 1.0]
+    report = deviation_scan(table, priors)
+    assert np.all(report.worst_gap <= report.tolerance), priors[report.worst_gap > report.tolerance]
 
 
 def test_prior_above_last_placed_cutoff_is_an_equilibrium(table08):
