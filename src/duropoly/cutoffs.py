@@ -119,11 +119,15 @@ class CutoffTable:
         int, a 1-D array of beliefs an integer array.
         """
         m = belief(mu)
-        if self.degenerate:
-            n = np.greater(m, 0.0).astype(np.intp)
-        else:
-            n = np.searchsorted(self.cutoff_array, m, side="right") - 1
+        n = self.classes(m)
         return int(n) if isinstance(m, float) else n
+
+    def classes(self, m):
+        """delay_class of beliefs m already checked to lie in [0, 1], as an
+        integer array of m's shape; NaN is not checked for."""
+        if self.degenerate:
+            return np.greater(m, 0.0).astype(np.intp)
+        return np.searchsorted(self.cutoff_array, m, side="right") - 1
 
 
 def indifference_gap(p: MarketParams, table_prefix: CutoffTable, n: int, mu: float) -> float:

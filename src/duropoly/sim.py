@@ -9,12 +9,14 @@ z_{k-1} read from the table's odds and z the prior's own odds in period 0,
 z_k after.  So every untraded path shares one price and acceptance
 probability per period.  The schedule depends on the prior only through its
 class, except for the type draw's threshold and the period-0 acceptance
-probability, and a run's draw matrix depends only on (seed, class).  So the
-kernel has two parts: a class step reads a class's draws once and keeps
-three numbers per path (its type draw, its period-0 accept draw and its
-first accepting period t >= 1), and a per-prior gather plays any priors of
-the class from them by array expressions.  monte_carlo plays one prior;
-mean_revenues groups a prior grid by class and plays each class once.
+probability, and a run's draw matrix depends only on (seed, class): class
+n's is the first n_paths (n + 1) uniforms of the pcg64(seed) stream.  So the
+kernel has two parts: a class step reads a class's draws once from the run's
+one stream and keeps three numbers per path (its type draw, its period-0
+accept draw and its first accepting period t >= 1), and a per-prior gather
+plays any priors of the class from them by array expressions.  monte_carlo
+plays one prior; mean_revenues groups a prior grid by class, draws the
+stream once for every class and plays each class once.
 simulate_path and iter_paths play the same equilibrium one path at a time;
 they are the single-path reference the array kernel is tested against.
 """
@@ -31,8 +33,8 @@ from .cutoffs import CutoffTable
 
 RNG_ALGORITHM = "pcg64(seed); uniform row i of a pre-drawn matrix is path i's substream"
 
-# Uniform draws monte_carlo holds at once, in whole rows of class + 1 draws.
-# Blocks drawn in sequence from one generator are the rows of one large draw,
+# Uniform draws a run holds at once: the stream's shared prefix, or one block
+# of whole rows of class + 1 draws.  Every block is a slice of the one stream,
 # so results do not depend on it; memory stays bounded at any path count and
 # any class.
 DRAW_BLOCK_SIZE = 4096 * 1001
@@ -175,6 +177,43 @@ def iter_paths(table: CutoffTable, mu0: float, type_draw: str, n_paths: int, see
         yield simulate_path(table, m0, btype, stream)
 
 
+class _Run:
+    """What every delay class of one run shares, up to its top class: the
+    table, the type draw, the path count, the discounts delta^t, by
+    repeated multiplication as simulate_path builds them, and the uniforms
+    of one pcg64(seed) stream.
+
+    Class n's draw matrix, n_paths rows of n + 1, is the stream's first
+    n_paths (n + 1) uniforms, row-major, so all classes read one stream.
+    Its prefix, up to the top class's matrix but no larger than a block, is
+    drawn once and sliced; a read past it comes from the
+    generator reset to the seed and advanced to the read's start, which
+    gives the same uniforms.
+    """
+
+    def __init__(self, table: CutoffTable, type_draw: str, n_paths: int, seed: int, top: int):
+        self.table, self.type_draw, self.n_paths = table, type_draw, n_paths
+        self.disc = np.fromiter(itertools.accumulate(itertools.repeat(table.params.delta, top),
+                                                     operator.mul, initial=1.0), float, top + 1)
+        self._bits = np.random.PCG64(seed)
+        self._seeded = self._bits.state
+        self._gen = np.random.Generator(self._bits)
+        # a block is at most DRAW_BLOCK_SIZE uniforms, or one row where a row is longer
+        self._prefix = self._gen.random(min(n_paths * (top + 1), max(DRAW_BLOCK_SIZE, top + 1)))
+
+    def uniforms(self, start: int, count: int) -> np.ndarray:
+        """Uniforms [start, start + count) of the stream.  The first read
+        past the prefix releases it, so that reads hold one block at a
+        time from then on; any later read of the prefix's range is drawn
+        again, to the same uniforms."""
+        if start + count <= len(self._prefix):
+            return self._prefix[start:start + count]
+        self._prefix = np.empty(0)  # not a view, which would keep the prefix alive
+        self._bits.state = self._seeded
+        self._bits.advance(start)
+        return self._gen.random(count)
+
+
 class _ClassPaths:
     """Every path of one delay class n, played once for a 1-D array m0 of
     priors of that class on the draws iter_paths reads: all priors of a
@@ -184,87 +223,90 @@ class _ClassPaths:
     on the prior: from period 1 the belief is cutoffs[n-1] ... cutoffs[1],
     the price class n - t's and the acceptance probability
     1 - odds[n-t-1] / odds[n-t] in every class-n play.  So the class step
-    reads the draws once, in blocks of at most DRAW_BLOCK_SIZE, and keeps
-    three numbers per path: its type draw, its period-0 accept draw and its
-    first accepting period t >= 1, found by a loop over periods on the
-    compacted live paths, those high and declining period 0 at some prior of
-    m0.  The per-prior gather, trade_periods, then plays m0[lo:hi] by array
-    expressions: a high type takes period 0 if its draw accepts the prior's
+    reads the draws once from the run's stream, in blocks of at most
+    DRAW_BLOCK_SIZE, and keeps three numbers per path: its type draw, its
+    period-0 accept draw and its first accepting period t >= 1, found by a
+    loop over periods on the compacted live paths, those high and declining
+    period 0 at some prior of m0.  The per-prior gathers then play m0[lo:hi]
+    from masks: a high type takes period 0 if its draw accepts the prior's
     own period-0 price, else that later period, which is n if it declines
     every price; a low type buys at v_low in period n.  With v_low = 0 a
     positive prior posts v_high once, accepted for sure, and belief 0 then
     never trades.
     """
 
-    def __init__(self, table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int,
-                 seed: int):
+    def __init__(self, run: _Run, m0: np.ndarray, n: int):
+        table, n_paths = run.table, run.n_paths
         p = table.params
-        n = table.delay_class(m0[0])
-        # discounts by repeated multiplication, as simulate_path builds them
-        disc = np.fromiter(itertools.accumulate(itertools.repeat(p.delta, n), operator.mul,
-                                                initial=1.0), float, n + 1)
         odds = table.odds[:n][::-1]  # the odds after a rejection in period t
         price = p.v_high - table.discounts[n:0:-1] * p.delta_v  # class n - t's price
         # the acceptance probability in period t >= 1, at odds[t - 1]
         accept = 1.0 - odds[1:] / odds[:-1]
         # by trade period, and last for no sale: the price paid and the high type's payoff
         paid = np.append(price, p.v_low)
+        disc = run.disc[:n + 1]
         self.revenue_at = np.append(disc * paid, 0.0)
         self.payoff_at = np.append(disc * (p.v_high - paid), 0.0)
         self.last = -1 if table.degenerate else n  # the period of a path declining every price
 
-        self.m0, self.n, self.type_draw = m0, n, type_draw
-        prior = type_draw == "prior"
-        first = 1 if prior else 0  # column of the period-0 accept draw
+        self.m0, self.n, self.type_draw = m0, n, run.type_draw
         # each prior's own period-0 acceptance probability
         self.accept0 = 1.0 - odds[0] / (m0 / (1.0 - m0)) if n else None
-        self.u_type = np.empty(n_paths) if prior else None
+        self.u_type = np.empty(n_paths) if run.type_draw == "prior" else None
         self.u0 = np.empty(n_paths) if n else None
         self.later = np.full(n_paths, self.last)
-        rng = np.random.default_rng(seed)
         block = max(1, DRAW_BLOCK_SIZE // (n + 1))
         for lo in range(0, n_paths, block):
-            draws = rng.random((min(block, n_paths - lo), n + 1))
-            rows = slice(lo, lo + len(draws))
-            if prior:
-                self.u_type[rows] = draws[:, 0]
-            if not n:
-                continue
-            self.u0[rows] = draws[:, first]
-            if type_draw == "fixed_low":
-                continue
-            # the paths high and declining period 0 at some prior of m0
-            live = self.u0[rows] >= self.accept0.min()
-            if prior:
-                live &= self.u_type[rows] < m0.max()
-            live = np.flatnonzero(live)
-            later = self.later[rows]
-            for t, (u, threshold) in enumerate(zip(draws.T[first + 1:], accept), 1):
-                if not live.size:
-                    break
-                acc = u[live] < threshold
-                later[live[acc]] = t
-                live = live[~acc]
+            size = min(block, n_paths - lo)
+            # a block's draws are freed when _read_block returns, before the next is read
+            self._read_block(slice(lo, lo + size), accept,
+                             run.uniforms(lo * (n + 1), size * (n + 1)).reshape(size, n + 1))
 
-    def trade_periods(self, lo: int, hi: int):
-        """(is_high, trade_period) of every path at the priors m0[lo:hi], as
-        (priors x paths) arrays, trade period -1 for no sale."""
+    def _read_block(self, rows: slice, accept: np.ndarray, draws: np.ndarray) -> None:
+        """Keep the three numbers of the paths in rows from their draws."""
+        prior = self.u_type is not None
+        if prior:
+            self.u_type[rows] = draws[:, 0]
+        if not self.n:
+            return
+        first = 1 if prior else 0  # column of the period-0 accept draw
+        self.u0[rows] = draws[:, first]
+        if self.type_draw == "fixed_low":
+            return
+        # the paths high and declining period 0 at some prior of m0
+        live = self.u0[rows] >= self.accept0.min()
+        if prior:
+            live &= self.u_type[rows] < self.m0.max()
+        live = np.flatnonzero(live)
+        later = self.later[rows]
+        for t, (u, threshold) in enumerate(zip(draws.T[first + 1:], accept), 1):
+            if not live.size:
+                break
+            acc = u[live] < threshold
+            later[live[acc]] = t
+            live = live[~acc]
+
+    def masks(self, lo: int, hi: int):
+        """(is_high, declines) of every path at the priors m0[lo:hi], as
+        (priors x paths) arrays: whether it is a high type and whether that
+        type declines period 0's price, declines True in class 0."""
         if self.u_type is not None:
             is_high = self.u_type < self.m0[lo:hi, None]
         else:
             is_high = np.full((hi - lo, len(self.later)), self.type_draw == "fixed_high")
-        declines = self.u0 >= self.accept0[lo:hi, None] if self.n else True
-        # later, 0 or last by arithmetic on the masks, which beats np.where's
-        # branches on random masks
-        return is_high, (declines * self.later - self.last) * is_high + self.last
+        return is_high, self.u0 >= self.accept0[lo:hi, None] if self.n else True
 
 
 def _play_paths(table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int, seed: int):
     """(is_high, trade_period, revenue, payoff) of every path at every prior
     of m0, a 1-D array of priors of one delay class, each a (priors x paths)
     array; see _ClassPaths."""
-    paths = _ClassPaths(table, m0, type_draw, n_paths, seed)
-    is_high, trade_period = paths.trade_periods(0, len(m0))
+    n = table.delay_class(m0[0])
+    paths = _ClassPaths(_Run(table, type_draw, n_paths, seed, n), m0, n)
+    is_high, declines = paths.masks(0, len(m0))
+    # later, 0 or last by arithmetic on the masks, which beats np.where's
+    # branches on random masks; -1 for no sale
+    trade_period = (declines * paths.later - paths.last) * is_high + paths.last
     revenue = paths.revenue_at[trade_period]
     payoff = np.where(is_high, paths.payoff_at[trade_period], 0.0)  # a low type pays its value
     return is_high, trade_period, revenue, payoff
@@ -274,10 +316,13 @@ def mean_revenues(table: CutoffTable, priors, n_paths: int, seed: int) -> np.nda
     """monte_carlo(table, m0, "prior", n_paths, seed).mean_revenue at every
     prior m0 of a 1-D array, bit for bit.
 
-    All priors of one delay class read the same draws, so the priors are
-    grouped by class, in any order, and each class is played once; its
-    revenues are gathered in chunks of at most PRIOR_BLOCK_SIZE (prior,
-    path) cells.
+    All priors of one delay class read the same draws, and every class's
+    draws are a prefix of one stream, so the priors are grouped by class,
+    in any order, and each class is played once from one _Run.  Its
+    revenues, in units of v_high, are gathered in chunks of at most
+    PRIOR_BLOCK_SIZE (prior, path) cells, one select per cell: a high type
+    pays at its later period if it declines period 0, else at period 0, and
+    a low type at the last period.
     """
     _check_run("prior", n_paths)
     m0 = belief(priors)
@@ -288,14 +333,20 @@ def mean_revenues(table: CutoffTable, priors, n_paths: int, seed: int) -> np.nda
     m0, n = m0[order], n[order]
     starts = np.flatnonzero(np.diff(n, prepend=-1))
     stops = np.append(starts[1:], len(m0))
+    run = _Run(table, "prior", n_paths, seed, int(n.max(initial=0)))
+    v_high = table.params.v_high
     chunk = max(1, PRIOR_BLOCK_SIZE // n_paths)
     out = np.empty(len(m0))
     for lo, hi in zip(starts.tolist(), stops.tolist()):
-        paths = _ClassPaths(table, m0[lo:hi], "prior", n_paths, seed)
+        paths = _ClassPaths(run, m0[lo:hi], int(n[lo]))
+        # the division is elementwise, so it commutes with the gather
+        r = paths.revenue_at / v_high
+        r_later, r_now, r_last = r[paths.later], r[0], r[paths.last]
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
-            revenue = paths.revenue_at[paths.trade_periods(a - lo, b - lo)[1]]
-            out[order[a:b]] = _mean_in_v_high(revenue, table.params.v_high, axis=1)
+            is_high, declines = paths.masks(a - lo, b - lo)
+            cell = np.where(is_high, np.where(declines, r_later, r_now), r_last)
+            out[order[a:b]] = v_high * cell.mean(axis=1)
     return out
 
 

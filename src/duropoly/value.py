@@ -44,9 +44,10 @@ def eval_R(table: CutoffTable, mu_prime, mu0):
     """
     z0 = _prior_odds(belief(mu0))
     m = np.asarray(mu_prime, dtype=float)
-    if np.any(m < 0.0) or np.any(m > 1.0):
+    # NaN fails both tests; initial= lets an empty array pass
+    if not (m.min(initial=0.0) >= 0.0 and m.max(initial=1.0) <= 1.0):
         raise ValueError("posterior outside [0, 1]")
-    n = table.delay_class(m)
+    n = table.classes(m)
     # near the float64 maximum a posterior far below the prior can be worth
     # less than -1.8e308 (R(0, mu0) = v_low - z0 (v_high - v_low)), which
     # rounds to -inf as any float64 result beyond the range does

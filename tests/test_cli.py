@@ -442,6 +442,49 @@ def test_sweep_matches_per_prior_calls(tmp_path, monkeypatch, market, grid, seed
             assert got == want, (n_paths, blocks)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    ratio=st.one_of(st.just(0.0), st.floats(1e-3, 0.99)),
+    delta=st.floats(0.01, 0.999),
+    seed=st.integers(0, 2**64),
+    grid=st.integers(2, 21),
+    n_paths=st.integers(1, 50),
+)
+@example(ratio=1e-3, delta=0.999, seed=0, grid=21, n_paths=50)  # 289 cutoffs
+def test_sweep_rows_are_monte_carlo_means(tmp_path_factory, ratio, delta, seed, grid, n_paths):
+    # through the CLI at random markets: exit 0, one row per prior, each
+    # mc_revenue that prior's own monte_carlo mean bit for bit
+    from duropoly import MarketParams, compute_cutoffs, monte_carlo
+
+    v_high = 2.0  # a power of two: v_low / v_high is the drawn ratio exactly
+    out = tmp_path_factory.getbasetemp() / "sweep-property"
+    assert run("sweep", "--v-low", repr(ratio * v_high), "--v-high", v_high,
+               "--delta", repr(delta), "--mu0", 0.5, "--grid", grid,
+               "--sweep-paths", n_paths, "--seed", seed, "--out", out) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    table = compute_cutoffs(MarketParams(ratio * v_high, v_high, delta))
+    priors = np.linspace(0.0, 1.0, grid)[:-1].tolist()
+    assert [float(r["mu0"]) for r in rows] == priors
+    assert [float(r["mc_revenue"]) for r in rows] == [
+        monte_carlo(table, m0, "prior", n_paths, seed).mean_revenue for m0 in priors]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(bad=st.one_of(st.tuples(st.just("--sweep-paths"), st.integers(-(2**70), 0)),
+                    st.tuples(st.just("--grid"), st.integers(-(2**70), 1))))
+def test_sweep_bad_count_exit_2(tmp_path_factory, bad):
+    # a sweep path count below 1 or a grid below 2: exit 2 with one error line
+    flag, value = bad
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run("sweep", "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.5,
+                   flag, value, "--out", tmp_path_factory.getbasetemp() / "sweep-bad")
+    lines = err.getvalue().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1 - 2**-53, 0.1, 1 / 3, 2.0, 2.0**53]
 
 

@@ -231,11 +231,39 @@ def test_array_kernel_matches_path_oracle(args):
             assert got.payoff.tolist() == [r.discounted_buyer_payoff for r in recs], case
 
 
+def _count_draws(monkeypatch):
+    """Patch numpy's PCG64 and Generator to count bit-generator seedings and
+    advances, and to record the size of every uniform draw."""
+    seen = {"seedings": 0, "advances": 0, "draws": []}
+
+    class CountedPCG64(np.random.PCG64):
+        def __init__(self, *args):
+            seen["seedings"] += 1
+            super().__init__(*args)
+
+        def advance(self, delta):
+            seen["advances"] += 1
+            return super().advance(delta)
+
+    class RecordedGenerator(np.random.Generator):
+        def random(self, size=None, *args):
+            seen["draws"].append(int(np.prod(size)))
+            return super().random(size, *args)
+
+    monkeypatch.setattr(np.random, "PCG64", CountedPCG64)
+    monkeypatch.setattr(np.random, "Generator", RecordedGenerator)
+    return seen
+
+
 def test_monte_carlo_draw_blocks_do_not_change_results(monkeypatch):
+    # one seeding per run; blocks past the first come from the advanced generator
     table = compute_cutoffs(MarketParams(1.0, 2.0, 0.99))
     whole = monte_carlo(table, 0.999, "prior", 1000, seed=9)
     monkeypatch.setattr(sim, "DRAW_BLOCK_SIZE", 1)  # one row per block
+    seen = _count_draws(monkeypatch)
     blocked = monte_carlo(table, 0.999, "prior", 1000, seed=9)
+    assert seen["seedings"] == 1 and seen["advances"] == 999
+    assert set(seen["draws"]) == {table.delay_class(0.999) + 1}
     assert blocked == whole
     for name in ("is_high", "trade_period", "revenue", "payoff"):
         assert getattr(blocked.paths, name).tolist() == getattr(whole.paths, name).tolist()
@@ -330,9 +358,9 @@ def test_mean_revenues_plays_each_class_once(monkeypatch, market, grid):
     steps = []  # the class of each class step's priors
     class_step = sim._ClassPaths
 
-    def counted(table, m0, *args):
+    def counted(run, m0, n):
         steps.append(table.delay_class(m0[0]))
-        return class_step(table, m0, *args)
+        return class_step(run, m0, n)
 
     monkeypatch.setattr(sim, "_ClassPaths", counted)
     want = sim.mean_revenues(table, priors, 200, seed=0)
@@ -343,6 +371,28 @@ def test_mean_revenues_plays_each_class_once(monkeypatch, market, grid):
         got = sim.mean_revenues(table, priors[shuffle], 200, seed=0)
         assert sorted(steps) == classes, block
         assert got.tolist() == want[shuffle].tolist(), block
+
+
+def test_mean_revenues_reads_one_stream(monkeypatch):
+    # every class's draws are a prefix of one pcg64(seed) stream, seeded once
+    # per call: at 146 classes each prior gets its own monte_carlo mean bit
+    # for bit when the stream's prefix holds every class, when the classes
+    # above 39 are read past it from the advanced generator, and when every
+    # block is one row; no draw holds more than DRAW_BLOCK_SIZE uniforms, or
+    # one row where a row is longer
+    table = compute_cutoffs(MarketParams(1e-3, 1.0, 0.999))
+    priors = np.linspace(0.0, 1.0, 1001)[:-1]
+    classes = table.delay_class(priors)
+    assert len(set(classes.tolist())) >= 100
+    want = [monte_carlo(table, m0, "prior", 20, seed=4).mean_revenue for m0 in priors]
+    for block in (sim.DRAW_BLOCK_SIZE, 20 * 40, 7):
+        monkeypatch.setattr(sim, "DRAW_BLOCK_SIZE", block)
+        seen = _count_draws(monkeypatch)
+        assert sim.mean_revenues(table, priors, 20, seed=4).tolist() == want, block
+        assert seen["seedings"] == 1, block
+        assert (seen["advances"] > 0) == (20 * (classes.max() + 1) > block), block
+        assert 0 < max(seen["draws"]) <= max(block, classes.max() + 1), block
+        monkeypatch.undo()
 
 
 def test_subnormal_prior_with_v_low_0_trades_at_once():

@@ -39,6 +39,22 @@ def test_eval_R_pole(table08):
         eval_R(table08, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("bad", [-1e-13, 1.0 + 1e-13])
+def test_eval_R_rejects_posteriors_outside_0_1(table08, tabledeg, bad):
+    # strictly: belief()'s 1e-12 clamp does not apply to posteriors
+    for table in (table08, tabledeg):
+        for mu_prime in (bad, np.array([0.5, bad]), np.array([[bad]])):
+            with pytest.raises(ValueError, match=r"posterior outside \[0, 1\]"):
+                eval_R(table, mu_prime, 0.5)
+
+
+def test_eval_R_rejects_nan_posteriors(table08, tabledeg):
+    for table in (table08, tabledeg):
+        for mu_prime in (np.nan, np.array([0.5, np.nan]), np.array([np.nan, 0.0, 1.0])):
+            with pytest.raises(ValueError):
+                eval_R(table, mu_prime, 0.5)
+
+
 def test_eval_R_at_posterior_one(table08):
     assert eval_R(table08, 1.0, 0.6) == table08.params.v_high
 
