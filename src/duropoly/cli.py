@@ -32,7 +32,7 @@ CONFIG_KEYS = ("params", "grid_n", "mc_paths", "seed", "tolerances", "output_dir
 TOLERANCE_KEYS = ("deviation_gap",)
 # CSV text of a float: 17 significant digits read back to the same float64
 F17 = "%.17g"
-CSV_BLOCK = 4096  # rows rendered by one % call
+CSV_BLOCK = 4096  # rows a CSV block holds: one % call in _write_csv
 GRID_TEXT_SIZES = 4  # grid sizes whose text _grid_text keeps (each of at most CSV_BLOCK points)
 # ulps of v_high the 3-standard-error check always allows: where every path
 # pays the same price, the mean is off it by rounding alone (at most 4 ulps
@@ -339,15 +339,29 @@ def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: 
         text = np.empty(len(some_path), dtype=object)
         for c in np.flatnonzero(np.bincount(code)).tolist():
             i = some_path[c]
-            text[c] = f"%s,%s,{F17},{F17}" % (
+            text[c] = f",%s,%s,{F17},{F17}\r\n" % (
                 ("low", "high")[c % 2], "" if c < 2 else c // 2 - 1,
                 paths.revenue[i], paths.payoff[i])
-        _write_csv(
-            paths_csv,
-            ["path", "buyer_type", "trade_period", "discounted_revenue", "discounted_buyer_payoff"],
-            "%d,%s",
-            [np.arange(len(code)), text[code]],
-        )
+        rows = text[code]
+        # path i's index is the text of i // 10, empty below 10, then the
+        # digit i % 10.  A block starts at a multiple of ten, so one % call
+        # formats its prefixes, one per ten rows, and no row goes through %
+        block = CSV_BLOCK - CSV_BLOCK % 10
+        with open(paths_csv, "w", newline="", encoding="utf-8") as fh:
+            fh.write("path,buyer_type,trade_period,discounted_revenue,discounted_buyer_payoff\r\n")
+            for lo in range(0, len(rows), block):
+                hi = min(lo + block, len(rows))
+                tens = range(lo // 10, (hi + 9) // 10)
+                prefixes = (("%d\n" * len(tens)) % tuple(tens)).split("\n")
+                if lo == 0:
+                    prefixes[0] = ""
+                pieces = [None] * (3 * (hi - lo))  # (prefix, digit, outcome text) per row
+                for d in range(min(10, hi - lo)):
+                    k = len(range(d, hi - lo, 10))
+                    pieces[3 * d::30] = prefixes[:k]
+                    pieces[3 * d + 1::30] = [str(d)] * k
+                pieces[2::3] = rows[lo:hi].tolist()
+                fh.write("".join(pieces))
 
     print(
         f"simulate: {summary.n_paths} paths, mean revenue {summary.mean_revenue:.6g} "

@@ -92,7 +92,7 @@ def equilibrium_split(table: CutoffTable, mu0) -> Split:
     no-trade posterior 0, and belief 0 itself never trades.
     """
     m0 = np.atleast_1d(belief(mu0))
-    split = _class_split(table, m0, table.delay_class(m0))
+    split = _class_split(table, m0, table.classes(m0))
     if np.ndim(mu0) == 0:
         split = Split(*(float(f[0]) for f in vars(split).values()))
     return split

@@ -308,7 +308,9 @@ def _play_paths(table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int
     # branches on random masks; -1 for no sale
     trade_period = (declines * paths.later - paths.last) * is_high + paths.last
     revenue = paths.revenue_at[trade_period]
-    payoff = np.where(is_high, paths.payoff_at[trade_period], 0.0)  # a low type pays its value
+    # a low type pays its value; payoff_at is finite and at least +0.0, so
+    # the product is np.where(is_high, ..., 0.0) bit for bit, without its branches
+    payoff = paths.payoff_at[trade_period] * is_high
     return is_high, trade_period, revenue, payoff
 
 
@@ -328,7 +330,7 @@ def mean_revenues(table: CutoffTable, priors, n_paths: int, seed: int) -> np.nda
     m0 = belief(priors)
     if np.any(m0 == 1.0):
         raise ValueError("simulation starts from a prior below 1")
-    n = table.delay_class(m0)
+    n = table.classes(m0)
     order = np.argsort(n, kind="stable")
     m0, n = m0[order], n[order]
     starts = np.flatnonzero(np.diff(n, prepend=-1))
@@ -378,12 +380,13 @@ def monte_carlo(
     # in units of v_high, so squaring revenues near the float64 floor cannot
     # underflow, and neither sums nor squares near its maximum overflow
     v_high = table.params.v_high
-    se = float(v_high * (revenue / v_high).std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    r = revenue / v_high
+    se = float(v_high * r.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     counts = np.bincount(paths.trade_period + 1)  # index 0 counts the no-sale paths
     seen = np.flatnonzero(counts)
     return MonteCarloSummary(
         n_paths=n_paths,
-        mean_revenue=float(_mean_in_v_high(revenue, v_high)),
+        mean_revenue=float(v_high * r.mean()),
         se_revenue=se,
         mean_rent_high=float(_mean_in_v_high(payoff[is_high], v_high)) if is_high.any() else 0.0,
         mean_rent_low=float(_mean_in_v_high(payoff[~is_high], v_high)) if (~is_high).any() else 0.0,

@@ -150,7 +150,7 @@ def deviation_scan(table: CutoffTable, priors, tolerance: float | None = None) -
     z, b, rho, r, d = table.odds, table.intercepts, table.rents, mu_bar_1(p), p.delta
     shift = (1.0 - d) * z
     z0 = _prior_odds(m0)  # rejects prior 1
-    n = table.delay_class(m0)
+    n = table.classes(m0)
     top, best, j = np.empty(len(m0)), np.empty(len(m0)), np.empty(len(m0), dtype=np.intp)
     cols = np.arange(len(z) + 1)
     rows = max(1, SCAN_BLOCK_SIZE // len(cols))
@@ -191,7 +191,7 @@ def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
     priors = np.linspace(0.0, 1.0, grid_n)[:-1]
     split = equilibrium_split(table, priors)
     delay = split.posterior_delay
-    classed = table.delay_class(priors) >= 1
+    classed = table.classes(priors) >= 1
     on_cutoffs = bool(np.isin(delay[classed], table.cutoff_array).all())
     # the monotone delay posterior concerns priors that actually delay
     delayed = split.q_delay == 0.0

@@ -625,6 +625,10 @@ def test_csv_artifacts_match_oracle(tmp_path):
     assert run("solve", *market, "--out", tmp_path / "solve") == 0
     assert run("simulate", *market, "--paths", 5000, "--out", tmp_path,
                "--paths-csv", tmp_path / "prior.csv") == 0
+    # rows written in blocks: 12,347 paths span three blocks, end off a
+    # multiple of ten and have indices of one to five digits
+    assert run("simulate", *market, "--paths", 12347, "--out", tmp_path,
+               "--paths-csv", tmp_path / "seams.csv") == 0
     assert run("simulate", *full_surplus, "--paths", 300, "--type-draw", "fixed_low",
                "--out", tmp_path, "--paths-csv", tmp_path / "low.csv") == 0
     # the paths file is rendered once per (buyer type, trade period) outcome:
@@ -644,6 +648,7 @@ def test_csv_artifacts_match_oracle(tmp_path):
         (tmp_path / "solve" / "cutoffs.csv", (int, float)),
         (tmp_path / "solve" / "value_table.csv", (float, float, float)),
         (tmp_path / "prior.csv", path_kinds),
+        (tmp_path / "seams.csv", path_kinds),
         (tmp_path / "low.csv", path_kinds),
         (tmp_path / "long.csv", path_kinds),
         (tmp_path / "high.csv", path_kinds),
@@ -652,6 +657,9 @@ def test_csv_artifacts_match_oracle(tmp_path):
     ]
     for path, kinds in files:
         assert path.read_bytes() == _rerendered(path, kinds), path.name
+    # the re-rendering reads each index back, so the indices are checked here
+    with open(tmp_path / "seams.csv", newline="") as fh:
+        assert [r["path"] for r in csv.DictReader(fh)] == [str(i) for i in range(12347)]
     # with v_low = 0 the low type never trades: every trade period is blank
     with open(tmp_path / "low.csv", newline="") as fh:
         assert {r["trade_period"] for r in csv.DictReader(fh)} == {""}
