@@ -2,7 +2,7 @@
 limited commitment facing a binary-valuation buyer: cutoff solver, value
 functions, mechanism construction, deviation verification, and simulation."""
 
-from .core import MarketParams, belief, mu_bar_1, virtual_value
+from .core import MarketParams, belief, mu_bar_1
 from .cutoffs import (
     CutoffTable,
     compute_cutoffs,
@@ -16,7 +16,6 @@ from .mechanism import (
     Split,
     build_mechanism,
     check_binding_constraints,
-    class_price,
     equilibrium_split,
     posted_price_view,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "MarketParams",
     "belief",
     "mu_bar_1",
-    "virtual_value",
     "CutoffTable",
     "compute_cutoffs",
     "indifference_gap",
@@ -49,7 +47,6 @@ __all__ = [
     "PostedPrice",
     "ConstraintResiduals",
     "MechanismConsistencyError",
-    "class_price",
     "equilibrium_split",
     "build_mechanism",
     "posted_price_view",

@@ -1,4 +1,4 @@
-"""Problem primitives: market parameters, belief handling, and virtual values."""
+"""Problem primitives: market parameters and belief handling."""
 from __future__ import annotations
 
 import math
@@ -63,16 +63,3 @@ def mu_bar_1(p: MarketParams) -> float:
     """First interior cutoff: the belief at which the virtual value hits zero."""
     return p.v_low / p.v_high
 
-
-def virtual_value(p: MarketParams, mu):
-    """Low valuation adjusted for the high type's information rent.
-
-    Returns v_low - mu / (1 - mu) * (v_high - v_low), elementwise for an
-    array of beliefs.  Strictly decreasing in mu, positive below
-    v_low / v_high and negative above.  Undefined at mu = 1 (pole of the
-    likelihood ratio).
-    """
-    m = belief(mu)
-    if (m == 1.0) if isinstance(m, float) else (m == 1.0).any():
-        raise ValueError("virtual value has a pole at belief 1")
-    return p.v_low - m / (1.0 - m) * p.delta_v

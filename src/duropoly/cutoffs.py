@@ -96,8 +96,8 @@ class CutoffTable:
     @cached_property
     def discounts(self) -> np.ndarray:
         """delta^k per class k, the discount on the low type's sale k periods
-        out, as scalar powers so that every value built on them matches the
-        scalar rent and price formulas bit for bit.  Zero when v_low = 0,
+        out, as scalar powers so that every value built on them matches one
+        formed from the scalar delta**k bit for bit.  Zero when v_low = 0,
         where that sale never happens."""
         if self.degenerate:
             return _read_only(np.zeros(len(self.cutoffs)))
@@ -109,6 +109,16 @@ class CutoffTable:
         """The high type's rent delta^k (1 - r) per class k, in units of
         v_high: one minus the class line's slope."""
         return _read_only(self.discounts * (1.0 - mu_bar_1(self.params)))
+
+    @cached_property
+    def prices(self) -> np.ndarray:
+        """The price v_high - delta^k (v_high - v_low) a class-k seller
+        posts, v_low at k = 0 by assignment; v_high at every k >= 1 when
+        v_low = 0."""
+        p = self.params
+        prices = p.v_high - self.discounts * p.delta_v
+        prices[0] = p.v_low
+        return _read_only(prices)
 
     def delay_class(self, mu):
         """Number of periods until the no-trade belief path hits 0.
@@ -164,7 +174,7 @@ def compute_cutoffs(p: MarketParams) -> CutoffTable:
     forever on the low-type path.
     """
     d, r = p.delta, mu_bar_1(p)
-    # with v_low > 0: r == 0 is an underflow, the second test class_price(p, 1) > v_low
+    # with v_low > 0: r == 0 is an underflow, the second test CutoffTable.prices[1] > v_low
     if p.v_low > 0.0 and (r == 0.0 or not p.v_high - d * p.delta_v > p.v_low):
         raise ValueError(
             f"float64 cannot place the cutoff chain at v_low/v_high = {p.v_low!r}/{p.v_high!r}, "

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MarketParams, belief
+from .core import belief
 from .cutoffs import SCALE, CutoffTable
 from .value import buyer_rent
 
@@ -56,19 +56,6 @@ class ConstraintResiduals:
 
     participation_low: float
     truthtelling_high: float
-
-
-def class_price(p: MarketParams, n: int) -> float:
-    """Posted price for a class-n seller: v_low + (1 - delta^n) * dv.
-
-    Computed as v_high - delta^n * dv so the high type's indifference
-    v_high - price = delta^n * dv holds to the last bit.
-    """
-    if n < 0:
-        raise ValueError("class index must be nonnegative")
-    if n == 0:
-        return p.v_low
-    return p.v_high - p.delta**n * p.delta_v
 
 
 def _class_split(table: CutoffTable, m0: np.ndarray, n: np.ndarray) -> Split:
@@ -121,13 +108,12 @@ def build_mechanism(table: CutoffTable, mu0: float) -> Mechanism:
     # same float wherever the plain product is finite, and finite at a
     # subnormal m0, where (1 - m0) / m0 overflows
     b_delay_high = float((1.0 - m0) / (m0 * SCALE) * (table.odds[n - 1] * SCALE))
-    price = float(p.v_high - table.discounts[n] * p.delta_v)
     return Mechanism(
         m0,
         n,
         {"low": {c: 1.0}, "high": {c: b_delay_high, 1.0: 1.0 - b_delay_high}},
         {1.0: 1.0, c: 0.0},
-        {1.0: price, c: 0.0},
+        {1.0: float(table.prices[n]), c: 0.0},
     )
 
 

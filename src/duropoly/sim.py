@@ -105,8 +105,8 @@ class _RowStream:
 def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathRecord:
     """Play the equilibrium strategy once for a fixed buyer type.
 
-    Each period a class-n seller quotes v_high - discounts[n] dv, which is
-    v_high with v_low = 0; the high type accepts with the probability
+    Each period a class-n seller quotes table.prices[n], which is v_high
+    with v_low = 0; the high type accepts with the probability
     1 - z_{n-1} / z that makes a rejection move the belief's odds z onto the
     next cutoff's, both read from table.odds except the prior's own,
     mu0 / (1 - mu0); the low type rejects anything above v_low.  Class 0
@@ -136,7 +136,7 @@ def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathR
             return PathRecord(
                 tuple(steps), t, disc * p.v_low, disc * (v_buyer - p.v_low), buyer_type
             )
-        price = p.v_high - table.discounts[n] * p.delta_v
+        price = table.prices[n]
         if buyer_type == "high" and rng.random() < 1.0 - table.odds[n - 1] / odds:
             steps.append(PathStep(t, mu, price, buyer_type, "accept"))
             return PathRecord(
@@ -239,11 +239,11 @@ class _ClassPaths:
         table, n_paths = run.table, run.n_paths
         p = table.params
         odds = table.odds[:n][::-1]  # the odds after a rejection in period t
-        price = p.v_high - table.discounts[n:0:-1] * p.delta_v  # class n - t's price
         # the acceptance probability in period t >= 1, at odds[t - 1]
         accept = 1.0 - odds[1:] / odds[:-1]
-        # by trade period, and last for no sale: the price paid and the high type's payoff
-        paid = np.append(price, p.v_low)
+        # by trade period, and last for no sale: the price paid, class n - t's,
+        # and the high type's payoff
+        paid = table.prices[n::-1]
         disc = run.disc[:n + 1]
         self.revenue_at = np.append(disc * paid, 0.0)
         self.payoff_at = np.append(disc * (p.v_high - paid), 0.0)

@@ -26,14 +26,6 @@ def _prior_odds(m0):
     return m0 / (1.0 - m0)
 
 
-def _class_value(table: CutoffTable, x, n, z0):
-    """R(x, mu0) / v_high for beliefs x on the affine pieces of classes n,
-    at priors of odds z0, broadcast.  The pieces extend to their class's
-    closed ends, so this also gives the left limit of R at a cutoff (the
-    piece of the class below it)."""
-    return x + (1.0 - x) * (table.intercepts[n] - table.rents[n] * z0)
-
-
 def eval_R(table: CutoffTable, mu_prime, mu0):
     """Continuation value of inducing posterior mu_prime when the prior is mu0.
 
@@ -52,7 +44,7 @@ def eval_R(table: CutoffTable, mu_prime, mu0):
     # less than -1.8e308 (R(0, mu0) = v_low - z0 (v_high - v_low)), which
     # rounds to -inf as any float64 result beyond the range does
     with np.errstate(over="ignore"):
-        r = table.params.v_high * _class_value(table, m, n, z0)
+        r = table.params.v_high * (m + (1.0 - m) * (table.intercepts[n] - table.rents[n] * z0))
     return float(r) if np.ndim(r) == 0 else r
 
 

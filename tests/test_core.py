@@ -1,37 +1,41 @@
 import numpy as np
 import pytest
 
-from duropoly import MarketParams, belief, mu_bar_1, virtual_value
+from duropoly import MarketParams, belief, eval_R, mu_bar_1
 
 
-def test_virtual_value_at_zero_is_v_low(p08):
-    assert virtual_value(p08, 0.0) == 1.0
+# the virtual value v_low - mu / (1 - mu) (v_high - v_low) is the class-0
+# line at posterior 0, eval_R(table, 0.0, mu)
 
 
-def test_virtual_value_zero_at_ratio(p08):
+def test_virtual_value_at_zero_is_v_low(table08):
+    assert eval_R(table08, 0.0, 0.0) == 1.0
+
+
+def test_virtual_value_zero_at_ratio(table08):
     # the first cutoff is exactly where the virtual value changes sign
-    assert virtual_value(p08, 0.5) == 0.0
+    assert eval_R(table08, 0.0, 0.5) == 0.0
 
 
-def test_virtual_value_direct_substitution(p08):
-    assert virtual_value(p08, 2.0 / 3.0) == pytest.approx(-1.0, abs=1e-12)
+def test_virtual_value_direct_substitution(table08):
+    assert eval_R(table08, 0.0, 2.0 / 3.0) == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_virtual_value_pole_rejected(p08):
+def test_virtual_value_pole_rejected(table08):
     with pytest.raises(ValueError):
-        virtual_value(p08, 1.0)
+        eval_R(table08, 0.0, 1.0)
 
 
-def test_virtual_value_strictly_decreasing(p08):
+def test_virtual_value_strictly_decreasing(table08):
     grid = np.linspace(0.0, 0.999, 500)
-    vals = [virtual_value(p08, m) for m in grid]
+    vals = [eval_R(table08, 0.0, m) for m in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_virtual_value_sign_splits_at_mu_bar_1(p08):
+def test_virtual_value_sign_splits_at_mu_bar_1(p08, table08):
     m1 = mu_bar_1(p08)
     for m in np.linspace(0.0, 0.99, 200):
-        v = virtual_value(p08, float(m))
+        v = eval_R(table08, 0.0, float(m))
         if m < m1:
             assert v > 0.0
         elif m > m1:
@@ -46,11 +50,11 @@ def test_mu_bar_1(v_low, v_high, expected):
     assert mu_bar_1(MarketParams(v_low, v_high, 0.9)) == expected
 
 
-def test_surplus_identity(p08):
+def test_surplus_identity(p08, table08):
     # revenue at a posted price of v_low equals the virtual surplus at any belief
     for m in np.linspace(0.0, 1.0, 1001)[:-1]:
         m = float(m)
-        lhs = m * p08.v_high + (1.0 - m) * virtual_value(p08, m)
+        lhs = m * p08.v_high + (1.0 - m) * eval_R(table08, 0.0, m)
         assert abs(lhs - p08.v_low) < 1e-12
 
 

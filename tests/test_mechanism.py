@@ -9,7 +9,6 @@ from duropoly import (
     build_mechanism,
     buyer_rent,
     check_binding_constraints,
-    class_price,
     compute_cutoffs,
     equilibrium_split,
     posted_price_view,
@@ -57,26 +56,33 @@ def test_split_degenerate(tabledeg):
     assert zero.q_sale == 0.0 and zero.q_delay == 0.0
 
 
+@pytest.fixture(scope="module")
+def table0999():
+    table = compute_cutoffs(MarketParams(1.0, 2.0, 0.999))
+    assert len(table.prices) == 52  # classes 0 to 51
+    return table
+
+
 @pytest.mark.parametrize("n", range(51))
-def test_price_identity_to_machine_epsilon(p08, n):
+def test_price_identity_to_machine_epsilon(table0999, n):
     # the high type's rent at the posted price is delta^n dv
-    price = class_price(p08, n)
+    p, price = table0999.params, table0999.prices[n]
     if n == 0:
-        assert price == p08.v_low
+        assert price == p.v_low
     else:
-        resid = p08.v_high - price - p08.delta**n * p08.delta_v
-        assert abs(resid) <= 2.3e-16 * p08.v_high
+        resid = p.v_high - price - p.delta**n * p.delta_v
+        assert abs(resid) <= 2.3e-16 * p.v_high
 
 
-def test_price_staircase(p08):
-    prices = [class_price(p08, n) for n in range(51)]
-    assert prices[0] == p08.v_low
+def test_price_staircase(table0999):
+    p, prices = table0999.params, table0999.prices.tolist()
+    assert prices[0] == p.v_low
     assert all(a < b for a, b in zip(prices, prices[1:]))
-    assert all(p < p08.v_high for p in prices)
+    assert all(x < p.v_high for x in prices)
     # geometric approach to v_high (the subtraction costs a few ulps of 2.0)
-    gaps = [p08.v_high - p for p in prices[1:]]
+    gaps = [p.v_high - x for x in prices[1:]]
     for a, b in zip(gaps, gaps[1:]):
-        assert b / a == pytest.approx(p08.delta, rel=1e-9)
+        assert b / a == pytest.approx(p.delta, rel=1e-9)
 
 
 def test_mechanism_no_delay(table08):

@@ -77,6 +77,17 @@ def test_table_invariants_over_the_domain(ratio, delta):
     # its odds reach z_n, the odds of the float below it do not
     prev = np.nextafter(c[2:], 0.0)
     assert np.all(c[2:] / (1.0 - c[2:]) >= z[2:]) and np.all(z[2:] > prev / (1.0 - prev))
+    # the posted prices: v_low in class 0, then a staircase up to v_high whose
+    # gap to v_high is the high type's rent delta^n dv
+    p, prices = table.params, table.prices
+    assert prices[0] == p.v_low and not prices.flags.writeable
+    assert np.all(prices[1:] >= prices[:-1]) and np.all(prices <= p.v_high)
+    if ratio == 0.0:
+        assert np.all(prices[1:] == p.v_high)
+    else:
+        assert prices[1] > p.v_low  # the guard in compute_cutoffs
+        rent = np.asarray([delta**n * p.delta_v for n in range(1, len(prices))])
+        assert np.all(np.abs(p.v_high - prices[1:] - rent) <= 2.3e-16 * p.v_high)
 
 
 @pytest.mark.parametrize("v_low, v_high, delta", [

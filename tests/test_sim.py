@@ -5,11 +5,12 @@ import pytest
 
 from duropoly import (
     MarketParams,
+    build_mechanism,
     buyer_rent,
-    class_price,
     compute_cutoffs,
     iter_paths,
     monte_carlo,
+    posted_price_view,
     seller_revenue,
     simulate_path,
 )
@@ -64,7 +65,7 @@ def test_beliefs_walk_down_the_cutoff_chain(table08):
     beliefs = [step.belief for step in rec.steps]
     assert beliefs == [0.85, table08.cutoffs[1], 0.0]
     prices = [step.price for step in rec.steps]
-    assert prices == [class_price(table08.params, 2), class_price(table08.params, 1), 1.0]
+    assert prices == [table08.prices[2], table08.prices[1], 1.0]
 
 
 def test_low_type_never_accepts_above_v_low(table08):
@@ -83,10 +84,18 @@ def test_degenerate_low_type_never_trades(tabledeg):
 
 
 def test_degenerate_high_type_pays_full_value(tabledeg):
-    rec = simulate_path(tabledeg, 0.5, "high", np.random.default_rng(7))
-    assert rec.trade_period == 0
-    assert rec.discounted_revenue == 1.0
-    assert rec.discounted_buyer_payoff == 0.0
+    # the posted price is v_high = 1 in the table, the mechanism, its
+    # posted-price view and the path, not v_high - delta (v_high - v_low) = 0.1
+    assert tabledeg.prices[1] == 1.0
+    for m0 in (0.5, 0.3):
+        rec = simulate_path(tabledeg, m0, "high", np.random.default_rng(7))
+        assert rec.trade_period == 0
+        assert rec.discounted_revenue == 1.0
+        assert rec.discounted_buyer_payoff == 0.0
+        assert rec.steps[0].price == 1.0
+        mech = build_mechanism(tabledeg, m0)
+        assert mech.transfer[1.0] == 1.0
+        assert posted_price_view(mech, tabledeg).price == 1.0
 
 
 def test_simulate_path_input_validation(table08):

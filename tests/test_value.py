@@ -8,7 +8,6 @@ from duropoly import (
     equilibrium_split,
     eval_R,
     seller_revenue,
-    virtual_value,
 )
 
 from helpers import (
@@ -95,8 +94,8 @@ def test_decompose_by_linear_solve(p08, table08):
     rng = np.random.default_rng(11)
     for mp in rng.random(25):
         mp = float(mp)
-        a = np.array([[p08.v_high, virtual_value(p08, 0.1)],
-                      [p08.v_high, virtual_value(p08, 0.7)]])
+        a = np.array([[p08.v_high, oracle_vhat(p08, 0.1)],
+                      [p08.v_high, oracle_vhat(p08, 0.7)]])
         b = np.array([eval_R(table08, mp, 0.1), eval_R(table08, mp, 0.7)])
         alpha, gamma = np.linalg.solve(a, b)
         d = decompose_R(table08, mp)
@@ -252,6 +251,7 @@ def test_degenerate_surface_values(tabledeg):
     assert (d.alpha, d.gamma) == (0.4, 0.0)
 
 
-def test_oracle_vhat_matches(p08):
+def test_oracle_vhat_matches(p08, table08):
+    # the library's virtual value is the class-0 line at posterior 0
     for m in np.linspace(0.0, 0.99, 100):
-        assert oracle_vhat(p08, float(m)) == virtual_value(p08, float(m))
+        assert oracle_vhat(p08, float(m)) == eval_R(table08, 0.0, float(m))

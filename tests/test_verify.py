@@ -15,7 +15,6 @@ from duropoly import (
     equilibrium_split,
     eval_R,
     structure_checks,
-    virtual_value,
 )
 from duropoly import verify
 
@@ -25,6 +24,7 @@ from helpers import (
     best_two_point,
     brute_cav,
     misplaced_table,
+    oracle_vhat,
 )
 
 
@@ -126,7 +126,7 @@ def test_scan_rejects_bad_inputs(table08):
 
 def _w(table, grid, m0):
     p = table.params
-    sale = grid * p.v_high + (1.0 - grid) * virtual_value(p, m0)
+    sale = grid * p.v_high + (1.0 - grid) * oracle_vhat(p, m0)
     return np.maximum(sale, p.delta * eval_R(table, grid, m0))
 
 
