@@ -1,7 +1,7 @@
 """Command-line front end: solve, verify, simulate, and sweep subcommands.
 
 Exit codes: 0 all checks pass, 1 a verification or acceptance check failed,
-2 invalid configuration.
+2 invalid configuration or usage, reported in one `error:` line.
 """
 from __future__ import annotations
 
@@ -193,7 +193,7 @@ def _object(name: str, value, keys) -> dict:
         raise ValueError(f"{name} must be a JSON object, got {value!r}")
     unknown = sorted(set(value) - set(keys))
     if unknown:
-        raise ValueError(f"unknown keys in {name}: {', '.join(unknown)}")
+        raise ValueError(f"unknown keys in {name}: {', '.join(map(repr, unknown))}")
     return value
 
 
@@ -217,8 +217,6 @@ def _build_config(args) -> RunConfig:
     mu0 = belief(pdict.pop("mu0"))
     if args.command in ("solve", "simulate") and mu0 == 1.0:
         raise ValueError(f"{args.command} needs a prior mu0 below 1")
-    if args.command == "sweep" and args.sweep_paths is not None and args.sweep_paths < 1:
-        raise ValueError(f"--sweep-paths must be at least 1, got {args.sweep_paths}")
     output_dir = args.out if args.out is not None else raw.get("output_dir", ".")
     if not isinstance(output_dir, str):
         raise ValueError(f"config output_dir must be a string, got {output_dir!r}")
@@ -230,10 +228,13 @@ def _build_config(args) -> RunConfig:
         output_dir=Path(output_dir),
         **counts,
     )
-    if cfg.grid_n < 2:
-        raise ValueError(f"grid must be at least 2, got {cfg.grid_n}")
-    if cfg.mc_paths < 1:
-        raise ValueError(f"paths must be at least 1, got {cfg.mc_paths}")
+    # the most float64 elements one numpy array can hold
+    most = np.iinfo(np.intp).max // 8
+    sweep_paths = args.sweep_paths if args.command == "sweep" else None
+    for name, count, least in (("grid", cfg.grid_n, 2), ("paths", cfg.mc_paths, 1),
+                               ("--sweep-paths", sweep_paths, 1)):
+        if count is not None and not least <= count <= most:
+            raise ValueError(f"{name} must be at least {least} and at most {most}, got {count}")
     if cfg.deviation_gap is not None and cfg.deviation_gap <= 0:
         raise ValueError("tolerances must be positive")
     if cfg.seed < 0:
@@ -390,9 +391,17 @@ def cmd_sweep(cfg: RunConfig, table: CutoffTable, sweep_paths: int) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so that main
+    reports them as one line and returns 2; its subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache  # built on the first main() call, then shared
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--v-low", type=float, default=None)
     common.add_argument("--v-high", type=float, default=None)
     common.add_argument("--delta", type=float, default=None)
@@ -407,7 +416,7 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     common.add_argument("--out", type=str, default=None, help="output directory (default .)")
 
-    parser = argparse.ArgumentParser(prog="duropoly")
+    parser = _Parser(prog="duropoly")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", parents=[common])
     sub.add_parser("verify", parents=[common])
@@ -421,8 +430,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = _build_config(args)
         table = compute_cutoffs(cfg.params)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)

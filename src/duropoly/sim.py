@@ -13,10 +13,12 @@ probability, and a run's draw matrix depends only on (seed, class): class
 n's is the first n_paths (n + 1) uniforms of the pcg64(seed) stream.  So the
 kernel has two parts: a class step reads a class's draws once from the run's
 one stream and keeps three numbers per path (its type draw, its period-0
-accept draw and its first accepting period t >= 1), and a per-prior gather
-plays any priors of the class from them by array expressions.  monte_carlo
-plays one prior; mean_revenues groups a prior grid by class, draws the
-stream once for every class and plays each class once.
+accept draw and its first accepting period t >= 1), and one gather gives
+each path's buyer type and trade period at any priors of the class by array
+expressions.  One driver, _play, groups priors by class, plays each class
+once from the one stream and yields the gather chunk by chunk: monte_carlo
+is its one-prior case, which reads revenue and payoff by trade period, and
+mean_revenues averages the revenue at each prior of a grid.
 simulate_path and iter_paths play the same equilibrium one path at a time;
 they are the single-path reference the array kernel is tested against.
 """
@@ -38,8 +40,8 @@ RNG_ALGORITHM = "pcg64(seed); uniform row i of a pre-drawn matrix is path i's su
 # so results do not depend on it; memory stays bounded at any path count and
 # any class.
 DRAW_BLOCK_SIZE = 4096 * 1001
-# (prior, path) cells one mean_revenues gather plays; every gather reads its
-# class's per-path numbers, drawn once, so results do not depend on it.
+# (prior, path) cells one gather plays; every gather reads its class's
+# per-path numbers, drawn once, so results do not depend on it.
 PRIOR_BLOCK_SIZE = 1 << 13
 
 
@@ -227,12 +229,13 @@ class _ClassPaths:
     DRAW_BLOCK_SIZE, and keeps three numbers per path: its type draw, its
     period-0 accept draw and its first accepting period t >= 1, found by a
     loop over periods on the compacted live paths, those high and declining
-    period 0 at some prior of m0.  The per-prior gathers then play m0[lo:hi]
-    from masks: a high type takes period 0 if its draw accepts the prior's
-    own period-0 price, else that later period, which is n if it declines
-    every price; a low type buys at v_low in period n.  With v_low = 0 a
-    positive prior posts v_high once, accepted for sure, and belief 0 then
-    never trades.
+    period 0 at some prior of m0.  The one gather, trade_periods, then
+    plays m0[lo:hi]: a high type takes period 0 if its draw accepts the
+    prior's own period-0 price, else that later period, which is n if it
+    declines every price; a low type buys at v_low in period n.  Revenue
+    and payoff are read from revenue_at and payoff_at by trade period.
+    With v_low = 0 a positive prior posts v_high once, accepted for sure,
+    and belief 0 then never trades.
     """
 
     def __init__(self, run: _Run, m0: np.ndarray, n: int):
@@ -286,48 +289,28 @@ class _ClassPaths:
             later[live[acc]] = t
             live = live[~acc]
 
-    def masks(self, lo: int, hi: int):
-        """(is_high, declines) of every path at the priors m0[lo:hi], as
-        (priors x paths) arrays: whether it is a high type and whether that
-        type declines period 0's price, declines True in class 0."""
+    def trade_periods(self, lo: int, hi: int):
+        """(is_high, trade_period) of every path at the priors m0[lo:hi], as
+        (priors x paths) arrays: whether it is a high type, and its trade
+        period, -1 for no sale."""
         if self.u_type is not None:
             is_high = self.u_type < self.m0[lo:hi, None]
         else:
             is_high = np.full((hi - lo, len(self.later)), self.type_draw == "fixed_high")
-        return is_high, self.u0 >= self.accept0[lo:hi, None] if self.n else True
+        declines = self.u0 >= self.accept0[lo:hi, None] if self.n else True
+        # later, 0 or last by arithmetic on the masks, which beats np.where's
+        # branches on random masks
+        return is_high, (declines * self.later - self.last) * is_high + self.last
 
 
-def _play_paths(table: CutoffTable, m0: np.ndarray, type_draw: str, n_paths: int, seed: int):
-    """(is_high, trade_period, revenue, payoff) of every path at every prior
-    of m0, a 1-D array of priors of one delay class, each a (priors x paths)
-    array; see _ClassPaths."""
-    n = table.delay_class(m0[0])
-    paths = _ClassPaths(_Run(table, type_draw, n_paths, seed, n), m0, n)
-    is_high, declines = paths.masks(0, len(m0))
-    # later, 0 or last by arithmetic on the masks, which beats np.where's
-    # branches on random masks; -1 for no sale
-    trade_period = (declines * paths.later - paths.last) * is_high + paths.last
-    revenue = paths.revenue_at[trade_period]
-    # a low type pays its value; payoff_at is finite and at least +0.0, so
-    # the product is np.where(is_high, ..., 0.0) bit for bit, without its branches
-    payoff = paths.payoff_at[trade_period] * is_high
-    return is_high, trade_period, revenue, payoff
-
-
-def mean_revenues(table: CutoffTable, priors, n_paths: int, seed: int) -> np.ndarray:
-    """monte_carlo(table, m0, "prior", n_paths, seed).mean_revenue at every
-    prior m0 of a 1-D array, bit for bit.
-
-    All priors of one delay class read the same draws, and every class's
-    draws are a prefix of one stream, so the priors are grouped by class,
-    in any order, and each class is played once from one _Run.  Its
-    revenues, in units of v_high, are gathered in chunks of at most
-    PRIOR_BLOCK_SIZE (prior, path) cells, one select per cell: a high type
-    pays at its later period if it declines period 0, else at period 0, and
-    a low type at the last period.
-    """
-    _check_run("prior", n_paths)
-    m0 = belief(priors)
+def _play(table: CutoffTable, priors, type_draw: str, n_paths: int, seed: int):
+    """Play n_paths paths at every prior, a float or a 1-D array.  The
+    priors are grouped by delay class, in any order, and each class is
+    played once from one _Run; yields (rows, class step, is_high,
+    trade_period) for chunks of at most PRIOR_BLOCK_SIZE (prior, path)
+    cells, rows the chunk's indices into the priors."""
+    _check_run(type_draw, n_paths)
+    m0 = np.atleast_1d(belief(priors))
     if np.any(m0 == 1.0):
         raise ValueError("simulation starts from a prior below 1")
     n = table.classes(m0)
@@ -335,20 +318,26 @@ def mean_revenues(table: CutoffTable, priors, n_paths: int, seed: int) -> np.nda
     m0, n = m0[order], n[order]
     starts = np.flatnonzero(np.diff(n, prepend=-1))
     stops = np.append(starts[1:], len(m0))
-    run = _Run(table, "prior", n_paths, seed, int(n.max(initial=0)))
-    v_high = table.params.v_high
+    run = _Run(table, type_draw, n_paths, seed, int(n.max(initial=0)))
     chunk = max(1, PRIOR_BLOCK_SIZE // n_paths)
-    out = np.empty(len(m0))
     for lo, hi in zip(starts.tolist(), stops.tolist()):
         paths = _ClassPaths(run, m0[lo:hi], int(n[lo]))
-        # the division is elementwise, so it commutes with the gather
-        r = paths.revenue_at / v_high
-        r_later, r_now, r_last = r[paths.later], r[0], r[paths.last]
+        if hi == len(m0):
+            del run  # every class is read: free the stream's prefix before the last gathers
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
-            is_high, declines = paths.masks(a - lo, b - lo)
-            cell = np.where(is_high, np.where(declines, r_later, r_now), r_last)
-            out[order[a:b]] = v_high * cell.mean(axis=1)
+            yield (order[a:b], paths, *paths.trade_periods(a - lo, b - lo))
+
+
+def mean_revenues(table: CutoffTable, priors, n_paths: int, seed: int) -> np.ndarray:
+    """monte_carlo(table, m0, "prior", n_paths, seed).mean_revenue at every
+    prior m0 of a 1-D array, bit for bit: the mean, in units of v_high, of
+    the revenue at each path's trade period."""
+    v_high = table.params.v_high
+    out = np.empty(len(priors))
+    for rows, paths, _, trade_period in _play(table, priors, "prior", n_paths, seed):
+        # the division is elementwise, so it commutes with the gather
+        out[rows] = v_high * (paths.revenue_at / v_high)[trade_period].mean(axis=1)
     return out
 
 
@@ -369,20 +358,20 @@ def monte_carlo(
     of iter_paths, bit for bit, played as arrays; the summary carries them
     in `paths`.  Identical seeds reproduce the summary bit for bit.
     """
-    _check_run(type_draw, n_paths)
-    m0 = belief(mu0)
-    if m0 == 1.0:
-        raise ValueError("simulation starts from a prior below 1")
-    paths = PathArrays(*(rows[0] for rows in _play_paths(table, np.array([m0]), type_draw,
-                                                          n_paths, seed)))
-    revenue, payoff, is_high = paths.revenue, paths.payoff, paths.is_high
+    ((_, paths, is_high, trade_period),) = _play(table, mu0, type_draw, n_paths, seed)
+    is_high, trade_period = is_high[0], trade_period[0]
+    revenue = paths.revenue_at[trade_period]
+    # a low type pays its value; payoff_at is finite and at least +0.0, so
+    # the product is np.where(is_high, ..., 0.0) bit for bit, without its branches
+    payoff = paths.payoff_at[trade_period] * is_high
+    del paths  # the class step's per-path numbers, before the summary's arrays
 
     # in units of v_high, so squaring revenues near the float64 floor cannot
     # underflow, and neither sums nor squares near its maximum overflow
     v_high = table.params.v_high
     r = revenue / v_high
     se = float(v_high * r.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    counts = np.bincount(paths.trade_period + 1)  # index 0 counts the no-sale paths
+    counts = np.bincount(trade_period + 1)  # index 0 counts the no-sale paths
     seen = np.flatnonzero(counts)
     return MonteCarloSummary(
         n_paths=n_paths,
@@ -392,5 +381,5 @@ def monte_carlo(
         mean_rent_low=float(_mean_in_v_high(payoff[~is_high], v_high)) if (~is_high).any() else 0.0,
         trade_time_histogram=dict(zip((seen - 1).tolist(), counts[seen].tolist())),
         seed=seed,
-        paths=paths,
+        paths=PathArrays(is_high, trade_period, revenue, payoff),
     )

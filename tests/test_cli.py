@@ -1,9 +1,12 @@
 import contextlib
+import copy
 import csv
 import io
 import json
 import math
+import tempfile
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -707,6 +710,127 @@ def test_bad_config_exit_2(tmp_path, capsys):
         assert run("solve", "--config", cfg, "--out", tmp_path) == 2, text
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), text
+
+
+# a value of any JSON type but a number, or but a string
+_NOT_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=5),
+                        st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+_NOT_STRING = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.lists(st.text(max_size=3), max_size=2))
+# JSON writes these as NaN and +-Infinity, which json.load reads back
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# a JSON float is no integer, 11.0 included
+_NOT_INT = st.one_of(_NOT_NUMBER, _NOT_FINITE, st.floats(allow_nan=False, allow_infinity=False))
+_NOT_OBJECT = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.text(max_size=5), st.lists(st.integers(), max_size=2))
+# one past the most float64 elements a numpy array can hold
+_TOO_MANY = 2**60
+_GOOD_CONFIG = {"params": {"v_low": 1.0, "v_high": 2.0, "delta": 0.8, "mu0": 0.3},
+                "grid_n": 11, "mc_paths": 10, "seed": 0,
+                "tolerances": {"deviation_gap": 1e-9}}
+# every config key of a solve run and the values that break its rule, the
+# rules written out here apart from the code that enforces them
+_BAD_CONFIG_VALUES = {
+    # an object of the four market keys only
+    ("params",): st.one_of(_NOT_OBJECT, st.dictionaries(
+        st.text(max_size=5).filter(lambda k: k not in cli.PARAM_KEYS), st.integers(),
+        min_size=1, max_size=2).map(lambda extra: {**_GOOD_CONFIG["params"], **extra})),
+    # a finite number in [0, v_high = 2)
+    ("params", "v_low"): st.one_of(_NOT_NUMBER, _NOT_FINITE, st.floats(max_value=-5e-324),
+                                   st.floats(min_value=2.0)),
+    # a finite number above v_low = 1
+    ("params", "v_high"): st.one_of(_NOT_NUMBER, _NOT_FINITE, st.floats(max_value=1.0)),
+    # a number in (0, 1)
+    ("params", "delta"): st.one_of(_NOT_NUMBER, _NOT_FINITE, st.floats(max_value=0.0),
+                                   st.floats(min_value=1.0)),
+    # a finite belief within 1e-12 of [0, 1], and below 1 for solve
+    ("params", "mu0"): st.one_of(_NOT_NUMBER, _NOT_FINITE,
+                                 st.floats(max_value=-1e-12, exclude_max=True),
+                                 st.floats(min_value=1.0)),
+    # integers from 2, and from 1, each below 2^60
+    ("grid_n",): st.one_of(_NOT_INT, st.integers(max_value=1), st.integers(min_value=_TOO_MANY)),
+    ("mc_paths",): st.one_of(_NOT_INT, st.integers(max_value=0),
+                             st.integers(min_value=_TOO_MANY)),
+    # a non-negative integer
+    ("seed",): st.one_of(_NOT_INT, st.integers(max_value=-1)),
+    # an object of deviation_gap only, a positive finite number
+    ("tolerances",): st.one_of(_NOT_OBJECT, st.just({"deviation_gap": 1e-9, "gap": 1e-9})),
+    ("tolerances", "deviation_gap"): st.one_of(_NOT_NUMBER, _NOT_FINITE,
+                                               st.floats(max_value=0.0)),
+    ("output_dir",): _NOT_STRING,
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_BAD_CONFIG_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), _BAD_CONFIG_VALUES[key])))
+@example((("params",), {**_GOOD_CONFIG["params"], "a\nb": 1}))  # a key's name stays on one line
+def test_bad_config_value_exit_2(case):
+    # one config value of the wrong JSON type or against its key's rule:
+    # exit 2 with one error line, before anything is written
+    key, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = copy.deepcopy(_GOOD_CONFIG)
+        cfg["output_dir"] = str(Path(tmp) / "out")
+        (cfg[key[0]] if len(key) == 2 else cfg)[key[-1]] = value
+        (Path(tmp) / "cfg.json").write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["solve", "--config", str(Path(tmp) / "cfg.json")])
+        lines = err.getvalue().splitlines()
+        assert code == 2, (key, value)
+        assert len(lines) == 1 and lines[0].startswith("error:"), (key, value, lines)
+        assert [p.name for p in Path(tmp).iterdir()] == ["cfg.json"], (key, value)
+
+
+@pytest.mark.parametrize("value", [2**60, 2**63 - 1])
+@pytest.mark.parametrize("command, flag, key", [
+    ("solve", "--grid", "grid_n"), ("sweep", "--grid", "grid_n"),
+    ("simulate", "--paths", "mc_paths"), ("sweep", "--sweep-paths", None)])
+def test_oversize_count_exit_2(tmp_path, capsys, command, flag, key, value):
+    # no float64 array holds 2^60 elements: such a count is refused with one
+    # line, by flag or by config, before any run starts or any file is written
+    market = {"v_low": 1.0, "v_high": 2.0, "delta": 0.8, "mu0": 0.5}
+    runs = [(*chain.from_iterable((f"--{k.replace('_', '-')}", v) for k, v in market.items()),
+             flag, value)]
+    if key is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": market, key: value}))
+        runs.append(("--config", cfg))
+    for args in runs:
+        assert run(command, *args, "--out", tmp_path / "out") == 2, args
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "at most" in err[0], err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--v-low", "1", "--v-high", "2", "--delta", "0.8", "--mu0", "0.5", "--paths", "abc"],
+    ["solve", "--v-low", "1", "--v-high", "2", "--delta", "0.8", "--mu0", "0.5", "--bogus", "1"],
+    [],  # no subcommand
+    # argparse reads a negative number in exponent form as an option
+    ["solve", "--v-low", "-1e-5", "--v-high", "2", "--delta", "0.8", "--mu0", "0.5"],
+])
+def test_usage_errors_exit_2(capsys, argv):
+    # a usage error is bad input: one error line and exit 2, not argparse's
+    # usage text and SystemExit
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert captured.out == ""
+
+
+def test_help_and_negative_exponent_forms(tmp_path, capsys):
+    # --help still exits 0; a negative value in exponent form parses when
+    # joined to its flag by "=": mu0 = -1e-13 clamps to prior 0
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0 and "--paths" in capsys.readouterr().out
+    assert run("solve", "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0=-1e-13",
+               "--grid", 11, "--out", tmp_path) == 0
+    assert json.loads((tmp_path / "mechanism.json").read_text())["prior"] == 0.0
 
 
 def test_unwritable_paths_csv_exit_2(tmp_path, capsys):

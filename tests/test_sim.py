@@ -240,6 +240,20 @@ def test_array_kernel_matches_path_oracle(args):
             assert got.payoff.tolist() == [r.discounted_buyer_payoff for r in recs], case
 
 
+def _played(table, priors, type_draw, n_paths, seed):
+    """(is_high, trade_period, revenue, payoff) of every path at every prior,
+    each a (priors x paths) array, put together from the chunks sim._play
+    yields; revenue and payoff are read by trade period as monte_carlo
+    reads them."""
+    rows = [np.empty((len(priors), n_paths), dtype) for dtype in (bool, np.intp, float, float)]
+    for idx, paths, is_high, trade_period in sim._play(table, priors, type_draw, n_paths, seed):
+        played = (is_high, trade_period, paths.revenue_at[trade_period],
+                  paths.payoff_at[trade_period] * is_high)
+        for out, got in zip(rows, played):
+            out[idx] = got
+    return rows
+
+
 def _count_draws(monkeypatch):
     """Patch numpy's PCG64 and Generator to count bit-generator seedings and
     advances, and to record the size of every uniform draw."""
@@ -329,7 +343,7 @@ def test_class_kernel_matches_per_prior_runs(monkeypatch, args):
         for type_draw in ("prior", "fixed_high", "fixed_low"):
             for block in (sim.DRAW_BLOCK_SIZE, 5):
                 monkeypatch.setattr(sim, "DRAW_BLOCK_SIZE", block)
-                rows = sim._play_paths(table, priors, type_draw, 300, seed=3)
+                rows = _played(table, priors, type_draw, 300, seed=3)
                 monkeypatch.undo()
                 for i, m0 in enumerate(priors.tolist()):
                     one = monte_carlo(table, m0, type_draw, 300, seed=3).paths
@@ -411,7 +425,7 @@ def test_subnormal_prior_with_v_low_0_trades_at_once():
     table = compute_cutoffs(MarketParams(0.0, 1.0, 0.9))
     priors = np.array([5e-324, 1e-310, 0.3])
     for type_draw in ("prior", "fixed_high"):
-        rows = sim._play_paths(table, priors, type_draw, 50, seed=2)
+        rows = _played(table, priors, type_draw, 50, seed=2)
         for i, m0 in enumerate(priors.tolist()):
             recs = list(iter_paths(table, m0, type_draw, 50, seed=2))
             assert rows[1][i].tolist() == [
