@@ -1,4 +1,5 @@
-"""Problem primitives: market parameters and belief handling."""
+"""Problem primitives: market parameters and the belief rule, a probability
+in [0, 1] exactly."""
 from __future__ import annotations
 
 import math
@@ -6,35 +7,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Bayes updates accumulate rounding; beliefs this far outside [0, 1] clamp to it.
-BELIEF_TOL = 1e-12
-
 
 def belief(value):
-    """Validate a probability weight on the high valuation.
-
-    Values in [-1e-12, 0) or (1, 1 + 1e-12] are clamped to the endpoint;
-    anything further outside [0, 1] is rejected.  Interior values pass
-    unchanged, however close to an endpoint: cutoffs can lie there.  A
-    scalar comes back as a float, a 1-D array of weights as a float array.
+    """Validate a probability weight on the high valuation: NaN and a value
+    outside [0, 1] by any amount are rejected, and values close to an
+    endpoint pass unchanged: cutoffs can lie there.  A scalar comes back as
+    a float (-0.0 as 0.0), an array of weights as a new float array.
     """
-    if not (isinstance(value, (float, int)) or np.ndim(value) == 0):
-        v = np.asarray(value, dtype=float)
-        if v.size:
-            # the scalar rule rejects NaN and the extremes outside the tolerance
-            belief(float(v.min()))
-            belief(float(v.max()))
-        return np.clip(v, 0.0, 1.0)
-    v = float(value)
-    if math.isnan(v):
-        raise ValueError("belief must be a number, got NaN")
-    if v < -BELIEF_TOL or v > 1.0 + BELIEF_TOL:
-        raise ValueError(f"belief {value!r} lies outside [0, 1]")
-    if v <= 0.0:
-        return 0.0
-    if v >= 1.0:
-        return 1.0
-    return v
+    v = np.array(value, dtype=float)
+    # NaN fails both tests; initial= lets an empty array pass
+    if not (v.min(initial=0.0) >= 0.0 and v.max(initial=1.0) <= 1.0):
+        first = float(v[~((v >= 0.0) & (v <= 1.0))].flat[0])  # one line for an array too
+        raise ValueError(f"belief {first!r} lies outside [0, 1]")
+    return float(v) + 0.0 if v.ndim == 0 else v
 
 
 @dataclass(frozen=True)

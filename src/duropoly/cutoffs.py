@@ -100,9 +100,9 @@ class CutoffTable:
         formed from the scalar delta**k bit for bit.  Zero when v_low = 0,
         where that sale never happens."""
         if self.degenerate:
-            return _read_only(np.zeros(len(self.cutoffs)))
+            return _read_only(np.zeros(len(self.odds)))
         d = self.params.delta
-        return _read_only(np.asarray([d**k for k in range(len(self.cutoffs))]))
+        return _read_only(np.asarray([d**k for k in range(len(self.odds))]))
 
     @cached_property
     def rents(self) -> np.ndarray:
@@ -164,10 +164,12 @@ def compute_cutoffs(p: MarketParams) -> CutoffTable:
     Starts from z_0 = 0 and z_1 = r / (1 - r), r = v_low / v_high, and runs
     the odds recurrence of the module docstring, on (z, b) times SCALE.  The
     chain stops when the next odds are not above the last or exceed
-    ODDS_TOP, which covers a NaN too; CutoffTable places the cutoffs.  The
-    table is then cut at the first belief tie.  A chain that would pass
-    MAX_CUTOFFS entries raises ValueError, as does a ratio that underflows
-    to 0, or a market where class 1's posted price rounds onto v_low.
+    ODDS_TOP, which covers a NaN too, and when delta^n (1 - r) underflows
+    to 0, as it does at n = 1 for a subnormal delta; CutoffTable places
+    the cutoffs.  The table is then cut at the first belief tie.  A chain
+    that would pass MAX_CUTOFFS entries raises ValueError, as does a ratio
+    that underflows to 0, or a market where class 1's posted price rounds
+    onto v_low.
 
     With v_low = 0 the chain stops at once on the table (0, 0), with zero
     odds and intercepts: every positive prior then delays at posterior 0
@@ -187,8 +189,8 @@ def compute_cutoffs(p: MarketParams) -> CutoffTable:
     top = ODDS_TOP * SCALE
     while True:
         n = len(z) - 1
-        z_next = (z[n] + b[n]) / (d**n * (1.0 - r))
-        if not z[n] < z_next <= top:
+        step = d**n * (1.0 - r)
+        if not step or not z[n] < (z_next := (z[n] + b[n]) / step) <= top:
             break
         if len(z) >= MAX_CUTOFFS:
             raise ValueError(

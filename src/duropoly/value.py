@@ -51,8 +51,7 @@ def eval_R(table: CutoffTable, mu_prime, mu0):
 def seller_revenue(table: CutoffTable, mu0):
     """Equilibrium revenue R(mu0, mu0); exactly mu0 * v_high when v_low = 0.
     A scalar prior gives a float, a 1-D array of priors an array."""
-    m0 = belief(mu0)
-    return eval_R(table, m0, m0)
+    return eval_R(table, mu0, mu0)
 
 
 def buyer_rent(table: CutoffTable, mu0):

@@ -91,8 +91,8 @@ def _in_domain(command, v_low, v_high, delta, mu0):
     from the code that enforces them."""
     if not all(math.isfinite(x) for x in (v_low, v_high, delta, mu0)):
         return False
-    # beliefs within 1e-12 of [0, 1] clamp to it; solve and simulate need mu0 < 1
-    prior_ok = -1e-12 <= mu0 <= 1.0 + 1e-12 and (command in ("verify", "sweep") or mu0 < 1.0)
+    # a belief in [0, 1]; solve and simulate need mu0 < 1
+    prior_ok = 0.0 <= mu0 <= 1.0 and (command in ("verify", "sweep") or mu0 < 1.0)
     if not (0.0 <= v_low < v_high and 0.0 < delta < 1.0 and prior_ok):
         return False
     return v_low == 0.0 or v_low / v_high > 0.0  # the ratio must not round to 0
@@ -153,6 +153,47 @@ def test_long_cutoff_chains_run(tmp_path, args):
         rent = p["--delta"] ** mech["n"] * (v_high - v_low)
         gap = (v_high - mech["posted_price"]["price"]) - rent
         assert abs(gap) <= 1e-12 * v_high
+
+
+@pytest.mark.parametrize("v_low, v_high, delta", [(1.0, 2.0, 5e-324), (0.99999, 1.0, 1e-320)])
+def test_subnormal_delta_ends_the_chain_after_class_1(tmp_path, v_low, v_high, delta):
+    # delta (1 - r) underflows to 0, which means infinite next odds: the
+    # chain ends after class 1, as it does where the division overflows
+    market = ("--v-low", v_low, "--v-high", v_high, "--delta", delta, "--mu0", 0.5)
+    for command in ("solve", "verify", "simulate", "sweep"):
+        assert run(command, *market, "--out", tmp_path) == 0, command
+    assert json.loads((tmp_path / "cutoffs.json").read_text())["cutoffs"] == [0.0, v_low / v_high]
+    assert json.loads((tmp_path / "verify_report.json").read_text())["max_gap"] == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    ratio=st.one_of(st.just(0.0), st.floats(1e-3, 0.99)),
+    delta=st.floats(5e-324, 0.999),
+    mu0=st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(ratio=0.5, delta=5e-324, mu0=0.5)
+def test_in_domain_flags_run(tmp_path_factory, ratio, delta, mu0):
+    # every market and prior of the domain solves, verifies and simulates:
+    # exit 0, strictly increasing cutoffs (the table (0, 0) when v_low = 0),
+    # the posted price v_high - delta^n dv (v_high when v_low = 0), and a
+    # fixed high type's mean rent equal to delta^n dv.  Fixed types take no
+    # 3-standard-error check, so no run fails by chance.
+    v_high = 2.0
+    v_low = ratio * v_high
+    out = tmp_path_factory.mktemp("in-domain")
+    market = [f"--v-low={v_low!r}", f"--v-high={v_high!r}", f"--delta={delta!r}",
+              f"--mu0={mu0!r}", "--out", str(out)]
+    assert main(["solve", *market, "--grid", "11"]) == 0
+    cuts = json.loads((out / "cutoffs.json").read_text())["cutoffs"]
+    assert cuts == [0.0, 0.0] if v_low == 0.0 else all(a < b for a, b in zip(cuts, cuts[1:]))
+    mech = json.loads((out / "mechanism.json").read_text())
+    rent = delta ** mech["n"] * (v_high - v_low) if v_low > 0.0 else 0.0
+    assert abs(v_high - mech["posted_price"]["price"] - rent) <= 1e-12 * v_high
+    assert main(["verify", *market, "--grid", "101"]) == 0
+    assert main(["simulate", *market, "--type-draw", "fixed_high", "--paths", "50"]) == 0
+    mean_rent = json.loads((out / "simulation.json").read_text())["mean_rent_high"]
+    assert abs(mean_rent - rent) <= 1e-12 * v_high
 
 
 def test_largest_prior_below_1_gets_its_class(tmp_path):
@@ -744,9 +785,8 @@ _BAD_CONFIG_VALUES = {
     # a number in (0, 1)
     ("params", "delta"): st.one_of(_NOT_NUMBER, _NOT_FINITE, st.floats(max_value=0.0),
                                    st.floats(min_value=1.0)),
-    # a finite belief within 1e-12 of [0, 1], and below 1 for solve
-    ("params", "mu0"): st.one_of(_NOT_NUMBER, _NOT_FINITE,
-                                 st.floats(max_value=-1e-12, exclude_max=True),
+    # a finite belief in [0, 1], and below 1 for solve
+    ("params", "mu0"): st.one_of(_NOT_NUMBER, _NOT_FINITE, st.floats(max_value=-5e-324),
                                  st.floats(min_value=1.0)),
     # integers from 2, and from 1, each below 2^60
     ("grid_n",): st.one_of(_NOT_INT, st.integers(max_value=1), st.integers(min_value=_TOO_MANY)),
@@ -766,6 +806,7 @@ _BAD_CONFIG_VALUES = {
 @given(st.sampled_from(sorted(_BAD_CONFIG_VALUES)).flatmap(
     lambda key: st.tuples(st.just(key), _BAD_CONFIG_VALUES[key])))
 @example((("params",), {**_GOOD_CONFIG["params"], "a\nb": 1}))  # a key's name stays on one line
+@example((("params", "mu0"), -1e-13))  # no belief outside [0, 1] is clamped onto it
 def test_bad_config_value_exit_2(case):
     # one config value of the wrong JSON type or against its key's rule:
     # exit 2 with one error line, before anything is written
@@ -824,13 +865,15 @@ def test_usage_errors_exit_2(capsys, argv):
 
 def test_help_and_negative_exponent_forms(tmp_path, capsys):
     # --help still exits 0; a negative value in exponent form parses when
-    # joined to its flag by "=": mu0 = -1e-13 clamps to prior 0
+    # joined to its flag by "=", and then mu0 = -1e-13 breaks the belief rule
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--help"])
     assert exc.value.code == 0 and "--paths" in capsys.readouterr().out
     assert run("solve", "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0=-1e-13",
-               "--grid", 11, "--out", tmp_path) == 0
-    assert json.loads((tmp_path / "mechanism.json").read_text())["prior"] == 0.0
+               "--grid", 11, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: belief -1e-13 lies outside [0, 1]"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_unwritable_paths_csv_exit_2(tmp_path, capsys):

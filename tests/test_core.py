@@ -59,9 +59,19 @@ def test_surplus_identity(p08, table08):
 
 
 def test_belief_clamps_near_endpoints():
-    assert belief(-5e-13) == 0.0
-    assert belief(1.0 + 5e-13) == 1.0
+    # nothing is clamped: a value outside [0, 1] by any amount is rejected,
+    # alone or inside an array, and values in [0, 1] pass unchanged
+    for bad in (-5e-13, 1.0 + 5e-13, np.nan):
+        for value in (bad, np.array([0.5, bad]), [0.0, bad, 1.0]):
+            with pytest.raises(ValueError):
+                belief(value)
     assert belief(0.3) == 0.3
+    assert belief(5e-324) == 5e-324 and belief(np.nextafter(1.0, 0.0)) < 1.0
+    zero = belief(-0.0)
+    assert type(zero) is float and zero == 0.0 and not np.signbit(zero)
+    priors = np.array([0.0, 0.25, 1.0])
+    checked = belief(priors)
+    assert checked is not priors and np.array_equal(checked, priors)
 
 
 def test_belief_rejects_out_of_range():
@@ -71,6 +81,12 @@ def test_belief_rejects_out_of_range():
         belief(1.001)
     with pytest.raises(ValueError):
         belief(float("nan"))
+
+
+def test_belief_error_names_one_value():
+    # an array's error is one line naming its first value outside [0, 1]
+    with pytest.raises(ValueError, match=r"^belief -1\.0 lies outside \[0, 1\]$"):
+        belief(np.linspace(-1.0, 1.0, 101))
 
 
 def test_params_validation():

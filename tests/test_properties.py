@@ -61,12 +61,14 @@ def test_equilibrium_holds_over_the_domain(ratio, delta, mu0, mu_prime):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     ratio=st.one_of(st.just(0.0), st.floats(5e-324, 0.99)),
-    delta=st.floats(0.01, 0.99999),
+    # delta down to the least subnormal, where delta (1 - r) underflows to 0
+    delta=st.one_of(st.floats(0.01, 0.99999), st.floats(5e-324, 0.01)),
 )
 @example(ratio=5e-324, delta=0.99999)
 @example(ratio=0.99, delta=0.99999)
 @example(ratio=0.99, delta=0.01)
 @example(ratio=0.0, delta=0.5)
+@example(ratio=0.5, delta=5e-324)
 def test_table_invariants_over_the_domain(ratio, delta):
     table = compute_cutoffs(MarketParams(ratio * V_HIGH, V_HIGH, delta))
     z, c = table.odds, table.cutoff_array

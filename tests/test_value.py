@@ -40,7 +40,7 @@ def test_eval_R_pole(table08):
 
 @pytest.mark.parametrize("bad", [-1e-13, 1.0 + 1e-13])
 def test_eval_R_rejects_posteriors_outside_0_1(table08, tabledeg, bad):
-    # strictly: belief()'s 1e-12 clamp does not apply to posteriors
+    # the same strict rule as belief()'s, under eval_R's own message
     for table in (table08, tabledeg):
         for mu_prime in (bad, np.array([0.5, bad]), np.array([[bad]])):
             with pytest.raises(ValueError, match=r"posterior outside \[0, 1\]"):
