@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -66,8 +65,8 @@ def _json_text(data) -> str:
     indented layout; every scalar goes into one list that one call of the
     C encoder renders, split on its item separator "\\x1e" (JSON escapes
     every control character, so no rendered scalar holds it).  A list of
-    scalars, or of flat dicts with one key order, is rendered from one row
-    template rather than item by item."""
+    scalars, and a Columns table, are rendered from one row template rather
+    than item by item."""
     template: list[str] = []
     scalars: list = []
     _walk(data, "\n", template, scalars)
@@ -106,7 +105,19 @@ def _walk(o, nl: str, template: list, scalars: list) -> None:
         template.append(nl + "]")
 
 
-_CONTAINERS = (list, tuple, dict)
+@dataclass(frozen=True)
+class Columns:
+    """A JSON list of flat objects held as columns: object i maps keys[j] to
+    columns[j][i], the columns being equal-length 1-D arrays; with no keys
+    the list is empty.  Not a tuple, which _json_text renders as an array."""
+    keys: tuple[str, ...]
+    columns: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+
+_CONTAINERS = (list, tuple, dict, Columns)
 # the C encoder, which json.dumps uses only without an indent
 _encode_scalars = json.JSONEncoder(separators=("\x1e", ": ")).encode
 
@@ -123,24 +134,26 @@ def _flat(values) -> bool:
 
 def _row_template(items, nl: str, scalars: list) -> str | None:
     """The %-template of one item of a non-empty list whose items are all
-    scalars, or all flat dicts with one key order, its items' lines starting
-    at `nl`; their scalars are added to `scalars` in order.  None, adding
-    nothing, for any other list."""
+    scalars, or of a Columns table, its items' lines starting at `nl`; their
+    scalars are added to `scalars` in order.  None, adding nothing, for any
+    other list."""
+    if isinstance(items, Columns):
+        scalars.extend(_row_major(items.columns))
+        inner = nl + "  "
+        return "{" + ",".join(f"{inner}{_json_key(k)}: %s" for k in items.keys) + nl + "}"
     if _flat(items):
         scalars.extend(items)
         return "%s"
-    if not all(issubclass(t, dict) for t in set(map(type, items))):
-        return None
-    orders = set(map(tuple, items))
-    if len(orders) != 1:
-        return None
-    values = list(itertools.chain.from_iterable(map(dict.values, items)))
-    if not _flat(values):
-        return None
-    (keys,) = orders
-    scalars.extend(values)
-    inner = nl + "  "
-    return "{" + ",".join(f"{inner}{_json_key(k)}: %s" for k in keys) + nl + "}" if keys else "{}"
+    return None
+
+
+def _row_major(columns) -> list:
+    """The entries of equal-length 1-D arrays as Python scalars, row by row
+    (each column keeps its own type: ints stay ints)."""
+    values = [None] * (len(columns) * len(columns[0]))
+    for j, col in enumerate(columns):
+        values[j::len(columns)] = col.tolist()
+    return values
 
 
 def _write_csv(path, header, row, columns, grid_n=None) -> None:
@@ -157,11 +170,8 @@ def _write_csv(path, header, row, columns, grid_n=None) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(columns[0]), CSV_BLOCK):
-            block = [col[lo:lo + CSV_BLOCK].tolist() for col in columns]
-            n_rows = len(block[0])
-            values = [None] * (len(block) * n_rows)  # the block's fields in row order
-            for j, col in enumerate(block):
-                values[j::len(block)] = col
+            values = _row_major([col[lo:lo + CSV_BLOCK] for col in columns])
+            n_rows = len(values) // len(columns)
             if grid_n is None:
                 lines = line * n_rows
             else:  # one block; the grid's lines past the columns' end keep their "\n" and go
@@ -285,13 +295,10 @@ def cmd_verify(cfg: RunConfig, table: CutoffTable) -> int:
     out = cfg.output_dir
     priors = np.linspace(0.01, 0.99, VERIFY_N_PRIORS)
     rep = deviation_scan(table, priors, tolerance=cfg.deviation_gap)
-    keys = ("prior", "worst_gap", "posterior_delay", "posterior_sale")
-    columns = (rep.prior, rep.worst_gap, rep.witness.posterior_delay, rep.witness.posterior_sale)
-    records = [dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))]
-    failures = [{"prior": r["prior"], "gap": r["worst_gap"], "witness_gain": gain,
-                 "kind": "deviation"}
-                for r, gain, ok in zip(records, rep.witness_gain.tolist(), rep.passed.tolist())
-                if not ok]
+    failing = np.flatnonzero(~rep.passed)
+    failures = [{"prior": prior, "gap": gap, "witness_gain": gain, "kind": "deviation"}
+                for prior, gap, gain in zip(*(col[failing].tolist() for col in
+                                              (rep.prior, rep.worst_gap, rep.witness_gain)))]
     max_gap = max(0.0, *rep.worst_gap.tolist())
     structure = structure_checks(table, grid_n=cfg.grid_n)
     if not structure.all_ok:
@@ -302,7 +309,9 @@ def cmd_verify(cfg: RunConfig, table: CutoffTable) -> int:
         "n_priors": len(priors),
         "max_gap": max_gap,
         "failures": failures,
-        "priors": records,
+        "priors": Columns(("prior", "worst_gap", "posterior_delay", "posterior_sale"),
+                          (rep.prior, rep.worst_gap, rep.witness.posterior_delay,
+                           rep.witness.posterior_sale)),
     }
     _write_json(out / "verify_report.json", report)
     print(f"verify: {len(priors)} priors, max gap {max_gap:.3e}, failures {len(failures)}")

@@ -191,11 +191,14 @@ def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
     priors = np.linspace(0.0, 1.0, grid_n)[:-1]
     split = equilibrium_split(table, priors)
     delay = split.posterior_delay
-    classed = table.classes(priors) >= 1
-    on_cutoffs = bool(np.isin(delay[classed], table.cutoff_array).all())
+    # classed priors' delay posteriors, each against the cutoff at its
+    # insertion point: exact membership (NaN and past the last cutoff: off)
+    cuts = table.cutoff_array
+    classed = np.compress(table.classes(priors) >= 1, delay)
+    on_cutoffs = bool(np.all(cuts.take(np.searchsorted(cuts, classed), mode="clip") == classed))
     # the monotone delay posterior concerns priors that actually delay
     delayed = split.q_delay == 0.0
-    path = delay[delayed]
+    path = np.compress(delayed, delay)
     monotone = bool(np.all(path[1:] >= path[:-1]))
     above = priors >= table.cutoffs[1]
     sells = (split.posterior_sale == 1.0) & (split.q_sale == 1.0)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from duropoly import cli, cutoffs, sim
+from duropoly import cli, cutoffs, sim, verify
 from duropoly.cli import main
 
 from helpers import SOLVE_CASES, misplaced_table, oracle_csv, solve_into
@@ -608,6 +609,26 @@ def test_json_artifacts_are_dumps_indent_2(tmp_path):
         assert text == json.dumps(json.loads(text), indent=2).encode("utf-8"), name
 
 
+def test_failing_verify_report_is_dumps_indent_2(monkeypatch, tmp_path):
+    # the failures list, deviation failures and a structure failure's nested
+    # report, is walked item by item and still writes json.dumps' bytes
+    split = verify.equilibrium_split
+
+    def broken(table, priors):
+        s = split(table, priors)
+        return dataclasses.replace(s, posterior_sale=np.nextafter(s.posterior_sale, 0.0))
+
+    monkeypatch.setattr(verify, "equilibrium_split", broken)
+    assert run("verify", "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.6,
+               "--config", Path(__file__).parent / "golden_tight_gap.json", "--out", tmp_path) == 1
+    text = (tmp_path / "verify_report.json").read_bytes()
+    report = json.loads(text)
+    kinds = [f["kind"] for f in report["failures"]]
+    assert kinds[-1] == "structure" and kinds.count("deviation") == len(kinds) - 1 > 0
+    assert not report["failures"][-1]["report"]["split_shape_ok"]
+    assert text == json.dumps(report, indent=2).encode("utf-8")
+
+
 _JSON_TEXT = st.text(st.one_of(st.sampled_from('%"[]{}\\,:\x1e\n'), st.characters()), max_size=6)
 _JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), _JSON_TEXT,
@@ -644,6 +665,43 @@ _JSON_TREES = st.recursive(_JSON_SCALARS, lambda children: st.one_of(
 @example(tree=[{"x": 1, "y": 2}, {"x": 3, "y": "\x1e"}, {"y": 4, "x": 5}])
 def test_json_text_is_dumps_indent_2(tree):
     assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+_COLUMN_KEYS = st.one_of(st.sampled_from(["%", "%s", '"', "\x1e", "é€😀", ""]), _JSON_TEXT)
+_COLUMN_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308]))
+
+
+@st.composite
+def _columns(draw):
+    """A Columns table of float columns: no keys, or up to four, over 0, 1
+    or several rows."""
+    keys = draw(st.lists(_COLUMN_KEYS, unique=True, max_size=4))
+    n = draw(st.sampled_from([0, 1, 2, 7]))
+    cols = [draw(st.lists(_COLUMN_FLOATS, min_size=n, max_size=n)) for _ in keys]
+    return cli.Columns(tuple(keys), tuple(np.array(c, dtype=float) for c in cols))
+
+
+def _as_dicts(tree):
+    """The tree with each Columns table as the list of dicts it stands for."""
+    if isinstance(tree, cli.Columns):
+        return [dict(zip(tree.keys, row)) for row in zip(*(c.tolist() for c in tree.columns))]
+    if isinstance(tree, dict):
+        return {k: _as_dicts(v) for k, v in tree.items()}
+    return [_as_dicts(v) for v in tree] if isinstance(tree, (list, tuple)) else tree
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tree=st.recursive(_columns(), lambda children: st.one_of(
+    st.lists(st.one_of(children, _JSON_SCALARS), max_size=3),
+    st.dictionaries(_JSON_TEXT, children, max_size=3),
+), max_leaves=4))
+@example(tree={"priors": cli.Columns(
+    ("%s", '"', "\x1e", "é€😀"),
+    tuple(np.array(c) for c in ([math.nan, 0.5], [math.inf, -math.inf], [-0.0, 5e-324],
+                                [1.7e308, 1.0])))})
+def test_json_text_of_columns_is_dumps_indent_2(tree):
+    assert cli._json_text(tree) == json.dumps(_as_dicts(tree), indent=2)
 
 
 @pytest.mark.parametrize("tree", [{1: 0}, {"a": {None: 0}}, [{2.5: 0}, {2.5: 1}],

@@ -229,12 +229,30 @@ def _reversed_delays(s):
     return d
 
 
+def _last_delay(value):
+    """An edit setting the highest delaying prior's delay posterior to `value`."""
+    def last_delay(s):
+        d = s.posterior_delay.copy()
+        d[np.flatnonzero(s.q_delay == 0.0)[-1]] = value
+        return d
+    return last_delay
+
+
+# (the flags the edit turns false, space-separated; the field; the edit)
 BROKEN_SPLITS = [
     ("delay_posteriors_on_cutoffs", "posterior_delay",
      lambda s: np.where(s.q_delay == 0.0, np.nextafter(s.posterior_delay, 1.0), s.posterior_delay)),
     ("delay_monotone", "posterior_delay", _reversed_delays),
     ("split_shape_ok", "posterior_sale",
      lambda s: np.where(s.q_delay == 0.0, np.nextafter(1.0, 0.0), s.posterior_sale)),
+    # belief 1 lies past the last cutoff, and stays in order
+    ("delay_posteriors_on_cutoffs", "posterior_delay", _last_delay(1.0)),
+    # NaN is no cutoff and breaks the order
+    ("delay_posteriors_on_cutoffs delay_monotone", "posterior_delay", _last_delay(np.nan)),
+    # -0.0 for posterior 0, cutoff 0 (tabledeg's cutoffs are [0.0, 0.0]),
+    # is on the cutoffs and in order: it breaks nothing
+    ("", "posterior_delay",
+     lambda s: np.where(s.posterior_delay == 0.0, -0.0, s.posterior_delay)),
 ]
 
 
@@ -242,15 +260,16 @@ BROKEN_SPLITS = [
 def test_structure_checks_catch_a_broken_split(monkeypatch, table08, table095, tabledeg,
                                                flag, field, edit):
     # each flag reads the split structure_checks computes: breaking one
-    # property turns that flag, and only that flag, false
+    # property turns that flag, and only that flag, false (a NaN breaks two)
     for t in (table08, table095, tabledeg):
-        if t.degenerate and flag == "delay_monotone":
+        if t.degenerate and edit is _reversed_delays:
             continue  # every delay posterior is 0: there is no order to break
         monkeypatch.setattr(verify, "equilibrium_split", _broken(field, edit))
         report = structure_checks(t, grid_n=1001)
         monkeypatch.undo()
         flags = {k: v for k, v in vars(report).items() if isinstance(v, bool)}
-        assert flags == {**dict.fromkeys(flags, True), flag: False}, (t.params, report)
+        assert flags == {**dict.fromkeys(flags, True), **dict.fromkeys(flag.split(), False)}, (
+            t.params, report)
 
 
 def test_array_split_equals_scalar_split(table08, table095, tabledeg):
