@@ -25,7 +25,6 @@ from .verify import deviation_scan, structure_checks
 
 SWEEP_DEFAULT_PATHS = 200
 VERIFY_N_PRIORS = 101
-MIN_SCAN_GRID = 101
 PARAM_KEYS = ("v_low", "v_high", "delta", "mu0")
 CONFIG_KEYS = ("params", "grid_n", "mc_paths", "seed", "tolerances", "output_dir")
 TOLERANCE_KEYS = ("deviation_gap",)
@@ -249,11 +248,6 @@ def _build_config(args) -> RunConfig:
         raise ValueError("tolerances must be positive")
     if cfg.seed < 0:
         raise ValueError(f"seed must be non-negative, got {cfg.seed}")
-    # the deviation scan needs no grid; this guards structure_checks' prior grid
-    if args.command == "verify" and cfg.grid_n < MIN_SCAN_GRID:
-        raise ValueError(
-            f"verify needs a grid of at least {MIN_SCAN_GRID} points, got {cfg.grid_n}"
-        )
     return cfg
 
 
@@ -300,7 +294,7 @@ def cmd_verify(cfg: RunConfig, table: CutoffTable) -> int:
                 for prior, gap, gain in zip(*(col[failing].tolist() for col in
                                               (rep.prior, rep.worst_gap, rep.witness_gain)))]
     max_gap = max(0.0, *rep.worst_gap.tolist())
-    structure = structure_checks(table, grid_n=cfg.grid_n)
+    structure = structure_checks(table)
     if not structure.all_ok:
         failures.append({"kind": "structure", "report": dataclasses.asdict(structure)})
 
@@ -417,8 +411,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--mu0", type=float, default=None)
     common.add_argument(
         "--grid", type=int, default=None,
-        help="points in solve's value table, verify's structure-check priors (at least 101) "
-             "and sweep's priors (default 1001); the deviation check uses no grid",
+        help="points in solve's value table and sweep's priors (default 1001); "
+             "verify, like simulate, reads no grid",
     )
     common.add_argument("--paths", type=int, default=None, help="Monte Carlo paths (default 100000)")
     common.add_argument("--seed", type=int, default=None)

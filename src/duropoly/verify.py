@@ -20,8 +20,10 @@ prior, where a split with posterior 1 reaches it.  A pass proves the
 equilibrium.  The scan runs in units of v_high, so it stays finite up to the
 float64 maximum.
 
-structure_checks calls equilibrium_split itself once, on its whole prior
-grid, and checks the split's shape as array expressions over it.
+structure_checks reads the chain itself: at every cutoff the two class
+lines meeting there must cross at its odds.  The split's shape (delay
+posteriors on cutoffs, in order, sales at posterior 1) is _class_split's
+definition, so the tests check it over the domain rather than verify.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from .core import belief, mu_bar_1
 from .cutoffs import CutoffTable
-from .mechanism import Split, _class_split, equilibrium_split
+from .mechanism import Split, _class_split
 from .value import _prior_odds
 
 RESIDUAL_TOL_PER_VHIGH = 1e-10
@@ -64,20 +66,12 @@ class DeviationReport:
 
 @dataclass(frozen=True)
 class StructureReport:
-    delay_posteriors_on_cutoffs: bool
-    delay_monotone: bool
-    split_shape_ok: bool
     cutoff_residuals_ok: bool
     max_cutoff_residual: float
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.delay_posteriors_on_cutoffs
-            and self.delay_monotone
-            and self.split_shape_ok
-            and self.cutoff_residuals_ok
-        )
+        return self.cutoff_residuals_ok
 
 
 def _upper_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
@@ -174,48 +168,21 @@ def deviation_scan(table: CutoffTable, priors, tolerance: float | None = None) -
     return DeviationReport(*fields[:5], witness=Split(*fields[5:]), tolerance=tol)
 
 
-def structure_checks(table: CutoffTable, grid_n: int = 1001) -> StructureReport:
-    """Structural sanity of the policy over a prior grid.
-
-    Checks that delay posteriors are always cutoffs, that the delay posterior
-    is nondecreasing in the prior, that sales happen at posterior 1 with
-    probability one while the delay posterior trades exactly when the prior
-    is below the first cutoff, and that at every cutoff the two class lines
-    meeting there cross at its odds: the indifference gap at z_{n+1},
+def structure_checks(table: CutoffTable) -> StructureReport:
+    """The chain's crossing residuals: at every cutoff the two class lines
+    meeting there cross at its odds.  The indifference gap at z_{n+1},
     (1 - delta)(delta^n (1 - r) z_{n+1} - z_n - b_n) / (1 + z_{n+1}) per
     unit of belief mass, stays below 1e-10 * v_high.  It reads the odds, not
     the cutoffs, which near belief 1 are rounded far coarser than 1e-10;
     CutoffTable derives each cutoff from its odds.
     """
     p = table.params
-    priors = np.linspace(0.0, 1.0, grid_n)[:-1]
-    split = equilibrium_split(table, priors)
-    delay = split.posterior_delay
-    # classed priors' delay posteriors, each against the cutoff at its
-    # insertion point: exact membership (NaN and past the last cutoff: off)
-    cuts = table.cutoff_array
-    classed = np.compress(table.classes(priors) >= 1, delay)
-    on_cutoffs = bool(np.all(cuts.take(np.searchsorted(cuts, classed), mode="clip") == classed))
-    # the monotone delay posterior concerns priors that actually delay
-    delayed = split.q_delay == 0.0
-    path = np.compress(delayed, delay)
-    monotone = bool(np.all(path[1:] >= path[:-1]))
-    above = priors >= table.cutoffs[1]
-    sells = (split.posterior_sale == 1.0) & (split.q_sale == 1.0)
-    exempt = table.degenerate & (priors == 0.0)  # belief 0 with v_low = 0 never trades
-    shape_ok = bool(np.all(delayed == above) and np.all(sells | ~above | exempt))
-
     # every cutoff's crossing residual at once, at v_high = 1
     z, b = table.odds, table.intercepts
     n = np.arange(1, len(z) - 1)
     gaps = (1.0 - p.delta) * (table.rents[n] * z[n + 1] - (z[n] + b[n])) / (1.0 + z[n + 1])
     max_residual = float(np.max(np.abs(gaps), initial=0.0))
-    residuals_ok = max_residual < RESIDUAL_TOL_PER_VHIGH
-
     return StructureReport(
-        delay_posteriors_on_cutoffs=on_cutoffs,
-        delay_monotone=monotone,
-        split_shape_ok=shape_ok,
-        cutoff_residuals_ok=residuals_ok,
+        cutoff_residuals_ok=max_residual < RESIDUAL_TOL_PER_VHIGH,
         max_cutoff_residual=max_residual * p.v_high,
     )

@@ -73,7 +73,7 @@ def test_criterion_2_deviation_scans():
     bad = misplaced_table(good, 2, 0.01)
     bad_rep = deviation_scan(bad, good.cutoffs[2] + 0.005)
     ok &= not bad_rep.passed
-    ok &= not structure_checks(bad, grid_n=201).cutoff_residuals_ok
+    ok &= not structure_checks(bad).cutoff_residuals_ok
     report(2, "no profitable one-shot deviation at 101 priors x 3 parameter "
               "sets; the perturbed table fails", ok)
 

@@ -1,7 +1,6 @@
 import contextlib
 import copy
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from duropoly import cli, cutoffs, sim, verify
+from duropoly import cli, cutoffs, sim
 from duropoly.cli import main
 
 from helpers import SOLVE_CASES, misplaced_table, oracle_csv, solve_into
@@ -292,12 +291,13 @@ def test_verify_failures_report_witness_gain(tmp_path, monkeypatch):
         assert f["witness_gain"] == deviation_scan(bad, f["prior"]).witness_gain
 
 
-def test_verify_small_grid_exit_2(tmp_path, capsys):
-    code = run("verify", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
-               "--mu0", 0.5, "--grid", 50, "--out", tmp_path)
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
+def test_verify_reads_no_grid(tmp_path):
+    # like simulate, verify takes --grid under the common rule and reads no grid
+    market = ("verify", "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.5)
+    assert run(*market, "--grid", 50, "--out", tmp_path) == 0
+    assert run(*market, "--out", tmp_path / "default") == 0
+    name = "verify_report.json"
+    assert (tmp_path / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
 
 
 @pytest.mark.parametrize("args", [
@@ -612,20 +612,19 @@ def test_json_artifacts_are_dumps_indent_2(tmp_path):
 def test_failing_verify_report_is_dumps_indent_2(monkeypatch, tmp_path):
     # the failures list, deviation failures and a structure failure's nested
     # report, is walked item by item and still writes json.dumps' bytes
-    split = verify.equilibrium_split
+    from duropoly import MarketParams, compute_cutoffs
 
-    def broken(table, priors):
-        s = split(table, priors)
-        return dataclasses.replace(s, posterior_sale=np.nextafter(s.posterior_sale, 0.0))
-
-    monkeypatch.setattr(verify, "equilibrium_split", broken)
+    bad = misplaced_table(compute_cutoffs(MarketParams(1.0, 2.0, 0.8)), 2, 0.01)
+    monkeypatch.setattr(cli, "compute_cutoffs", lambda params: bad)
     assert run("verify", "--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.6,
                "--config", Path(__file__).parent / "golden_tight_gap.json", "--out", tmp_path) == 1
     text = (tmp_path / "verify_report.json").read_bytes()
     report = json.loads(text)
     kinds = [f["kind"] for f in report["failures"]]
     assert kinds[-1] == "structure" and kinds.count("deviation") == len(kinds) - 1 > 0
-    assert not report["failures"][-1]["report"]["split_shape_ok"]
+    structure = report["failures"][-1]["report"]
+    assert list(structure) == ["cutoff_residuals_ok", "max_cutoff_residual"]
+    assert structure["cutoff_residuals_ok"] is False
     assert text == json.dumps(report, indent=2).encode("utf-8")
 
 
@@ -945,7 +944,7 @@ def test_unwritable_paths_csv_exit_2(tmp_path, capsys):
     assert not (tmp_path / "simulation.json").exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_oversize_grid_exit_2(tmp_path, capsys, command):
     # 10**15 float64 points is far past any address space: the allocation
     # fails at once, with nothing allocated

@@ -145,7 +145,7 @@ def test_every_chain_reaches_one(log_ratio, delta, prior):
     # last cutoff
     last, k = cuts[-1], len(cuts) - 1
     check_residuals(p, table)
-    assert structure_checks(table, grid_n=101).max_cutoff_residual <= 1e-10 * p.v_high
+    assert structure_checks(table).max_cutoff_residual <= 1e-10 * p.v_high
     for m in (0.0, prior, last, (1.0 + last) / 2.0, float(np.nextafter(1.0, 0.0))):
         n = table.delay_class(m)
         assert 0 <= n <= k and cuts[n] <= m

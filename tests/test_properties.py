@@ -1,5 +1,7 @@
 """Properties over the market domain: (v_low / v_high, delta, prior) drawn
 at random, with v_low = 0 among the ratios."""
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +13,9 @@ from duropoly import (
     buyer_rent,
     compute_cutoffs,
     deviation_scan,
+    equilibrium_split,
     eval_R,
+    mu_bar_1,
     posted_price_view,
 )
 
@@ -58,17 +62,19 @@ def test_equilibrium_holds_over_the_domain(ratio, delta, mu0, mu_prime):
     assert deviation_scan(table, mu0).passed
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(
-    ratio=st.one_of(st.just(0.0), st.floats(5e-324, 0.99)),
-    # delta down to the least subnormal, where delta (1 - r) underflows to 0
-    delta=st.one_of(st.floats(0.01, 0.99999), st.floats(5e-324, 0.01)),
-)
-@example(ratio=5e-324, delta=0.99999)
-@example(ratio=0.99, delta=0.99999)
-@example(ratio=0.99, delta=0.01)
-@example(ratio=0.0, delta=0.5)
-@example(ratio=0.5, delta=5e-324)
+def over_the_table_domain(test):
+    """100 derandomized (ratio, delta) markets and five corners, delta down
+    to the least subnormal, where delta (1 - r) underflows to 0."""
+    for ratio, delta in [(0.5, 5e-324), (0.0, 0.5), (0.99, 0.01), (0.99, 0.99999),
+                         (5e-324, 0.99999)]:
+        test = example(ratio=ratio, delta=delta)(test)
+    return settings(max_examples=100, deadline=None, derandomize=True)(given(
+        ratio=st.one_of(st.just(0.0), st.floats(5e-324, 0.99)),
+        delta=st.one_of(st.floats(0.01, 0.99999), st.floats(5e-324, 0.01)),
+    )(test))
+
+
+@over_the_table_domain
 def test_table_invariants_over_the_domain(ratio, delta):
     table = compute_cutoffs(MarketParams(ratio * V_HIGH, V_HIGH, delta))
     z, c = table.odds, table.cutoff_array
@@ -90,6 +96,36 @@ def test_table_invariants_over_the_domain(ratio, delta):
         assert prices[1] > p.v_low  # the guard in compute_cutoffs
         rent = np.asarray([delta**n * p.delta_v for n in range(1, len(prices))])
         assert np.all(np.abs(p.v_high - prices[1:] - rent) <= 2.3e-16 * p.v_high)
+
+
+@over_the_table_domain
+def test_split_shape_over_the_domain(ratio, delta):
+    # the two-point split the binding constraints force (Bester & Strausz
+    # 2001), at every cutoff, its float neighbours and a grid, in order
+    p = MarketParams(ratio * V_HIGH, V_HIGH, delta)
+    table = compute_cutoffs(p)
+    cuts = table.cutoff_array
+    priors = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101)[:-1], cuts,
+                                       np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)]))
+    s = equilibrium_split(table, priors)
+    # the prior's class by bisection: its own cutoff is the largest at or below it
+    k = np.asarray([bisect.bisect_right(table.cutoffs, m) - 1 for m in priors.tolist()])
+    delays = priors >= mu_bar_1(p)
+    assert np.array_equal(s.q_delay == 0.0, delays)
+    # a delaying prior falls to the cutoff below its own, and sells at 1
+    assert np.array_equal(s.posterior_delay[delays], cuts[k[delays] - 1])
+    assert np.all(np.diff(s.posterior_delay[delays]) >= 0.0)
+    sells = delays & (priors > 0.0)
+    assert np.all(s.posterior_sale[sells] == 1.0) and np.all(s.q_sale[sells] == 1.0)
+    if ratio == 0.0:  # but belief 0 never trades
+        assert priors[0] == 0.0 and s.weight_sale[0] == 0.0 and s.q_delay[0] == 0.0
+    # class 0 sells at the prior, without information
+    pool = ~delays
+    assert np.all(s.posterior_sale[pool] == priors[pool]) and np.all(s.weight_sale[pool] == 1.0)
+    assert np.all(s.q_sale[pool] == 1.0)
+    ws, wd = s.weight_sale, s.weight_delay
+    assert np.all((ws >= 0.0) & (wd >= 0.0)) and np.all(np.abs(ws + wd - 1.0) <= 1e-14)
+    assert np.all(np.abs(ws * s.posterior_sale + wd * s.posterior_delay - priors) <= 1e-14)
 
 
 @pytest.mark.parametrize("v_low, v_high, delta", [

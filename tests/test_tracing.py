@@ -34,7 +34,7 @@ def test_tracer_counts_one_simulate(tmp_path):
 def test_tracer_binds_array_calls(tmp_path):
     # sweep and verify pass whole prior arrays through the traced functions:
     # the sweep plays its priors by class, with no monte_carlo call, and
-    # structure_checks makes one equilibrium_split call
+    # verify checks the chain with no equilibrium_split call
     tracer = _load("tracing").Tracer()
     market = ["--v-low", "1", "--v-high", "2", "--delta", "0.8", "--mu0", "0.6"]
     jobs = [["sweep", *market, "--grid", "251"], ["verify", *market, "--grid", "1001"]]
@@ -46,7 +46,7 @@ def test_tracer_binds_array_calls(tmp_path):
     sweep, verify = (tracer.pass_metrics()[i] for i in range(2))
     assert sweep["sim.monte_carlo.calls"] == 0
     assert sweep["value.seller_revenue.calls"] == 1 and sweep["value.buyer_rent.calls"] == 1
-    assert verify["mechanism.equilibrium_split.calls"] == 1
+    assert verify["mechanism.equilibrium_split.calls"] == 0
     assert verify["verify.structure_checks.calls"] == 1
 
 
