@@ -97,7 +97,7 @@ def build_mechanism(table: CutoffTable, mu0: float) -> Mechanism:
     """
     m0 = belief(mu0)
     p = table.params
-    n = table.delay_class(m0)
+    n = int(table.classes(m0))  # m0 is checked: classes skips delay_class's second check
     if n == 0:
         if table.degenerate:  # belief 0 with v_low = 0: no trade
             return Mechanism(m0, 0, {"low": {0.0: 1.0}, "high": {0.0: 1.0}}, {0.0: 0.0}, {0.0: 0.0})

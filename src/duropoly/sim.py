@@ -19,6 +19,11 @@ expressions.  One driver, _play, groups priors by class, plays each class
 once from the one stream and yields the gather chunk by chunk: monte_carlo
 is its one-prior case, which reads revenue and payoff by trade period, and
 mean_revenues averages the revenue at each prior of a grid.
+Per-path selections on a random mask use ndarray.compress or arithmetic
+on the mask, never a boolean subscript or np.where, whose branch per element
+is slow on random masks; the same elements come out in the same order, so
+results stay bit for bit.  A low type pays its value, so every low path's
+payoff is +0.0 and mean_rent_low is 0 by construction.
 simulate_path and iter_paths play the same equilibrium one path at a time;
 they are the single-path reference the array kernel is tested against.
 """
@@ -286,8 +291,10 @@ class _ClassPaths:
             if not live.size:
                 break
             acc = u[live] < threshold
-            later[live[acc]] = t
-            live = live[~acc]
+            # compress picks the same elements as a boolean subscript, without
+            # its branch per element of a random mask
+            later[live.compress(acc)] = t
+            live = live.compress(~acc)
 
     def trade_periods(self, lo: int, hi: int):
         """(is_high, trade_period) of every path at the priors m0[lo:hi], as
@@ -341,13 +348,6 @@ def mean_revenues(table: CutoffTable, priors, n_paths: int, seed: int) -> np.nda
     return out
 
 
-def _mean_in_v_high(x: np.ndarray, v_high: float, axis=None):
-    """The mean of x taken in units of v_high, so that a sum of values
-    near the float64 maximum cannot overflow; bit for bit x.mean(axis) at a
-    power-of-two v_high."""
-    return v_high * (x / v_high).mean(axis=axis)
-
-
 def monte_carlo(
     table: CutoffTable, mu0: float, type_draw: str, n_paths: int, seed: int
 ) -> MonteCarloSummary:
@@ -366,19 +366,22 @@ def monte_carlo(
     payoff = paths.payoff_at[trade_period] * is_high
     del paths  # the class step's per-path numbers, before the summary's arrays
 
-    # in units of v_high, so squaring revenues near the float64 floor cannot
-    # underflow, and neither sums nor squares near its maximum overflow
+    # means in units of v_high, so squaring revenues near the float64 floor
+    # cannot underflow, and neither sums nor squares near its maximum overflow
     v_high = table.params.v_high
     r = revenue / v_high
     se = float(v_high * r.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    # the high types' payoffs in path order: compress picks the same elements
+    # as payoff[is_high], without its branch per element of a random mask
+    high = payoff.compress(is_high)
     counts = np.bincount(trade_period + 1)  # index 0 counts the no-sale paths
     seen = np.flatnonzero(counts)
     return MonteCarloSummary(
         n_paths=n_paths,
         mean_revenue=float(v_high * r.mean()),
         se_revenue=se,
-        mean_rent_high=float(_mean_in_v_high(payoff[is_high], v_high)) if is_high.any() else 0.0,
-        mean_rent_low=float(_mean_in_v_high(payoff[~is_high], v_high)) if (~is_high).any() else 0.0,
+        mean_rent_high=float(v_high * (high / v_high).mean()) if high.size else 0.0,
+        mean_rent_low=0.0,  # every low path's payoff is the product's +0.0
         trade_time_histogram=dict(zip((seen - 1).tolist(), counts[seen].tolist())),
         seed=seed,
         paths=PathArrays(is_high, trade_period, revenue, payoff),

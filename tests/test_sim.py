@@ -227,9 +227,11 @@ def test_array_kernel_matches_path_oracle(args):
         assert table.delay_class(priors[0]) == LONG_CLASS
     else:
         priors, n_paths = _class_priors(table), 200
+    v_high = table.params.v_high
     for m0 in priors:
         for type_draw in ("prior", "fixed_high", "fixed_low"):
-            got = monte_carlo(table, m0, type_draw, n_paths, seed=11).paths
+            summary = monte_carlo(table, m0, type_draw, n_paths, seed=11)
+            got = summary.paths
             recs = list(iter_paths(table, m0, type_draw, n_paths, seed=11))
             case = (m0, type_draw)
             assert got.is_high.tolist() == [r.buyer_type == "high" for r in recs], case
@@ -238,6 +240,13 @@ def test_array_kernel_matches_path_oracle(args):
             ], case
             assert got.revenue.tolist() == [r.discounted_revenue for r in recs], case
             assert got.payoff.tolist() == [r.discounted_buyer_payoff for r in recs], case
+            # the rents from the oracle's payoffs, the high types picked out in Python
+            h = [r.discounted_buyer_payoff for r in recs if r.buyer_type == "high"]
+            want_high = float(v_high * (np.array(h) / v_high).mean()) if h else 0.0
+            assert summary.mean_rent_high == want_high, case
+            low = [r.discounted_buyer_payoff for r in recs if r.buyer_type == "low"]
+            assert all(x == 0.0 and not np.signbit(x) for x in low), case
+            assert summary.mean_rent_low == 0.0 and not np.signbit(summary.mean_rent_low), case
 
 
 def _played(table, priors, type_draw, n_paths, seed):
