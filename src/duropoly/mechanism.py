@@ -8,7 +8,6 @@ import numpy as np
 
 from .core import belief
 from .cutoffs import SCALE, CutoffTable
-from .value import buyer_rent
 
 INDIFFERENCE_TOL = 1e-12
 
@@ -120,9 +119,11 @@ def build_mechanism(table: CutoffTable, mu0: float) -> Mechanism:
 def posted_price_view(m: Mechanism, table: CutoffTable) -> PostedPrice:
     """Read a mechanism as a take-it-or-leave-it price.
 
-    For n >= 1, checks the defining indifference v_high - price =
-    delta * rent(reject posterior) and that the low type strictly rejects;
-    a violation beyond 1e-12 * v_high raises MechanismConsistencyError.
+    For n >= 1, checks the defining indifference v_high - price = delta *
+    rent, the rent read by the reject posterior's class n - 1, not searched
+    by its belief, which can tie with the cutoff above it; and that the low
+    type strictly rejects.  A violation beyond 1e-12 * v_high raises
+    MechanismConsistencyError.
     Class 0 has no rejection on path: both types accept v_low.
     """
     p = table.params
@@ -134,7 +135,7 @@ def posted_price_view(m: Mechanism, table: CutoffTable) -> PostedPrice:
 
     reject_posterior = min(post for post in m.trade_prob if m.trade_prob[post] == 0.0)
     price = m.transfer[1.0]
-    gap = (p.v_high - price) - p.delta * buyer_rent(table, reject_posterior)
+    gap = (p.v_high - price) - p.delta * (table.discounts[m.n - 1] * p.delta_v)
     if abs(gap) > INDIFFERENCE_TOL * p.v_high:
         raise MechanismConsistencyError(
             f"high-type indifference off by {gap} at prior {m.prior}"
@@ -154,7 +155,8 @@ def check_binding_constraints(m: Mechanism, table: CutoffTable) -> ConstraintRes
     Participation of the low type:  sum_mu' beta(mu'|low) (v_low q - t).
     Truth-telling of the high type: sum_mu' (beta(mu'|high) - beta(mu'|low))
     times (v_high q + (1 - q) delta * rent(mu') - t), where rent is the
-    high type's continuation at the induced posterior.
+    high type's continuation at the induced posterior: at a no-trade
+    posterior, the rent of class n - 1 (class 0 for the null mechanism).
     """
     p = table.params
     support = sorted(set(m.trade_prob) | set(m.transfer))
@@ -166,6 +168,6 @@ def check_binding_constraints(m: Mechanism, table: CutoffTable) -> ConstraintRes
         b_low = m.device["low"].get(post, 0.0)
         b_high = m.device["high"].get(post, 0.0)
         pc += b_low * (p.v_low * q - t)
-        cont = 0.0 if q == 1.0 else p.delta * buyer_rent(table, post)
+        cont = 0.0 if q == 1.0 else p.delta * (table.discounts[max(m.n - 1, 0)] * p.delta_v)
         ic += (b_high - b_low) * (p.v_high * q + (1.0 - q) * cont - t)
     return ConstraintResiduals(participation_low=pc, truthtelling_high=ic)

@@ -69,10 +69,6 @@ class StructureReport:
     cutoff_residuals_ok: bool
     max_cutoff_residual: float
 
-    @property
-    def all_ok(self) -> bool:
-        return self.cutoff_residuals_ok
-
 
 def _upper_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
     """Indices of the upper concave hull's vertices (Andrew's monotone chain).

@@ -4,9 +4,10 @@ Everything here re-derives values from first principles (direct recursion on
 the split definition, the odds recurrence in 60-digit decimal arithmetic,
 sign scans, brute-force hulls) without touching the library's class lines,
 so a library bug cannot hide in its own oracle.  The exceptions are
-`decompose_R`, `rent_correspondence` and `misplaced_table` at the end:
-views of the library's own coefficients and rents that only the tests read,
-and the negative controls' deliberately wrong table.
+`decompose_R`, `rent_correspondence`, `uncut_table` and `misplaced_table`
+at the end: views of the library's own coefficients and rents that only the
+tests read, a table of the decimal chain with its belief ties kept, and the
+negative controls' deliberately wrong table.
 """
 from __future__ import annotations
 
@@ -319,6 +320,20 @@ def rent_correspondence(table, mu0: float) -> tuple[float, float]:
         return (p.delta**i * p.delta_v, p.delta ** (i - 1) * p.delta_v)
     r = buyer_rent(table, m0)
     return (r, r)
+
+
+def uncut_table(p):
+    """The table of the whole chain at market p, with no cut at a belief
+    tie: the decimal chain's odds and intercepts rounded to float, up to
+    the last entry with odds at most 2^53 - 1, the odds of 1 - 2^-53.
+    Where compute_cutoffs ends at the first tie, this table keeps the
+    classes above it, whose cutoffs repeat a float belief."""
+    n = 64
+    while (chain := exact_chain(p.v_low / p.v_high, p.delta, n)).odds[-1] <= 2**53 - 1:
+        n *= 2
+    odds = np.array([float(z) for z in chain.odds])
+    keep = odds <= 2.0**53 - 1.0
+    return CutoffTable(p, odds[keep], np.array([float(b) for b in chain.intercepts])[keep])
 
 
 def misplaced_table(table, n: int, shift: float):

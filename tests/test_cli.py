@@ -140,6 +140,8 @@ def test_out_of_domain_flags_exit_2(tmp_path_factory, command, v_low, v_high, de
      "--paths", 3000),
     # a subnormal ratio: 3,931 cutoffs, the chain run on odds scaled by 2^64
     ("solve", "--v-low", 1e-320, "--v-high", 1, "--delta", 0.9999, "--mu0", 0.5),
+    # the top float prior, 1 - 2^-53, in the table's top class
+    ("solve", "--v-low", 0.001, "--v-high", 1, "--delta", 0.999, "--mu0", 0.9999999999999999),
 ])
 def test_long_cutoff_chains_run(tmp_path, args):
     # chains of hundreds to thousands of cutoffs, each run to belief 1

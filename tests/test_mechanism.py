@@ -15,7 +15,7 @@ from duropoly import (
 )
 from duropoly.mechanism import Mechanism
 
-from helpers import SOLVE_CASES, solve_into
+from helpers import SOLVE_CASES, solve_into, uncut_table
 
 
 def test_split_no_delay(table08):
@@ -255,3 +255,22 @@ def test_high_rent_consistent_with_price(p08, table08):
             p08.delta * buyer_rent(table08, view.reject_posterior), abs=1e-14
         )
         assert n == table08.delay_class(view.reject_posterior) + 1
+
+
+@pytest.mark.parametrize("v_low, v_high, delta, top", [
+    (1e-3, 1.0, 0.999, 290),
+    (0.0195, 1.0, 0.998, 189),
+])
+def test_mechanism_on_tied_beliefs(v_low, v_high, delta, top):
+    # on the uncut chain, cutoffs near belief 1 repeat a float belief, so a
+    # reject posterior searched by its belief lands one class too high; read
+    # by its class, it prices the mechanism at every cutoff and at 1 - 2^-53
+    table = uncut_table(MarketParams(v_low, v_high, delta))
+    corner = 1.0 - 2.0**-53
+    assert table.delay_class(corner) == top == len(table.odds) - 1
+    for m0 in [*np.unique(table.cutoff_array).tolist(), corner]:
+        mech = build_mechanism(table, m0)
+        posted_price_view(mech, table)
+        res = check_binding_constraints(mech, table)
+        assert abs(res.participation_low) <= 1e-12 * v_high, m0
+        assert abs(res.truthtelling_high) <= 1e-12 * v_high, m0

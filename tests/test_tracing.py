@@ -7,6 +7,8 @@ import io
 import sys
 from pathlib import Path
 
+import pytest
+
 from duropoly import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -48,6 +50,22 @@ def test_tracer_binds_array_calls(tmp_path):
     assert sweep["value.seller_revenue.calls"] == 1 and sweep["value.buyer_rent.calls"] == 1
     assert verify["mechanism.equilibrium_split.calls"] == 0
     assert verify["verify.structure_checks.calls"] == 1
+
+
+@pytest.mark.parametrize("mu0", ["0.6", "0.3"])
+def test_solve_reads_the_reject_posterior_by_class(tmp_path, mu0):
+    # the mechanism prices its reject posterior by class, with no buyer_rent
+    # call or belief check: at class 1 (mu0 0.6) and class 0 (mu0 0.3) alike,
+    # solve's one buyer_rent call is the rent it prints
+    tracer = _load("tracing").Tracer()
+    tracer.begin_pass(0)
+    tracer.job = "0:0"
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["solve", "--v-low", "1", "--v-high", "2", "--delta", "0.8",
+                         "--mu0", mu0, "--out", str(tmp_path)]) == 0
+    metrics = tracer.pass_metrics()[0]
+    assert metrics["value.buyer_rent.calls"] == 1
+    assert metrics["core.belief.calls"] == 5
 
 
 def test_workload_jobs_pass_their_checks(tmp_path):
