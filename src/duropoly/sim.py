@@ -279,8 +279,8 @@ class _ClassPaths:
             return
         first = 1 if prior else 0  # column of the period-0 accept draw
         self.u0[rows] = draws[:, first]
-        if self.type_draw == "fixed_low":
-            return
+        if self.type_draw == "fixed_low" or self.n == 1:
+            return  # no high path to follow, or no period t >= 1 to test
         # the paths high and declining period 0 at some prior of m0
         live = self.u0[rows] >= self.accept0.min()
         if prior:
@@ -299,12 +299,17 @@ class _ClassPaths:
     def trade_periods(self, lo: int, hi: int):
         """(is_high, trade_period) of every path at the priors m0[lo:hi], as
         (priors x paths) arrays: whether it is a high type, and its trade
-        period, -1 for no sale."""
+        period, -1 for no sale.  In class 0 trade_period is one row, which
+        broadcasts over the priors."""
         if self.u_type is not None:
             is_high = self.u_type < self.m0[lo:hi, None]
         else:
             is_high = np.full((hi - lo, len(self.later)), self.type_draw == "fixed_high")
-        declines = self.u0 >= self.accept0[lo:hi, None] if self.n else True
+        if not self.n:
+            # every path trades in period last whatever the prior, so the
+            # gather and the mean of one row serve every prior
+            return is_high, self.later[None]
+        declines = self.u0 >= self.accept0[lo:hi, None]
         # later, 0 or last by arithmetic on the masks, which beats np.where's
         # branches on random masks
         return is_high, (declines * self.later - self.last) * is_high + self.last
@@ -343,7 +348,8 @@ def mean_revenues(table: CutoffTable, priors, n_paths: int, seed: int) -> np.nda
     v_high = table.params.v_high
     out = np.empty(len(priors))
     for rows, paths, _, trade_period in _play(table, priors, "prior", n_paths, seed):
-        # the division is elementwise, so it commutes with the gather
+        # the division is elementwise, so it commutes with the gather; a
+        # class-0 chunk's one row gives its priors one mean
         out[rows] = v_high * (paths.revenue_at / v_high)[trade_period].mean(axis=1)
     return out
 
