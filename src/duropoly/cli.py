@@ -6,13 +6,13 @@ Exit codes: 0 all checks pass, 1 a verification or acceptance check failed,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,8 @@ GRID_TEXT_SIZES = 4  # grid sizes whose text _grid_text keeps (each of at most C
 MC_ROUNDING_ULPS = 8
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
+    """One run's resolved settings; deviation_gap None is deviation_scan's default tolerance."""
     params: MarketParams
     mu0: float
     grid_n: int = 1001
@@ -256,7 +256,7 @@ def cmd_solve(cfg: RunConfig, table: CutoffTable) -> int:
     cuts = table.cutoff_array
     _write_csv(out / "cutoffs.csv", ["n", "mu_bar"], "%d," + F17, [np.arange(len(cuts)), cuts])
     _write_json(out / "cutoffs.json", {
-        **dataclasses.asdict(table.params),
+        **asdict(table.params),
         "cutoffs": list(table.cutoffs),
         "degenerate": table.degenerate,
     })
@@ -270,7 +270,7 @@ def cmd_solve(cfg: RunConfig, table: CutoffTable) -> int:
         "device": {report: list(dist.items()) for report, dist in mech.device.items()},
         "trade_prob": list(mech.trade_prob.items()),
         "transfer": list(mech.transfer.items()),
-        "posted_price": dataclasses.asdict(view),
+        "posted_price": view._asdict(),
     })
 
     grid = np.linspace(0.0, 1.0, cfg.grid_n)
@@ -296,10 +296,10 @@ def cmd_verify(cfg: RunConfig, table: CutoffTable) -> int:
     max_gap = max(0.0, *rep.worst_gap.tolist())
     structure = structure_checks(table)
     if not structure.cutoff_residuals_ok:
-        failures.append({"kind": "structure", "report": dataclasses.asdict(structure)})
+        failures.append({"kind": "structure", "report": structure._asdict()})
 
     report = {
-        "params": {**dataclasses.asdict(cfg.params), "mu0": cfg.mu0},
+        "params": {**asdict(cfg.params), "mu0": cfg.mu0},
         "n_priors": len(priors),
         "max_gap": max_gap,
         "failures": failures,

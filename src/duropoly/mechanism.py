@@ -2,7 +2,7 @@
 and the equivalent posted price."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ class MechanismConsistencyError(Exception):
     """The posted-price indifference identity failed beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     """Bayes-plausible two-point distribution over posteriors with a trade
     probability at each posterior."""
 
@@ -29,8 +28,7 @@ class Split:
     q_sale: float
 
 
-@dataclass(frozen=True)
-class Mechanism:
+class Mechanism(NamedTuple):
     """Canonical mechanism: report-indexed posterior distributions plus a
     deterministic allocation and transfer at each posterior."""
 
@@ -41,15 +39,15 @@ class Mechanism:
     transfer: dict  # {posterior: payment}
 
 
-@dataclass(frozen=True)
-class PostedPrice:
+class PostedPrice(NamedTuple):
+    """A mechanism as a take-it-or-leave-it offer: the price (in v_high's units), the high
+    type's probability of accepting it, and the seller's belief after a rejection."""
     price: float
     accept_prob_high: float
     reject_posterior: float
 
 
-@dataclass(frozen=True)
-class ConstraintResiduals:
+class ConstraintResiduals(NamedTuple):
     """Residuals of the two constraints that bind at the optimum: the low
     type's participation and the high type's truth-telling."""
 
@@ -80,7 +78,7 @@ def equilibrium_split(table: CutoffTable, mu0) -> Split:
     m0 = np.atleast_1d(belief(mu0))
     split = _class_split(table, m0, table.classes(m0))
     if np.ndim(mu0) == 0:
-        split = Split(*(float(f[0]) for f in vars(split).values()))
+        split = Split(*(float(f[0]) for f in split))
     return split
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +51,9 @@ DRAW_BLOCK_SIZE = 4096 * 1001
 PRIOR_BLOCK_SIZE = 1 << 13
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
+    """One period of a path: its index, the seller's belief and undiscounted posted price
+    (in v_high's units) in that period, the buyer's type and its response."""
     period: int
     belief: float
     price: float
@@ -59,8 +61,7 @@ class PathStep:
     action: str  # "accept" or "reject"
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(NamedTuple):
     """One simulated play-through.  trade_period is None only on the
     v_low = 0 low-type path, where the good is never sold."""
 
@@ -71,8 +72,7 @@ class PathRecord:
     buyer_type: str
 
 
-@dataclass(frozen=True)
-class PathArrays:
+class PathArrays(NamedTuple):
     """Every path of one Monte Carlo run, indexed by path: the buyer type,
     the trade period (-1 for no sale), discounted revenue and buyer payoff."""
 

@@ -27,7 +27,7 @@ definition, so the tests check it over the domain rather than verify.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,15 +42,16 @@ RESIDUAL_TOL_PER_VHIGH = 1e-10
 SCAN_BLOCK_SIZE = 1 << 14
 
 
-@dataclass(frozen=True)
-class EnvelopePoint:
+class EnvelopePoint(NamedTuple):
+    """One grid point of concave_envelope: its belief, input value and envelope value."""
     mu: float
     raw: float
     envelope: float
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
+    """deviation_scan at a prior or at an array of priors: values, gaps and the tolerance (the
+    largest passing gap) in v_high's units; witness is the split attaining witness_gain."""
     prior: float
     best_deviation_value: float
     equilibrium_value: float
@@ -64,8 +65,8 @@ class DeviationReport:
         return self.worst_gap <= self.tolerance
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
+    """structure_checks: whether every crossing residual is below 1e-10 v_high; the largest."""
     cutoff_residuals_ok: bool
     max_cutoff_residual: float
 
@@ -158,7 +159,7 @@ def deviation_scan(table: CutoffTable, priors, tolerance: float | None = None) -
     top, best, low, v = np.maximum(top, own), np.maximum(best, own), 1.0 - m0, p.v_high
     # m0 + low * own is R(mu0, mu0) / v_high, read off the prior's class line
     fields = [m0, v * (m0 + low * top), v * (m0 + low * own), v * (low * (top - own)),
-              v * (low * (best - own)), *vars(_class_split(table, m0, j)).values()]
+              v * (low * (best - own)), *_class_split(table, m0, j)]
     if np.ndim(priors) == 0:
         fields = [float(f[0]) for f in fields]
     return DeviationReport(*fields[:5], witness=Split(*fields[5:]), tolerance=tol)

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from itertools import chain
 from pathlib import Path
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from duropoly import cli, cutoffs, sim
+from duropoly import MarketParams, cli, cutoffs, mechanism, sim, verify
 from duropoly.cli import main
 
 from helpers import SOLVE_CASES, misplaced_table, oracle_csv, solve_into
@@ -969,3 +972,84 @@ def test_artifact_path_taken_by_directory_exit_2(tmp_path, capsys, command, arti
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and artifact in err[0]
+
+
+_MARKET = ("--v-low", 1, "--v-high", 2, "--delta", 0.8, "--mu0", 0.6)
+
+
+def _posted_price_keys(tmp_path, monkeypatch):
+    assert run("solve", *_MARKET, "--out", tmp_path) == 0
+    return list(json.loads((tmp_path / "mechanism.json").read_text())["posted_price"])
+
+
+def _structure_failure_keys(tmp_path, monkeypatch):
+    bad = misplaced_table(cutoffs.compute_cutoffs(MarketParams(1.0, 2.0, 0.8)), 2, 0.01)
+    monkeypatch.setattr(cli, "compute_cutoffs", lambda params: bad)
+    assert run("verify", *_MARKET, "--out", tmp_path) == 1
+    return list(json.loads((tmp_path / "verify_report.json").read_text())["failures"][-1]["report"])
+
+
+# every result record at (1, 2, 0.8, mu0 0.6): how to build one, its fields
+# in order, and, where an artifact writes the record as an object, its keys there
+_RECORDS = {
+    "Split": (lambda t: mechanism.equilibrium_split(t, 0.6),
+              ("posterior_delay", "posterior_sale", "weight_delay", "weight_sale", "q_delay", "q_sale"),
+              None),
+    "Mechanism": (lambda t: mechanism.build_mechanism(t, 0.6),
+                  ("prior", "n", "device", "trade_prob", "transfer"), None),
+    "PostedPrice": (lambda t: mechanism.posted_price_view(mechanism.build_mechanism(t, 0.6), t),
+                    ("price", "accept_prob_high", "reject_posterior"), _posted_price_keys),
+    "ConstraintResiduals": (
+        lambda t: mechanism.check_binding_constraints(mechanism.build_mechanism(t, 0.6), t),
+        ("participation_low", "truthtelling_high"), None),
+    "PathStep": (lambda t: sim.simulate_path(t, 0.6, "low", np.random.default_rng(0)).steps[0],
+                 ("period", "belief", "price", "buyer_type", "action"), None),
+    "PathRecord": (lambda t: sim.simulate_path(t, 0.6, "low", np.random.default_rng(0)),
+                   ("steps", "trade_period", "discounted_revenue", "discounted_buyer_payoff",
+                    "buyer_type"), None),
+    "PathArrays": (lambda t: sim.monte_carlo(t, 0.6, "prior", 100, 0).paths,
+                   ("is_high", "trade_period", "revenue", "payoff"), None),
+    "EnvelopePoint": (lambda t: verify.concave_envelope([(0.0, 0.0), (1.0, 1.0)])[0],
+                      ("mu", "raw", "envelope"), None),
+    "DeviationReport": (lambda t: verify.deviation_scan(t, 0.6),
+                        ("prior", "best_deviation_value", "equilibrium_value", "worst_gap",
+                         "witness_gain", "witness", "tolerance"), None),
+    "StructureReport": (lambda t: verify.structure_checks(misplaced_table(t, 2, 0.01)),
+                        ("cutoff_residuals_ok", "max_cutoff_residual"), _structure_failure_keys),
+    "RunConfig": (lambda t: cli._build_config(cli._parser().parse_args(["solve", *map(str, _MARKET)])),
+                  ("params", "mu0", "grid_n", "mc_paths", "seed", "deviation_gap", "output_dir"),
+                  None),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_result_records_are_named_tuples(table08, tmp_path, monkeypatch, name):
+    # a record that is only its fields: immutable, rebuilt from its dict,
+    # its fields in declared order, and, where an artifact writes it, the
+    # artifact's keys are its fields
+    build, fields, artifact_keys = _RECORDS[name]
+    record = build(table08)
+    assert type(record).__name__ == name
+    assert list(record._asdict()) == list(fields)
+    rebuilt = type(record)(**record._asdict())
+    assert type(rebuilt) is type(record) and rebuilt == record
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    if artifact_keys is not None:
+        assert artifact_keys(tmp_path, monkeypatch) == list(fields)
+
+
+def test_cli_import_loads_only_the_package():
+    # start-up is most of a short command: after numpy and the standard
+    # modules the package imports, importing the CLI loads the package alone
+    code = ("import sys, numpy, argparse, dataclasses, functools, itertools, json, math, "
+            "operator, pathlib, typing, __future__\n"
+            "before = set(sys.modules)\n"
+            "import duropoly.cli\n"
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    added = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert "duropoly.cli" in added
+    assert [m for m in added if m != "duropoly" and not m.startswith("duropoly.")] == []

@@ -220,8 +220,8 @@ def test_array_split_equals_scalar_split(table08, table095, tabledeg):
         split = equilibrium_split(t, priors)
         for i, m0 in enumerate(priors.tolist()):
             one = equilibrium_split(t, m0)
-            assert all(type(v) is float for v in vars(one).values())
-            assert one == Split(*(float(f[i]) for f in vars(split).values())), (t.params, m0)
+            assert all(type(v) is float for v in one)
+            assert one == Split(*(float(f[i]) for f in split)), (t.params, m0)
 
 
 def test_degenerate_delay_posterior_is_zero(tabledeg):
@@ -264,7 +264,7 @@ def test_negative_control_deviation_fails(table08):
     failing = np.flatnonzero(~reps.passed)
     assert len(failing) > 10
     for i in failing.tolist():
-        s = Split(*(float(f[i]) for f in vars(reps.witness).values()))
+        s = Split(*(float(f[i]) for f in reps.witness))
         value = _witness_value(bad_table, s, priors[i])
         assert reps.witness_gain[i] == pytest.approx(value - reps.equilibrium_value[i], abs=tol)
         assert reps.worst_gap[i] == pytest.approx(reps.witness_gain[i], abs=tol), priors[i]
@@ -291,7 +291,7 @@ def test_witness_gain_near_one_is_exact():
 
 
 def _fields(obj):
-    return {k: np.asarray(v).tolist() for k, v in vars(obj).items() if k != "witness"}
+    return {k: np.asarray(v).tolist() for k, v in obj._asdict().items() if k != "witness"}
 
 
 def test_scan_blocks_do_not_change_results(monkeypatch, table08, table095):
