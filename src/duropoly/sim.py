@@ -13,12 +13,18 @@ probability, and a run's draw matrix depends only on (seed, class): class
 n's is the first n_paths (n + 1) uniforms of the pcg64(seed) stream.  So the
 kernel has two parts: a class step reads a class's draws once from the run's
 one stream and keeps three numbers per path (its type draw, its period-0
-accept draw and its first accepting period t >= 1), and one gather gives
-each path's buyer type and trade period at any priors of the class by array
-expressions.  One driver, _play, groups priors by class, plays each class
-once from the one stream and yields the gather chunk by chunk: monte_carlo
-is its one-prior case, which reads revenue and payoff by trade period, and
-mean_revenues averages the revenue at each prior of a grid.
+accept draw and its first accepting period t >= 1), and a read-out gives
+results at any priors of the class.  One driver, _play, groups priors by
+class, plays each class once from the one stream and yields each class step
+chunk by chunk, and each caller reads what it needs.  monte_carlo, the
+one-prior case, gathers each path's buyer type and trade period with
+trade_periods and reads revenue and payoff by trade period.  mean_revenues
+takes each prior's mean revenue from mean_revenue, which gathers only where
+it must.  In class 0 every path trades in the same period whatever the
+prior, so one mean serves the class.  With v_low = 0 a class-1 path earns 1
+or 0 in units of v_high, so the mean is the count of type draws below the
+prior over the path count: the pairwise mean bit for bit, as every partial
+sum of 0s and 1s is an exact integer.
 Per-path selections on a random mask use ndarray.compress or arithmetic
 on the mask, never a boolean subscript or np.where, whose branch per element
 is slow on random masks; the same elements come out in the same order, so
@@ -32,6 +38,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -46,8 +53,10 @@ RNG_ALGORITHM = "pcg64(seed); uniform row i of a pre-drawn matrix is path i's su
 # so results do not depend on it; memory stays bounded at any path count and
 # any class.
 DRAW_BLOCK_SIZE = 4096 * 1001
-# (prior, path) cells one gather plays; every gather reads its class's
-# per-path numbers, drawn once, so results do not depend on it.
+# (prior, path) cells one read-out plays: no (priors x paths) array is larger.
+# Every read-out reads its class's per-path numbers, drawn once, so results
+# do not depend on it; class 0 and the v_low = 0 class 1 take their means
+# without such an array.
 PRIOR_BLOCK_SIZE = 1 << 13
 
 
@@ -253,6 +262,7 @@ class _ClassPaths:
         # and the high type's payoff
         paid = table.prices[n::-1]
         disc = run.disc[:n + 1]
+        self.v_high = p.v_high
         self.revenue_at = np.append(disc * paid, 0.0)
         self.payoff_at = np.append(disc * (p.v_high - paid), 0.0)
         self.last = -1 if table.degenerate else n  # the period of a path declining every price
@@ -306,21 +316,46 @@ class _ClassPaths:
         else:
             is_high = np.full((hi - lo, len(self.later)), self.type_draw == "fixed_high")
         if not self.n:
-            # every path trades in period last whatever the prior, so the
-            # gather and the mean of one row serve every prior
+            # every path trades in period last whatever the prior, so one
+            # row serves every prior
             return is_high, self.later[None]
         declines = self.u0 >= self.accept0[lo:hi, None]
         # later, 0 or last by arithmetic on the masks, which beats np.where's
         # branches on random masks
         return is_high, (declines * self.later - self.last) * is_high + self.last
 
+    def mean_revenue(self, lo: int, hi: int):
+        """The mean revenue at each prior of m0[lo:hi] of a "prior" run:
+        v_high times the pairwise mean of the paths' revenues in units of
+        v_high, as monte_carlo takes it, bit for bit."""
+        if not self.n:
+            return self._class_mean
+        if self.n == 1 and self.last < 0:
+            return self._count_means[lo:hi]
+        _, trade_period = self.trade_periods(lo, hi)
+        return self.v_high * (self.revenue_at / self.v_high)[trade_period].mean(axis=1)
+
+    @cached_property
+    def _class_mean(self) -> float:
+        # class 0: every path trades in period last whatever the prior, so
+        # one row's mean serves every prior of the class
+        return self.v_high * (self.revenue_at / self.v_high)[self.later].mean()
+
+    @cached_property
+    def _count_means(self) -> np.ndarray:
+        # the v_low = 0 class 1: a high type pays v_high in period 0, 1.0 in
+        # units of v_high, and a low type nothing; a type draw equal to the
+        # prior is a low type's, so the count is searchsorted's left side
+        high = np.sort(self.u_type).searchsorted(self.m0)
+        return self.v_high * (high / len(self.later))
+
 
 def _play(table: CutoffTable, priors, type_draw: str, n_paths: int, seed: int):
     """Play n_paths paths at every prior, a float or a 1-D array.  The
     priors are grouped by delay class, in any order, and each class is
-    played once from one _Run; yields (rows, class step, is_high,
-    trade_period) for chunks of at most PRIOR_BLOCK_SIZE (prior, path)
-    cells, rows the chunk's indices into the priors."""
+    played once from one _Run; yields (rows, class step, lo, hi) for chunks
+    of at most PRIOR_BLOCK_SIZE (prior, path) cells, rows the chunk's
+    indices into the priors and lo:hi its slice of the class step's m0."""
     _check_run(type_draw, n_paths)
     m0 = np.atleast_1d(belief(priors))
     if np.any(m0 == 1.0):
@@ -335,22 +370,19 @@ def _play(table: CutoffTable, priors, type_draw: str, n_paths: int, seed: int):
     for lo, hi in zip(starts.tolist(), stops.tolist()):
         paths = _ClassPaths(run, m0[lo:hi], int(n[lo]))
         if hi == len(m0):
-            del run  # every class is read: free the stream's prefix before the last gathers
+            del run  # every class is read: free the stream's prefix before the last read-outs
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
-            yield (order[a:b], paths, *paths.trade_periods(a - lo, b - lo))
+            yield order[a:b], paths, a - lo, b - lo
 
 
 def mean_revenues(table: CutoffTable, priors, n_paths: int, seed: int) -> np.ndarray:
     """monte_carlo(table, m0, "prior", n_paths, seed).mean_revenue at every
     prior m0 of a 1-D array, bit for bit: the mean, in units of v_high, of
     the revenue at each path's trade period."""
-    v_high = table.params.v_high
     out = np.empty(len(priors))
-    for rows, paths, _, trade_period in _play(table, priors, "prior", n_paths, seed):
-        # the division is elementwise, so it commutes with the gather; a
-        # class-0 chunk's one row gives its priors one mean
-        out[rows] = v_high * (paths.revenue_at / v_high)[trade_period].mean(axis=1)
+    for rows, paths, lo, hi in _play(table, priors, "prior", n_paths, seed):
+        out[rows] = paths.mean_revenue(lo, hi)
     return out
 
 
@@ -364,7 +396,8 @@ def monte_carlo(
     of iter_paths, bit for bit, played as arrays; the summary carries them
     in `paths`.  Identical seeds reproduce the summary bit for bit.
     """
-    ((_, paths, is_high, trade_period),) = _play(table, mu0, type_draw, n_paths, seed)
+    ((_, paths, lo, hi),) = _play(table, mu0, type_draw, n_paths, seed)
+    is_high, trade_period = paths.trade_periods(lo, hi)
     is_high, trade_period = is_high[0], trade_period[0]
     revenue = paths.revenue_at[trade_period]
     # a low type pays its value; payoff_at is finite and at least +0.0, so

@@ -1,3 +1,4 @@
+import functools
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -255,7 +256,8 @@ def _played(table, priors, type_draw, n_paths, seed):
     yields; revenue and payoff are read by trade period as monte_carlo
     reads them."""
     rows = [np.empty((len(priors), n_paths), dtype) for dtype in (bool, np.intp, float, float)]
-    for idx, paths, is_high, trade_period in sim._play(table, priors, type_draw, n_paths, seed):
+    for idx, paths, lo, hi in sim._play(table, priors, type_draw, n_paths, seed):
+        is_high, trade_period = paths.trade_periods(lo, hi)
         played = (is_high, trade_period, paths.revenue_at[trade_period],
                   paths.payoff_at[trade_period] * is_high)
         for out, got in zip(rows, played):
@@ -381,28 +383,60 @@ def test_mean_revenues_live_set_bounds(monkeypatch, args):
 @pytest.mark.parametrize("market, grid", [((1.0, 2.0, 0.8), 251), ((0.0, 1.0, 0.9), 201)])
 def test_mean_revenues_plays_each_class_once(monkeypatch, market, grid):
     # one class step per delay class, whatever the prior order and however
-    # many gathers a class takes; shuffled priors get the sorted priors'
-    # means, permuted, bit for bit
+    # many chunks a class takes; shuffled priors get the sorted priors'
+    # means, permuted, bit for bit.  Class 0 takes one mean per class, not
+    # one per chunk, and neither it nor the v_low = 0 class 1 gathers
     table = compute_cutoffs(MarketParams(*market))
     priors = np.linspace(0.0, 1.0, grid)[:-1]
     shuffle = np.random.default_rng(0).permutation(len(priors))
     classes = sorted(set(table.delay_class(priors).tolist()))
-    steps = []  # the class of each class step's priors
-    class_step = sim._ClassPaths
+    gathered = [] if table.degenerate else classes[1:]
+    # the class of each class step, class-0 mean and gather
+    steps, means, gathers = [], [], []
 
-    def counted(run, m0, n):
-        steps.append(table.delay_class(m0[0]))
-        return class_step(run, m0, n)
+    class Counted(sim._ClassPaths):
+        def __init__(self, run, m0, n):
+            steps.append(table.delay_class(m0[0]))
+            super().__init__(run, m0, n)
 
-    monkeypatch.setattr(sim, "_ClassPaths", counted)
+        @functools.cached_property
+        def _class_mean(self):
+            means.append(self.n)
+            return super()._class_mean
+
+        def trade_periods(self, lo, hi):
+            gathers.append(self.n)
+            return super().trade_periods(lo, hi)
+
+    monkeypatch.setattr(sim, "_ClassPaths", Counted)
     want = sim.mean_revenues(table, priors, 200, seed=0)
     assert sorted(steps) == classes
     for block in (sim.PRIOR_BLOCK_SIZE, 3 * 200):
         monkeypatch.setattr(sim, "PRIOR_BLOCK_SIZE", block)
-        steps.clear()
+        for record in (steps, means, gathers):
+            record.clear()
         got = sim.mean_revenues(table, priors[shuffle], 200, seed=0)
         assert sorted(steps) == classes, block
+        assert means == [0], block
+        assert sorted(set(gathers)) == gathered, block
         assert got.tolist() == want[shuffle].tolist(), block
+
+
+@pytest.mark.parametrize("v_high", [1.0, 3.0, 1e300])
+@pytest.mark.parametrize("n_paths", [1, 7, 200])
+def test_v_low_0_mean_revenue_is_a_count(v_high, n_paths):
+    # with v_low = 0 a class-1 path earns v_high or nothing, so the mean is
+    # v_high times the count of type draws below the prior over n_paths: the
+    # per-prior monte_carlo mean bit for bit, at prior 0, a subnormal and
+    # 1 - 2^-53, and at priors equal to a path's type draw, which is a low type's
+    table = compute_cutoffs(MarketParams(0.0, v_high, 0.9))
+    u_type = np.random.default_rng(5).random((n_paths, 2))[:, 0]  # class 1's type draws
+    ties = u_type[:5]
+    priors = np.concatenate([[0.0, 5e-324, 0.5, 1.0 - 2.0**-53], ties, np.nextafter(ties, 1.0)])
+    want = [monte_carlo(table, m0, "prior", n_paths, seed=5).mean_revenue for m0 in priors.tolist()]
+    assert want == (v_high * ((u_type < priors[:, None]).sum(axis=1) / n_paths)).tolist()
+    assert want[0] == 0.0
+    assert sim.mean_revenues(table, priors, n_paths, seed=5).tolist() == want
 
 
 def test_mean_revenues_reads_one_stream(monkeypatch):
