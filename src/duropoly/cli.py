@@ -253,11 +253,11 @@ def _build_config(args) -> RunConfig:
 
 def cmd_solve(cfg: RunConfig, table: CutoffTable) -> int:
     out = cfg.output_dir
-    cuts = table.cutoff_array
+    cuts = table.cutoffs
     _write_csv(out / "cutoffs.csv", ["n", "mu_bar"], "%d," + F17, [np.arange(len(cuts)), cuts])
     _write_json(out / "cutoffs.json", {
         **asdict(table.params),
-        "cutoffs": list(table.cutoffs),
+        "cutoffs": cuts.tolist(),
         "degenerate": table.degenerate,
     })
 
@@ -299,7 +299,7 @@ def cmd_verify(cfg: RunConfig, table: CutoffTable) -> int:
         failures.append({"kind": "structure", "report": structure._asdict()})
 
     report = {
-        "params": {**asdict(cfg.params), "mu0": cfg.mu0},
+        "params": {**asdict(table.params), "mu0": cfg.mu0},
         "n_priors": len(priors),
         "max_gap": max_gap,
         "failures": failures,
@@ -372,7 +372,7 @@ def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: 
         f"(se {summary.se_revenue:.2e})"
     )
     if analytic is not None and summary.se_revenue > 0.0:
-        floor = MC_ROUNDING_ULPS * math.ulp(cfg.params.v_high)
+        floor = MC_ROUNDING_ULPS * math.ulp(table.params.v_high)
         tolerance = max(3.0 * summary.se_revenue, floor)
         if abs(summary.mean_revenue - analytic) > tolerance:
             bound = "3 se" if tolerance > floor else f"{MC_ROUNDING_ULPS} ulps of v_high"

@@ -50,7 +50,8 @@ class CutoffTable:
     the cutoffs they place below belief 1, the last class running to 1.
     Each cutoff is the first float belief of its class, the least mu whose
     odds mu / (1 - mu) reach z_n, except mu_bar_1 = v_low / v_high, which
-    holds by definition.  The table makes its arrays read-only.
+    holds by definition.  `cutoffs` is one float64 array; the table makes
+    every array it holds read-only.
     """
 
     params: MarketParams
@@ -60,7 +61,7 @@ class CutoffTable:
     def __post_init__(self):
         z = self.odds
         if (len(z) < 2 or z[0] != 0.0 or len(self.intercepts) != len(z) or np.any(z[2:] <= z[1:-1])
-                or np.any(self.cutoff_array[2:] < self.cutoff_array[1])):
+                or np.any(self.cutoffs[2:] < self.cutoffs[1])):
             raise ValueError(
                 "need odds z_0 = 0 and z_1 < z_2 < ..., one intercept per odds entry "
                 f"and no cutoff below mu_bar_1, got odds {z}")
@@ -68,7 +69,7 @@ class CutoffTable:
         _read_only(self.intercepts)
 
     @cached_property
-    def cutoff_array(self) -> np.ndarray:
+    def cutoffs(self) -> np.ndarray:
         # the least mu whose odds, formed as value._prior_odds forms a
         # prior's, reach z_n; z / (1 + z) lies within two ulps of it
         z = self.odds
@@ -82,10 +83,6 @@ class CutoffTable:
                 prev = np.nextafter(c, -1.0)
         c[1] = mu_bar_1(self.params)
         return _read_only(c)
-
-    @cached_property
-    def cutoffs(self) -> tuple[float, ...]:
-        return tuple(self.cutoff_array.tolist())
 
     @property
     def degenerate(self) -> bool:
@@ -137,25 +134,25 @@ class CutoffTable:
         integer array of m's shape; NaN is not checked for."""
         if self.degenerate:
             return np.greater(m, 0.0).astype(np.intp)
-        return np.searchsorted(self.cutoff_array, m, side="right") - 1
+        return np.searchsorted(self.cutoffs, m, side="right") - 1
 
 
-def indifference_gap(p: MarketParams, table_prefix: CutoffTable, n: int, mu: float) -> float:
-    """Value of delaying n+1 periods minus the value of delaying n periods.
+def indifference_gap(table: CutoffTable, n: int, mu: float) -> float:
+    """Value of delaying n+1 periods minus delaying n, in the table's market.
 
     The class-(n+1) line minus the class-n line, read at belief mu:
     v_high (1 - delta) (delta^n (1 - r) mu - (1 - mu)(z_n + b_n)).  Affine
     and strictly increasing in mu, negative at mu_bar_n, and zero exactly
     at mu_bar_{n+1}; this is the equation that pins each cutoff.
     """
-    if table_prefix.degenerate:
+    if table.degenerate:
         raise ValueError("indifference gap is undefined when v_low = 0")
-    if not 1 <= n < len(table_prefix.cutoffs):
-        raise ValueError(f"need a table prefix holding cutoffs 0..{n}, got {len(table_prefix.cutoffs)}")
+    if not 1 <= n < len(table.cutoffs):
+        raise ValueError(f"need a table holding cutoffs 0..{n}, got {len(table.cutoffs)}")
     m = belief(mu)
-    t = table_prefix
+    p = table.params
     return float(p.v_high * (1.0 - p.delta) * (
-        t.rents[n] * m - (1.0 - m) * (t.odds[n] + t.intercepts[n])))
+        table.rents[n] * m - (1.0 - m) * (table.odds[n] + table.intercepts[n])))
 
 
 def compute_cutoffs(p: MarketParams) -> CutoffTable:
@@ -203,7 +200,7 @@ def compute_cutoffs(p: MarketParams) -> CutoffTable:
     table = CutoffTable(p, np.asarray(z) / SCALE, np.asarray(b) / SCALE)
     # stop at the first class no float prior reaches alone, so that the
     # cutoffs strictly increase; the classes above it go uncovered
-    c = table.cutoff_array
+    c = table.cutoffs
     ties = np.flatnonzero(c[2:] == c[1:-1])
     if len(ties):
         table = CutoffTable(p, table.odds[:ties[0] + 2], table.intercepts[:ties[0] + 2])

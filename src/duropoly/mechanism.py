@@ -60,7 +60,7 @@ def _class_split(table: CutoffTable, m0: np.ndarray, n: np.ndarray) -> Split:
     sells at the prior with no information (with v_low = 0 it never trades);
     class n >= 1 splits between cutoff n - 1 (delay), at or below the prior,
     and posterior 1 (sell)."""
-    c = table.cutoff_array[np.maximum(n - 1, 0)]
+    c = table.cutoffs[np.maximum(n - 1, 0)]
     pool = n == 0
     trade = 0.0 if table.degenerate else 1.0  # class 0's trade probability
     w_sale = np.where(pool, trade, (m0 - c) / (1.0 - c))
@@ -100,7 +100,7 @@ def build_mechanism(table: CutoffTable, mu0: float) -> Mechanism:
             return Mechanism(m0, 0, {"low": {0.0: 1.0}, "high": {0.0: 1.0}}, {0.0: 0.0}, {0.0: 0.0})
         return Mechanism(m0, 0, {"low": {m0: 1.0}, "high": {m0: 1.0}}, {m0: 1.0}, {m0: p.v_low})
 
-    c = table.cutoffs[n - 1]
+    c = float(table.cutoffs[n - 1])
     # (1 - m0) / m0 * z_{n-1}, each factor scaled by SCALE, which is exact: the
     # same float wherever the plain product is finite, and finite at a
     # subnormal m0, where (1 - m0) / m0 overflows

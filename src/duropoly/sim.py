@@ -160,7 +160,7 @@ def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathR
             )
         steps.append(PathStep(t, mu, price, buyer_type, "reject"))
         n -= 1
-        mu, odds = table.cutoffs[n], table.odds[n]
+        mu, odds = float(table.cutoffs[n]), table.odds[n]
         disc *= p.delta
 
 

@@ -62,6 +62,28 @@ def oracle_R(p, cuts, mu_prime, mu0):
     return rec(mu_prime, klass(mu_prime))
 
 
+def recipe_revenue(p, grid_n):
+    """The seller's revenue at the beliefs mu = linspace(0, 1, grid_n)[:-1]
+    by the paper's recipe: backward induction among the seller's
+    incarnations indexed by belief, with no chain, line or cutoff.  Belief 0 sells to both types at v_low, leaving
+    the high type v_high - v_low.  Incarnation mu_i does the same, or picks
+    a no-sale posterior mu_j < mu_i and posts v_high - delta U_j; the high
+    type accepts with the probability that leaves posterior mu_j, so
+    w = (mu_i - mu_j) / (1 - mu_j) of the mass trades, the seller earns
+    w (v_high - delta U_j) + (1 - w) delta V_j and the high type keeps
+    U_i = delta U_j.  Returns (mu, V).  Needs v_low > 0: belief 0's
+    absorbing no-trade state at v_low = 0 is not among the options."""
+    mu = np.linspace(0.0, 1.0, grid_n)[:-1]
+    v, u = np.empty_like(mu), np.empty_like(mu)
+    v[0], u[0] = p.v_low, p.delta_v
+    for i in range(1, len(mu)):
+        w = (mu[i] - mu[:i]) / (1.0 - mu[:i])
+        delay = w * (p.v_high - p.delta * u[:i]) + (1.0 - w) * p.delta * v[:i]
+        j = int(np.argmax(delay))
+        v[i], u[i] = (delay[j], p.delta * u[j]) if delay[j] > p.v_low else (p.v_low, p.delta_v)
+    return mu, v
+
+
 @dataclass(frozen=True)
 class ExactChain:
     """The odds recurrence z_{n+1} = (z_n + b_n) / (delta^n (1 - r)),
@@ -295,7 +317,7 @@ def decompose_R(table, mu_prime: float) -> RDecomposition:
     read off the class-n line of mu': gamma = (1 - mu') delta^n and
     alpha = mu' + (1 - mu') (b_n - delta^n r)."""
     m = belief(mu_prime)
-    n = int(np.searchsorted(table.cutoff_array, m, side="right")) - 1
+    n = int(np.searchsorted(table.cutoffs, m, side="right")) - 1
     disc = table.discounts[n]
     r = table.params.v_low / table.params.v_high
     return RDecomposition(alpha=float(m + (1.0 - m) * (table.intercepts[n] - disc * r)),
@@ -342,7 +364,7 @@ def misplaced_table(table, n: int, shift: float):
     b_{k+1} = delta b_k - (1 - delta) z_k from b_0 = v_low / v_high run on
     them, so every class line above cutoff n is off too.  The negative
     controls' table, which no equilibrium passes."""
-    c = table.cutoff_array.copy()
+    c = table.cutoffs.copy()
     c[n] += shift
     z = c / (1.0 - c)
     d, b = table.params.delta, [table.params.v_low / table.params.v_high]

@@ -53,7 +53,7 @@ def test_criterion_1_cutoff_correctness():
                 break
             root = scan_cutoff(p, cuts, n, n_points=1_000_000)
             ok &= root is not None and abs(root - cuts[n + 1]) < 1e-8
-            ok &= abs(indifference_gap(p, table, n, cuts[n + 1])) < 1e-10 * p.v_high
+            ok &= abs(indifference_gap(table, n, cuts[n + 1])) < 1e-10 * p.v_high
         check_against_exact_chain(table)  # every cutoff, in odds, against 60 digits
     report(1, "cutoffs match the 1e6-point sign scan and the 60-digit chain, "
               "increase, and satisfy their indifference", ok)

@@ -23,7 +23,7 @@ from helpers import (
 
 
 def test_degenerate_table(tabledeg):
-    assert tabledeg.cutoffs == (0.0, 0.0)
+    assert tabledeg.cutoffs.tolist() == [0.0, 0.0]
     assert tabledeg.degenerate
 
 
@@ -61,7 +61,7 @@ def check_residuals(p, table):
     cuts = table.cutoffs
     for n in range(1, len(cuts) - 1):
         if 1.0 - cuts[n] >= RESOLVED_IN_BELIEF * (1.0 - p.delta):
-            assert abs(indifference_gap(p, table, n, cuts[n + 1])) < 1e-10 * p.v_high
+            assert abs(indifference_gap(table, n, cuts[n + 1])) < 1e-10 * p.v_high
     check_against_exact_chain(table)
 
 
@@ -69,39 +69,39 @@ def test_gap_zero_at_next_cutoff(p08, table08):
     check_residuals(p08, table08)
 
 
-def test_gap_negative_at_own_cutoff(p08, table08):
+def test_gap_negative_at_own_cutoff(table08):
     # delaying one extra period at the class boundary loses (1 - delta) x value
-    assert indifference_gap(p08, table08, 1, 0.5) == pytest.approx(-0.2, abs=1e-12)
+    assert indifference_gap(table08, 1, 0.5) == pytest.approx(-0.2, abs=1e-12)
 
 
-def test_gap_positive_above_root(p08, table08):
-    assert indifference_gap(p08, table08, 1, MU2_08 + 0.01) > 0.0
+def test_gap_positive_above_root(table08):
+    assert indifference_gap(table08, 1, MU2_08 + 0.01) > 0.0
 
 
-def test_gap_monotone_on_grid(p08, table08):
+def test_gap_monotone_on_grid(table08):
     for n in (1, 2, 3):
         lo = table08.cutoffs[n]
         grid = np.linspace(lo, 1.0, 1001)[:-1]
-        vals = [indifference_gap(p08, table08, n, float(m)) for m in grid]
+        vals = [indifference_gap(table08, n, float(m)) for m in grid]
         assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_gap_input_validation(p08, table08, tabledeg, pdeg):
+def test_gap_input_validation(table08, tabledeg):
     with pytest.raises(ValueError):
-        indifference_gap(p08, table08, 0, 0.6)
+        indifference_gap(table08, 0, 0.6)
     with pytest.raises(ValueError):
-        indifference_gap(p08, table08, len(table08.cutoffs), 0.6)
+        indifference_gap(table08, len(table08.cutoffs), 0.6)
     with pytest.raises(ValueError):
-        indifference_gap(p08, table08, 1, 1.1)
+        indifference_gap(table08, 1, 1.1)
     with pytest.raises(ValueError):
-        indifference_gap(pdeg, tabledeg, 1, 0.5)
+        indifference_gap(tabledeg, 1, 0.5)
 
 
 def test_gap_at_belief_one(p08, table08):
     # the gap is affine in the belief, with no pole: at 1 it is
     # delta^n (1 - delta)(v_high - v_low)
     for n in (1, 2, 3):
-        g1 = indifference_gap(p08, table08, n, 1.0)
+        g1 = indifference_gap(table08, n, 1.0)
         assert g1 == pytest.approx(0.8**n * 0.2 * p08.delta_v, rel=1e-15)
 
 
@@ -187,16 +187,18 @@ def test_table_rejects_non_increasing_cutoffs(p08, table08):
         CutoffTable(p08, table08.odds, table08.intercepts[:-1])
     # the degenerate table keeps mu_bar_0 = mu_bar_1 = 0
     t = CutoffTable(MarketParams(0.0, 1.0, 0.8), np.zeros(2), np.zeros(2))
-    assert t.cutoffs == (0.0, 0.0)
-    assert CutoffTable(p08, table08.odds, table08.intercepts).cutoffs == table08.cutoffs
+    assert t.cutoffs.tolist() == [0.0, 0.0]
+    assert CutoffTable(p08, table08.odds, table08.intercepts).cutoffs.tolist() == table08.cutoffs.tolist()
     # odds 2^53 - 2 and 2^53 - 1 share their first float prior, 1 - 2^-53
     t = CutoffTable(p08, np.asarray([0.0, 1.0, ODDS_TOP - 1.0, ODDS_TOP]), b)
-    assert t.cutoffs[2:] == (1.0 - 2.0**-53,) * 2
+    assert t.cutoffs[2:].tolist() == [1.0 - 2.0**-53] * 2
 
 
 def test_table_is_read_only(table08):
-    for a in (table08.odds, table08.intercepts, table08.cutoff_array, table08.discounts,
-              table08.rents):
+    # the cutoffs are one float64 array, not a copy of it in another type
+    assert isinstance(table08.cutoffs, np.ndarray) and table08.cutoffs.dtype == np.float64
+    for a in (table08.odds, table08.intercepts, table08.cutoffs, table08.discounts,
+              table08.rents, table08.prices):
         with pytest.raises(ValueError):
             a[2] = 0.9
     assert table08.delay_class(0.95) == 3
@@ -276,10 +278,10 @@ def test_csv_json_round_trip(tmp_path):
             header, *rows = list(csv.reader(fh))
         assert header == ["n", "mu_bar"]
         assert [int(r[0]) for r in rows] == list(range(len(table.cutoffs)))
-        assert tuple(float(r[1]) for r in rows) == table.cutoffs
+        assert [float(r[1]) for r in rows] == table.cutoffs.tolist()
         assert json.loads((out / "cutoffs.json").read_text()) == {
             "v_low": v_low, "v_high": v_high, "delta": delta,
-            "cutoffs": list(table.cutoffs), "degenerate": v_low == 0.0,
+            "cutoffs": table.cutoffs.tolist(), "degenerate": v_low == 0.0,
         }
 
 
@@ -288,6 +290,6 @@ def test_oracle_gap_agrees_with_production(p08, table08):
     cuts = table08.cutoffs
     for n in (1, 2, 3):
         for m in np.linspace(cuts[n], 0.999, 37):
-            a = indifference_gap(p08, table08, n, float(m))
+            a = indifference_gap(table08, n, float(m))
             b = float(oracle_gap(p08, cuts, n, float(m)))
             assert abs(a - b) < 1e-10

@@ -107,6 +107,7 @@ def test_mechanism_two_delay(table08):
     assert m.n == 2
     assert m.transfer[1.0] == pytest.approx(1.36, abs=1e-12)
     assert m.transfer[0.5] == 0.0
+    assert all(type(c) is float for c in m.transfer)  # Python floats, read off the cutoff array
 
 
 def test_mechanism_degenerate(tabledeg):
@@ -268,7 +269,7 @@ def test_mechanism_on_tied_beliefs(v_low, v_high, delta, top):
     table = uncut_table(MarketParams(v_low, v_high, delta))
     corner = 1.0 - 2.0**-53
     assert table.delay_class(corner) == top == len(table.odds) - 1
-    for m0 in [*np.unique(table.cutoff_array).tolist(), corner]:
+    for m0 in [*np.unique(table.cutoffs).tolist(), corner]:
         mech = build_mechanism(table, m0)
         posted_price_view(mech, table)
         res = check_binding_constraints(mech, table)

@@ -77,7 +77,7 @@ def over_the_table_domain(test):
 @over_the_table_domain
 def test_table_invariants_over_the_domain(ratio, delta):
     table = compute_cutoffs(MarketParams(ratio * V_HIGH, V_HIGH, delta))
-    z, c = table.odds, table.cutoff_array
+    z, c = table.odds, table.cutoffs
     assert z[0] == 0.0 and c[1] == ratio
     assert np.all(z[2:] > z[1:-1]) and np.all(c[2:] > c[1:-1]) and c[-1] < 1.0
     assert len(table.intercepts) == len(z)
@@ -104,7 +104,7 @@ def test_split_shape_over_the_domain(ratio, delta):
     # 2001), at every cutoff, its float neighbours and a grid, in order
     p = MarketParams(ratio * V_HIGH, V_HIGH, delta)
     table = compute_cutoffs(p)
-    cuts = table.cutoff_array
+    cuts = table.cutoffs
     priors = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101)[:-1], cuts,
                                        np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)]))
     s = equilibrium_split(table, priors)
@@ -135,7 +135,7 @@ def test_every_prior_near_one_is_an_equilibrium(v_low, v_high, delta):
     # rounded an ulp off its odds, or the chain ended on a rounded belief,
     # 1 to 8 of these priors lay in a class whose line is not their best
     table = compute_cutoffs(MarketParams(v_low, v_high, delta))
-    c = table.cutoff_array[1:]
+    c = table.cutoffs[1:]
     priors = np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0),
                              1.0 - 2.0 ** -np.arange(1, 54)])
     priors = priors[priors < 1.0]

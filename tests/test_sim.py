@@ -65,6 +65,7 @@ def test_beliefs_walk_down_the_cutoff_chain(table08):
     rec = simulate_path(table08, 0.85, "low", np.random.default_rng(4))
     beliefs = [step.belief for step in rec.steps]
     assert beliefs == [0.85, table08.cutoffs[1], 0.0]
+    assert all(type(b) is float for b in beliefs)  # Python floats, read off the cutoff array
     prices = [step.price for step in rec.steps]
     assert prices == [table08.prices[2], table08.prices[1], 1.0]
 
@@ -198,7 +199,7 @@ def _class_priors(table):
     """Prior 0 and the middle of classes 0, 1, 2 and the top class (the
     degenerate table has classes 0 = {0} and 1 only), plus the cutoff
     mu_bar_2 itself, a tie that belongs to class 2."""
-    c = table.cutoffs + (1.0,)
+    c = np.append(table.cutoffs, 1.0)
     top = len(table.cutoffs) - 1
     priors = [0.0]
     for k in sorted({0, 1, 2, top} & set(range(top + 1))):
@@ -344,7 +345,7 @@ def test_class_kernel_matches_per_prior_runs(monkeypatch, args):
     if table.degenerate:
         groups = [[0.0], [5e-324, 1e-9, 0.3, 0.99]]
     else:
-        c = np.append(table.cutoff_array, 1.0)
+        c = np.append(table.cutoffs, 1.0)
         # each class's bottom cutoff, middle and last float, for classes 0-4 and the top one
         groups = [[c[k], _middle(c, k), np.nextafter(c[k + 1], 0.0)]
                   for k in [0, 1, 2, 3, 4, len(c) - 2]]
@@ -371,7 +372,7 @@ def test_mean_revenues_live_set_bounds(monkeypatch, args):
     if table.degenerate:
         priors = [0.0, 5e-324, 1e-9, 0.3, 0.99]
     else:
-        c = np.append(table.cutoff_array, 1.0)
+        c = np.append(table.cutoffs, 1.0)
         priors = [m for k in [0, 1, 2, 3, 4, len(c) - 2]
                   for m in (c[k], _middle(c, k), np.nextafter(c[k + 1], 0.0))]
     want = [monte_carlo(table, m0, "prior", 300, seed=3).mean_revenue for m0 in priors]
@@ -522,3 +523,20 @@ def test_accept_thresholds_are_the_exact_chains(market, m0):
             if (simulate_path(table, m0, "high", _DeclineUntil(t, u)).trade_period == t) != trades:
                 misses.append((t, u, trades))
     assert misses == []
+
+
+@pytest.mark.parametrize("args", [(1.0, 2.0, 0.8, 0.95), (1.0, 2.0, 0.99, 0.999), (0.1, 1.0, 0.9, 0.9)])
+def test_histogram_follows_the_law_of_play(args):
+    # both types pooled, a class-n prior's good is unsold entering period t
+    # with probability S_t = (1 + z_{n-t}) / (1 + z0) for 1 <= t <= n, S_0 = 1
+    # and S_{n+1} = 0, so period t trades with probability S_t - S_{t+1};
+    # each period's share of 100,000 paths lies within 5 binomial se of it
+    *market, m0 = args
+    table = compute_cutoffs(MarketParams(*market))
+    n, n_paths = table.delay_class(m0), 100_000
+    s = np.concatenate([[1.0], (1.0 + table.odds[n - 1::-1]) / (1.0 + m0 / (1.0 - m0)), [0.0]])
+    law = s[:-1] - s[1:]
+    hist = monte_carlo(table, m0, "prior", n_paths, seed=0).trade_time_histogram
+    assert set(hist) <= set(range(n + 1))
+    share = np.array([hist.get(t, 0) for t in range(n + 1)]) / n_paths
+    assert np.all(np.abs(share - law) <= 5.0 * np.sqrt(law * (1.0 - law) / n_paths))

@@ -14,10 +14,14 @@ from helpers import (
     class_one_revenue,
     commitment_revenue,
     decompose_R,
+    misplaced_table,
     oracle_R,
     oracle_vhat,
+    recipe_revenue,
     rent_correspondence,
 )
+
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def test_eval_R_one_shot_branch(table08):
@@ -255,3 +259,20 @@ def test_oracle_vhat_matches(p08, table08):
     # the library's virtual value is the class-0 line at posterior 0
     for m in np.linspace(0.0, 0.99, 100):
         assert oracle_vhat(p08, float(m)) == eval_R(table08, 0.0, float(m))
+
+
+@pytest.mark.parametrize("args", [(1.0, 2.0, 0.8), (0.3, 1.0, 0.9), (0.1, 1.0, 0.99)])
+def test_recipe_never_beats_the_equilibrium(args):
+    # the paper's backward induction on a 2,000-point belief grid can only
+    # fall short of the equilibrium, whose delays are not tied to a grid
+    p = MarketParams(*args)
+    mu, v = recipe_revenue(p, 2000)
+    assert np.max(v - seller_revenue(compute_cutoffs(p), mu)) <= 4 * UNIT_ROUNDOFF * p.v_high
+
+
+@pytest.mark.parametrize("shift", [1e-3, -1e-3])
+def test_recipe_beats_a_misplaced_table(p08, table08, shift):
+    # negative control: with cutoff 2 moved, some incarnation does better
+    mu, v = recipe_revenue(p08, 2000)
+    bad = seller_revenue(misplaced_table(table08, 2, shift), mu)
+    assert np.max(v - bad) > 1e-4 * p08.v_high

@@ -171,7 +171,7 @@ def test_breakpoint_values_are_suprema(table08):
     # cutoffs above the prior, so that left limit can exceed w at the cutoff
     # itself, seen one ulp below it (at prior 0.97, cutoff 4)
     t, p = table08, table08.params
-    x, z, b, rho = t.cutoff_array, t.odds, t.intercepts, t.rents
+    x, z, b, rho = t.cutoffs, t.odds, t.intercepts, t.rents
     r, d = p.v_low / p.v_high, p.delta
     jumped = False
     for m0 in (0.3, 0.6, 0.85, 0.97):
