@@ -1,5 +1,5 @@
-"""Problem primitives: market parameters and the belief rule, a probability
-in [0, 1] exactly."""
+"""Problem primitives: market parameters, the belief rule, a probability
+in [0, 1] exactly, and a prior's odds."""
 from __future__ import annotations
 
 import math
@@ -20,6 +20,14 @@ def belief(value):
         first = float(v[~((v >= 0.0) & (v <= 1.0))].flat[0])  # one line for an array too
         raise ValueError(f"belief {first!r} lies outside [0, 1]")
     return float(v) + 0.0 if v.ndim == 0 else v
+
+
+def prior_odds(m0):
+    """Odds m0 / (1 - m0) of a checked prior or array of priors, finite at a
+    subnormal prior; prior 1, of infinite odds, raises ValueError."""
+    if (m0 == 1.0) if isinstance(m0, float) else (m0 == 1.0).any():
+        raise ValueError("prior 1 has infinite odds: a prior must lie below 1")
+    return m0 / (1.0 - m0)
 
 
 @dataclass(frozen=True)

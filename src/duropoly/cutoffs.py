@@ -70,7 +70,7 @@ class CutoffTable:
 
     @cached_property
     def cutoffs(self) -> np.ndarray:
-        # the least mu whose odds, formed as value._prior_odds forms a
+        # the least mu whose odds, formed as core.prior_odds forms a
         # prior's, reach z_n; z / (1 + z) lies within two ulps of it
         z = self.odds
         c = z / (1.0 + z)

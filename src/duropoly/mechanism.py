@@ -6,8 +6,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import belief
-from .cutoffs import SCALE, CutoffTable
+from .core import belief, prior_odds
+from .cutoffs import CutoffTable
 
 INDIFFERENCE_TOL = 1e-12
 
@@ -90,7 +90,7 @@ def build_mechanism(table: CutoffTable, mu0: float) -> Mechanism:
     is the class-n posted price, and no-trade posteriors pay nothing.  At a
     prior sitting exactly on a cutoff the seller is indifferent between the
     two adjacent class mechanisms; the tie goes to the longer delay, as in
-    `CutoffTable.delay_class`.
+    `CutoffTable.delay_class`.  Prior 1 raises ValueError.
     """
     m0 = belief(mu0)
     p = table.params
@@ -101,10 +101,9 @@ def build_mechanism(table: CutoffTable, mu0: float) -> Mechanism:
         return Mechanism(m0, 0, {"low": {m0: 1.0}, "high": {m0: 1.0}}, {m0: 1.0}, {m0: p.v_low})
 
     c = float(table.cutoffs[n - 1])
-    # (1 - m0) / m0 * z_{n-1}, each factor scaled by SCALE, which is exact: the
-    # same float wherever the plain product is finite, and finite at a
-    # subnormal m0, where (1 - m0) / m0 overflows
-    b_delay_high = float((1.0 - m0) / (m0 * SCALE) * (table.odds[n - 1] * SCALE))
+    # z_{n-1} / z0, so that 1 - b_delay_high is, bit for bit, the period-0
+    # acceptance probability simulate_path and monte_carlo test a draw against
+    b_delay_high = float(table.odds[n - 1] / prior_odds(m0))
     return Mechanism(
         m0,
         n,

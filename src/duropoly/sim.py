@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import belief
+from .core import belief, prior_odds
 from .cutoffs import CutoffTable
 
 RNG_ALGORITHM = "pcg64(seed); uniform row i of a pre-drawn matrix is path i's substream"
@@ -105,27 +105,15 @@ class MonteCarloSummary:
     paths: PathArrays | None = field(default=None, compare=False, repr=False)
 
 
-class _RowStream:
-    """Sequential uniform draws from one pre-drawn row."""
-
-    def __init__(self, row):
-        self._row = row
-        self._next = 0
-
-    def random(self) -> float:
-        u = self._row[self._next]
-        self._next += 1
-        return float(u)
-
-
-def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathRecord:
-    """Play the equilibrium strategy once for a fixed buyer type.
+def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, draw) -> PathRecord:
+    """Play the equilibrium strategy once for a fixed buyer type, draw()
+    giving the next uniform (rng.random, say).
 
     Each period a class-n seller quotes table.prices[n], which is v_high
-    with v_low = 0; the high type accepts with the probability
-    1 - z_{n-1} / z that makes a rejection move the belief's odds z onto the
+    with v_low = 0; the high type accepts a draw below 1 - z_{n-1} / z, the
+    probability that makes a rejection move the belief's odds z onto the
     next cutoff's, both read from table.odds except the prior's own,
-    mu0 / (1 - mu0); the low type rejects anything above v_low.  Class 0
+    core.prior_odds(mu0); the low type rejects anything above v_low.  Class 0
     sells at v_low, except that with v_low = 0 belief 0 is absorbing: the
     path ends there flagged as a no-sale.  The prior is classified once;
     each rejection steps to the class below and its cutoff.
@@ -133,14 +121,12 @@ def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathR
     if buyer_type not in ("low", "high"):
         raise ValueError(f"buyer_type must be 'low' or 'high', got {buyer_type!r}")
     mu = belief(mu0)
-    if mu == 1.0:
-        raise ValueError("simulation starts from a prior below 1")
+    odds = prior_odds(mu)
     p = table.params
     v_buyer = p.v_high if buyer_type == "high" else p.v_low
 
     steps = []
     disc = 1.0
-    odds = mu / (1.0 - mu)
     n = table.delay_class(mu)
     for t in itertools.count():
         if n == 0:
@@ -153,7 +139,7 @@ def simulate_path(table: CutoffTable, mu0: float, buyer_type: str, rng) -> PathR
                 tuple(steps), t, disc * p.v_low, disc * (v_buyer - p.v_low), buyer_type
             )
         price = table.prices[n]
-        if buyer_type == "high" and rng.random() < 1.0 - table.odds[n - 1] / odds:
+        if buyer_type == "high" and draw() < 1.0 - table.odds[n - 1] / odds:
             steps.append(PathStep(t, mu, price, buyer_type, "accept"))
             return PathRecord(
                 tuple(steps), t, disc * price, disc * (v_buyer - price), buyer_type
@@ -178,19 +164,19 @@ def iter_paths(table: CutoffTable, mu0: float, type_draw: str, n_paths: int, see
     mu0).  Path i consumes row i of a uniform matrix drawn once from
     pcg64(seed), so each path depends only on (seed, path index).  A row
     holds class + 1 draws: the type draw and one per period the high type
-    can decline.
+    can decline, read in order from an iterator over the row.
     """
     _check_run(type_draw, n_paths)
     m0 = belief(mu0)
     rng = np.random.default_rng(seed)
     draws = rng.random((n_paths, table.delay_class(m0) + 1))
     for i in range(n_paths):
-        stream = _RowStream(draws[i])
+        draw = iter(draws[i].tolist()).__next__
         if type_draw == "prior":
-            btype = "high" if stream.random() < m0 else "low"
+            btype = "high" if draw() < m0 else "low"
         else:
             btype = "high" if type_draw == "fixed_high" else "low"
-        yield simulate_path(table, m0, btype, stream)
+        yield simulate_path(table, m0, btype, draw)
 
 
 class _Run:
@@ -232,8 +218,8 @@ class _Run:
 
 class _ClassPaths:
     """Every path of one delay class n, played once for a 1-D array m0 of
-    priors of that class on the draws iter_paths reads: all priors of a
-    class share them.
+    priors of that class, of odds z0, on the draws iter_paths reads: all
+    priors of a class share them.
 
     Only the type threshold and the period-0 acceptance probability depend
     on the prior: from period 1 the belief is cutoffs[n-1] ... cutoffs[1],
@@ -252,7 +238,7 @@ class _ClassPaths:
     and belief 0 then never trades.
     """
 
-    def __init__(self, run: _Run, m0: np.ndarray, n: int):
+    def __init__(self, run: _Run, m0: np.ndarray, z0: np.ndarray, n: int):
         table, n_paths = run.table, run.n_paths
         p = table.params
         odds = table.odds[:n][::-1]  # the odds after a rejection in period t
@@ -268,8 +254,8 @@ class _ClassPaths:
         self.last = -1 if table.degenerate else n  # the period of a path declining every price
 
         self.m0, self.n, self.type_draw = m0, n, run.type_draw
-        # each prior's own period-0 acceptance probability
-        self.accept0 = 1.0 - odds[0] / (m0 / (1.0 - m0)) if n else None
+        # each prior's own period-0 acceptance probability, from its odds z0
+        self.accept0 = 1.0 - odds[0] / z0 if n else None
         self.u_type = np.empty(n_paths) if run.type_draw == "prior" else None
         self.u0 = np.empty(n_paths) if n else None
         self.later = np.full(n_paths, self.last)
@@ -358,17 +344,16 @@ def _play(table: CutoffTable, priors, type_draw: str, n_paths: int, seed: int):
     indices into the priors and lo:hi its slice of the class step's m0."""
     _check_run(type_draw, n_paths)
     m0 = np.atleast_1d(belief(priors))
-    if np.any(m0 == 1.0):
-        raise ValueError("simulation starts from a prior below 1")
     n = table.classes(m0)
     order = np.argsort(n, kind="stable")
     m0, n = m0[order], n[order]
+    z0 = prior_odds(m0)
     starts = np.flatnonzero(np.diff(n, prepend=-1))
     stops = np.append(starts[1:], len(m0))
     run = _Run(table, type_draw, n_paths, seed, int(n.max(initial=0)))
     chunk = max(1, PRIOR_BLOCK_SIZE // n_paths)
     for lo, hi in zip(starts.tolist(), stops.tolist()):
-        paths = _ClassPaths(run, m0[lo:hi], int(n[lo]))
+        paths = _ClassPaths(run, m0[lo:hi], z0[lo:hi], int(n[lo]))
         if hi == len(m0):
             del run  # every class is read: free the stream's prefix before the last read-outs
         for a in range(lo, hi, chunk):

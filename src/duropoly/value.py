@@ -14,16 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import belief
+from .core import belief, prior_odds
 from .cutoffs import CutoffTable
-
-
-def _prior_odds(m0):
-    """Odds m0 / (1 - m0) of a validated prior, or of an array of priors;
-    rejects 1."""
-    if (m0 == 1.0) if isinstance(m0, float) else (m0 == 1.0).any():
-        raise ValueError("the continuation value has a pole at prior 1")
-    return m0 / (1.0 - m0)
 
 
 def eval_R(table: CutoffTable, mu_prime, mu0):
@@ -34,7 +26,7 @@ def eval_R(table: CutoffTable, mu_prime, mu0):
     favor delay); beliefs at or beyond the last cutoff land in the last
     class.  Arrays of posteriors and priors broadcast against each other.
     """
-    z0 = _prior_odds(belief(mu0))
+    z0 = prior_odds(belief(mu0))
     m = np.asarray(mu_prime, dtype=float)
     # NaN fails both tests; initial= lets an empty array pass
     if not (m.min(initial=0.0) >= 0.0 and m.max(initial=1.0) <= 1.0):

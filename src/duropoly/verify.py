@@ -31,10 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import belief, mu_bar_1
+from .core import belief, mu_bar_1, prior_odds
 from .cutoffs import CutoffTable
 from .mechanism import Split, _class_split
-from .value import _prior_odds
 
 RESIDUAL_TOL_PER_VHIGH = 1e-10
 # Cells of the (priors x options) array deviation_scan holds at once, in
@@ -140,7 +139,7 @@ def deviation_scan(table: CutoffTable, priors, tolerance: float | None = None) -
     # the class-j split: selling at the prior, then delaying to cutoff j - 1
     z, b, rho, r, d = table.odds, table.intercepts, table.rents, mu_bar_1(p), p.delta
     shift = (1.0 - d) * z
-    z0 = _prior_odds(m0)  # rejects prior 1
+    z0 = prior_odds(m0)
     n = table.classes(m0)
     top, best, j = np.empty(len(m0)), np.empty(len(m0)), np.empty(len(m0), dtype=np.intp)
     cols = np.arange(len(z) + 1)

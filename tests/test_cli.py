@@ -1002,9 +1002,9 @@ _RECORDS = {
     "ConstraintResiduals": (
         lambda t: mechanism.check_binding_constraints(mechanism.build_mechanism(t, 0.6), t),
         ("participation_low", "truthtelling_high"), None),
-    "PathStep": (lambda t: sim.simulate_path(t, 0.6, "low", np.random.default_rng(0)).steps[0],
+    "PathStep": (lambda t: sim.simulate_path(t, 0.6, "low", np.random.default_rng(0).random).steps[0],
                  ("period", "belief", "price", "buyer_type", "action"), None),
-    "PathRecord": (lambda t: sim.simulate_path(t, 0.6, "low", np.random.default_rng(0)),
+    "PathRecord": (lambda t: sim.simulate_path(t, 0.6, "low", np.random.default_rng(0).random),
                    ("steps", "trade_period", "discounted_revenue", "discounted_buyer_payoff",
                     "buyer_type"), None),
     "PathArrays": (lambda t: sim.monte_carlo(t, 0.6, "prior", 100, 0).paths,

@@ -94,7 +94,7 @@ GOLDEN = {
         "stdout": "8cd7a4a0223550afea1252c4a8e03f7996d737fbdb0f6fbc333f65296547a810",
         "cutoffs.csv": "0cf9d99883b42d523191f034dda620d0311980a31859753464a233bc25336606",
         "cutoffs.json": "58dadc6ebe6ee2b67c4afd99cdba44ea35a4e801ac2ece4f91de80d3502ca4f1",
-        "mechanism.json": "08cdb16ffc8ad944684b18cb0add53d9cee8685dc0f1d5603ea524ce7eaffa76",
+        "mechanism.json": "294338df0d4d2892400bc530a72b42e09311551f9b576305b40ae9acb39d91f0",
         "value_table.csv": "9ccb38ab317d3c55820d0d800101eedbcf2c94a184022d9f4eff1c38aa7acca9",
     },
     "solve-vhigh-1.7e308": {
@@ -102,7 +102,7 @@ GOLDEN = {
         "stdout": "34eb61e9cb5909a4648818acfd1e91c7df593560dcfa6484021b3bb24799ff15",
         "cutoffs.csv": "12908aa8c451afca7a9c6d2b07edae0063b6bb41cf1456a24bd55d4ae3fd350e",
         "cutoffs.json": "5b69a7c81a6edd1ea78dae4884ae9ef2dea7e9c497c0cf4e363641a1606b519a",
-        "mechanism.json": "463b9dfa8db83c1a44cce43591064f0df353c414832cea919b5f1154ca05c775",
+        "mechanism.json": "f0c5b5db6261f817365c971f618431a22430efd5335cf0f9697cb8b293bdb29b",
         "value_table.csv": "075ba8d3002edbcef0c037436060fede24c4bdc6dade08b1cb4eb721d9dae837",
     },
     "solve-bad-params": {

@@ -12,7 +12,9 @@ from duropoly import (
     compute_cutoffs,
     equilibrium_split,
     posted_price_view,
+    simulate_path,
 )
+from duropoly.cutoffs import CutoffTable
 from duropoly.mechanism import Mechanism
 
 from helpers import SOLVE_CASES, solve_into, uncut_table
@@ -201,6 +203,46 @@ def test_posted_price_view_detects_tampering(table08):
     )
     with pytest.raises(MechanismConsistencyError):
         posted_price_view(bad, table08)
+
+
+def test_posted_price_view_rejects_a_price_at_v_low(table08):
+    # table08's chain at delta = 1 - 2^-53: the class-1 price
+    # 2 - delta (2 - 1) rounds to v_low = 1, which the low type would accept
+    bad = CutoffTable(MarketParams(1.0, 2.0, 1.0 - 2.0**-53), table08.odds, table08.intercepts)
+    assert bad.prices[1] == 1.0
+    with pytest.raises(MechanismConsistencyError, match="does not exclude the low type"):
+        posted_price_view(build_mechanism(bad, 0.6), bad)
+
+
+def test_build_mechanism_rejects_prior_1(table08, tabledeg):
+    for table in (table08, tabledeg):
+        with pytest.raises(ValueError, match="prior 1"):
+            build_mechanism(table, 1.0)
+
+
+@pytest.mark.parametrize("market, extra", [
+    ((1.0, 2.0, 0.8), []),
+    ((1.0, 2.0, 0.99), [1.0 - 1e-14]),
+    ((1e-3, 1.0, 0.999), []),
+    ((1e-310, 1.0, 0.9), [3e-310]),
+])
+def test_accept_prob_high_is_the_simulators_period_0_threshold(market, extra):
+    # at the first, middle and last float prior of every class n >= 1, a
+    # period-0 draw one ulp below the mechanism's accept_prob_high trades
+    # in simulate_path, and a draw equal to it does not: the same float
+    table = compute_cutoffs(MarketParams(*market))
+    lo = table.cutoffs[1:]
+    hi = np.append(table.cutoffs[2:], 1.0)
+    mid = (lo + hi) / 2.0  # rounds to hi where lo and hi are adjacent floats
+    priors = [*lo.tolist(), *mid[mid < hi].tolist(), *np.nextafter(hi, 0.0).tolist(), *extra]
+    misses = []
+    for m0 in priors:
+        assert table.delay_class(m0) >= 1, m0
+        p = posted_price_view(build_mechanism(table, m0), table).accept_prob_high
+        for u, trades in ((float(np.nextafter(p, 0.0)), True), (p, False)):
+            if (simulate_path(table, m0, "high", lambda: u).trade_period == 0) != trades:
+                misses.append((m0, u, trades))
+    assert misses == []
 
 
 def test_binding_constraints(p08, table08):

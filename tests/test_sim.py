@@ -23,7 +23,7 @@ from helpers import EXACT_DIGITS, exact_chain
 def test_no_delay_prior_trades_immediately(table08):
     rng = np.random.default_rng(0)
     for btype in ("low", "high"):
-        rec = simulate_path(table08, 0.3, btype, rng)
+        rec = simulate_path(table08, 0.3, btype, rng.random)
         assert rec.trade_period == 0
         assert rec.discounted_revenue == 1.0
         assert rec.steps[0].price == 1.0
@@ -31,7 +31,7 @@ def test_no_delay_prior_trades_immediately(table08):
 
 def test_one_delay_high_type(table08):
     # the delay posterior is 0, so the high type accepts at once
-    rec = simulate_path(table08, 0.6, "high", np.random.default_rng(1))
+    rec = simulate_path(table08, 0.6, "high", np.random.default_rng(1).random)
     assert rec.trade_period == 0
     assert rec.discounted_revenue == 1.2
     assert rec.discounted_buyer_payoff == 0.8
@@ -43,7 +43,7 @@ def test_high_type_rent_path_invariant(table08, p08):
     rng = np.random.default_rng(2)
     seen_periods = set()
     for _ in range(2000):
-        rec = simulate_path(table08, m0, "high", rng)
+        rec = simulate_path(table08, m0, "high", rng.random)
         assert abs(rec.discounted_buyer_payoff - want) < 1e-12
         seen_periods.add(rec.trade_period)
     assert seen_periods <= {0, 1, 2}
@@ -54,7 +54,7 @@ def test_low_type_trades_at_class_period(table08, p08):
     rng = np.random.default_rng(3)
     for m0 in (0.3, 0.6, 0.85):
         n = table08.delay_class(m0)
-        rec = simulate_path(table08, m0, "low", rng)
+        rec = simulate_path(table08, m0, "low", rng.random)
         assert rec.trade_period == n
         assert rec.discounted_buyer_payoff == 0.0
         assert rec.discounted_revenue == pytest.approx(p08.delta**n * p08.v_low, abs=1e-15)
@@ -62,7 +62,7 @@ def test_low_type_trades_at_class_period(table08, p08):
 
 
 def test_beliefs_walk_down_the_cutoff_chain(table08):
-    rec = simulate_path(table08, 0.85, "low", np.random.default_rng(4))
+    rec = simulate_path(table08, 0.85, "low", np.random.default_rng(4).random)
     beliefs = [step.belief for step in rec.steps]
     assert beliefs == [0.85, table08.cutoffs[1], 0.0]
     assert all(type(b) is float for b in beliefs)  # Python floats, read off the cutoff array
@@ -72,14 +72,14 @@ def test_beliefs_walk_down_the_cutoff_chain(table08):
 
 def test_low_type_never_accepts_above_v_low(table08):
     rng = np.random.default_rng(5)
-    rec = simulate_path(table08, 0.95, "low", rng)
+    rec = simulate_path(table08, 0.95, "low", rng.random)
     for step in rec.steps:
         if step.action == "accept":
             assert step.price <= table08.params.v_low
 
 
 def test_degenerate_low_type_never_trades(tabledeg):
-    rec = simulate_path(tabledeg, 0.5, "low", np.random.default_rng(6))
+    rec = simulate_path(tabledeg, 0.5, "low", np.random.default_rng(6).random)
     assert rec.trade_period is None
     assert rec.discounted_revenue == 0.0
     assert rec.discounted_buyer_payoff == 0.0
@@ -90,7 +90,7 @@ def test_degenerate_high_type_pays_full_value(tabledeg):
     # posted-price view and the path, not v_high - delta (v_high - v_low) = 0.1
     assert tabledeg.prices[1] == 1.0
     for m0 in (0.5, 0.3):
-        rec = simulate_path(tabledeg, m0, "high", np.random.default_rng(7))
+        rec = simulate_path(tabledeg, m0, "high", np.random.default_rng(7).random)
         assert rec.trade_period == 0
         assert rec.discounted_revenue == 1.0
         assert rec.discounted_buyer_payoff == 0.0
@@ -103,9 +103,9 @@ def test_degenerate_high_type_pays_full_value(tabledeg):
 def test_simulate_path_input_validation(table08):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        simulate_path(table08, 0.5, "medium", rng)
+        simulate_path(table08, 0.5, "medium", rng.random)
     with pytest.raises(ValueError):
-        simulate_path(table08, 1.0, "high", rng)
+        simulate_path(table08, 1.0, "high", rng.random)
 
 
 def test_monte_carlo_deterministic(table08):
@@ -396,9 +396,9 @@ def test_mean_revenues_plays_each_class_once(monkeypatch, market, grid):
     steps, means, gathers = [], [], []
 
     class Counted(sim._ClassPaths):
-        def __init__(self, run, m0, n):
+        def __init__(self, run, m0, z0, n):
             steps.append(table.delay_class(m0[0]))
-            super().__init__(run, m0, n)
+            super().__init__(run, m0, z0, n)
 
         @functools.cached_property
         def _class_mean(self):
@@ -520,7 +520,7 @@ def test_accept_thresholds_are_the_exact_chains(market, m0):
     misses = []
     for t, a in enumerate(thresholds):
         for u, trades in ((a * (1.0 - 1e-9), True), (a * (1.0 + 1e-9), False)):
-            if (simulate_path(table, m0, "high", _DeclineUntil(t, u)).trade_period == t) != trades:
+            if (simulate_path(table, m0, "high", _DeclineUntil(t, u).random).trade_period == t) != trades:
                 misses.append((t, u, trades))
     assert misses == []
 
