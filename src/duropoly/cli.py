@@ -414,7 +414,8 @@ def _parser() -> argparse.ArgumentParser:
         help="points in solve's value table and sweep's priors (default 1001); "
              "verify, like simulate, reads no grid",
     )
-    common.add_argument("--paths", type=int, default=None, help="Monte Carlo paths (default 100000)")
+    common.add_argument("--paths", type=int, default=None, help="simulate's Monte Carlo paths "
+                        "(default 100000); every command checks it; sweep plays --sweep-paths")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     common.add_argument("--out", type=str, default=None, help="output directory (default .)")

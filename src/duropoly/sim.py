@@ -163,8 +163,9 @@ def iter_paths(table: CutoffTable, mu0: float, type_draw: str, n_paths: int, see
     type_draw is "fixed_low", "fixed_high", or "prior" (high with probability
     mu0).  Path i consumes row i of a uniform matrix drawn once from
     pcg64(seed), so each path depends only on (seed, path index).  A row
-    holds class + 1 draws: the type draw and one per period the high type
-    can decline, read in order from an iterator over the row.
+    holds class + 1 draws, read in order: under "prior" the type draw, high
+    below mu0, then one per period the high type can decline; a fixed type
+    starts at the period-0 accept draw and never reads the last.
     """
     _check_run(type_draw, n_paths)
     m0 = belief(mu0)
@@ -181,9 +182,9 @@ def iter_paths(table: CutoffTable, mu0: float, type_draw: str, n_paths: int, see
 
 class _Run:
     """What every delay class of one run shares, up to its top class: the
-    table, the type draw, the path count, the discounts delta^t, by
-    repeated multiplication as simulate_path builds them, and the uniforms
-    of one pcg64(seed) stream.
+    table, first (1 where a row opens with a type draw, 0 for a fixed type),
+    the path count, the discounts delta^t, by repeated multiplication as
+    simulate_path builds them, and the uniforms of one pcg64(seed) stream.
 
     Class n's draw matrix, n_paths rows of n + 1, is the stream's first
     n_paths (n + 1) uniforms, row-major, so all classes read one stream.
@@ -193,8 +194,8 @@ class _Run:
     gives the same uniforms.
     """
 
-    def __init__(self, table: CutoffTable, type_draw: str, n_paths: int, seed: int, top: int):
-        self.table, self.type_draw, self.n_paths = table, type_draw, n_paths
+    def __init__(self, table: CutoffTable, first: int, n_paths: int, seed: int, top: int):
+        self.table, self.first, self.n_paths = table, first, n_paths
         self.disc = np.fromiter(itertools.accumulate(itertools.repeat(table.params.delta, top),
                                                      operator.mul, initial=1.0), float, top + 1)
         self._bits = np.random.PCG64(seed)
@@ -217,9 +218,10 @@ class _Run:
 
 
 class _ClassPaths:
-    """Every path of one delay class n, played once for a 1-D array m0 of
-    priors of that class, of odds z0, on the draws iter_paths reads: all
-    priors of a class share them.
+    """Every path of one delay class n, played once for priors of that
+    class, of odds z0 and type thresholds below, on the draws iter_paths
+    reads: all priors of a class share them.  A path is high where its type
+    uniform u_type, 0 for a fixed type, falls below the prior's threshold.
 
     Only the type threshold and the period-0 acceptance probability depend
     on the prior: from period 1 the belief is cutoffs[n-1] ... cutoffs[1],
@@ -229,16 +231,16 @@ class _ClassPaths:
     DRAW_BLOCK_SIZE, and keeps three numbers per path: its type draw, its
     period-0 accept draw and its first accepting period t >= 1, found by a
     loop over periods on the compacted live paths, those high and declining
-    period 0 at some prior of m0.  The one gather, trade_periods, then
-    plays m0[lo:hi]: a high type takes period 0 if its draw accepts the
-    prior's own period-0 price, else that later period, which is n if it
-    declines every price; a low type buys at v_low in period n.  Revenue
+    period 0 at some prior of the class.  The one gather, trade_periods,
+    then plays priors lo:hi: a high type takes period 0 if its draw accepts
+    the prior's own period-0 price, else that later period, which is n if
+    it declines every price; a low type buys at v_low in period n.  Revenue
     and payoff are read from revenue_at and payoff_at by trade period.
     With v_low = 0 a positive prior posts v_high once, accepted for sure,
     and belief 0 then never trades.
     """
 
-    def __init__(self, run: _Run, m0: np.ndarray, z0: np.ndarray, n: int):
+    def __init__(self, run: _Run, z0: np.ndarray, below: np.ndarray, n: int):
         table, n_paths = run.table, run.n_paths
         p = table.params
         odds = table.odds[:n][::-1]  # the odds after a rejection in period t
@@ -253,10 +255,10 @@ class _ClassPaths:
         self.payoff_at = np.append(disc * (p.v_high - paid), 0.0)
         self.last = -1 if table.degenerate else n  # the period of a path declining every price
 
-        self.m0, self.n, self.type_draw = m0, n, run.type_draw
+        self.below, self.n, self.first = below, n, run.first
         # each prior's own period-0 acceptance probability, from its odds z0
         self.accept0 = 1.0 - odds[0] / z0 if n else None
-        self.u_type = np.empty(n_paths) if run.type_draw == "prior" else None
+        self.u_type = np.zeros(n_paths)
         self.u0 = np.empty(n_paths) if n else None
         self.later = np.full(n_paths, self.last)
         block = max(1, DRAW_BLOCK_SIZE // (n + 1))
@@ -268,22 +270,19 @@ class _ClassPaths:
 
     def _read_block(self, rows: slice, accept: np.ndarray, draws: np.ndarray) -> None:
         """Keep the three numbers of the paths in rows from their draws."""
-        prior = self.u_type is not None
-        if prior:
+        if self.first:
             self.u_type[rows] = draws[:, 0]
         if not self.n:
             return
-        first = 1 if prior else 0  # column of the period-0 accept draw
-        self.u0[rows] = draws[:, first]
-        if self.type_draw == "fixed_low" or self.n == 1:
-            return  # no high path to follow, or no period t >= 1 to test
-        # the paths high and declining period 0 at some prior of m0
+        self.u0[rows] = draws[:, self.first]  # the period-0 accept draw
+        if self.n == 1:
+            return  # no period t >= 1 to test
+        # the paths high and declining period 0 at some prior of the class
         live = self.u0[rows] >= self.accept0.min()
-        if prior:
-            live &= self.u_type[rows] < self.m0.max()
+        live &= self.u_type[rows] < self.below.max()
         live = np.flatnonzero(live)
         later = self.later[rows]
-        for t, (u, threshold) in enumerate(zip(draws.T[first + 1:], accept), 1):
+        for t, (u, threshold) in enumerate(zip(draws.T[self.first + 1:], accept), 1):
             if not live.size:
                 break
             acc = u[live] < threshold
@@ -293,14 +292,11 @@ class _ClassPaths:
             live = live.compress(~acc)
 
     def trade_periods(self, lo: int, hi: int):
-        """(is_high, trade_period) of every path at the priors m0[lo:hi], as
+        """(is_high, trade_period) of every path at the priors lo:hi, as
         (priors x paths) arrays: whether it is a high type, and its trade
         period, -1 for no sale.  In class 0 trade_period is one row, which
         broadcasts over the priors."""
-        if self.u_type is not None:
-            is_high = self.u_type < self.m0[lo:hi, None]
-        else:
-            is_high = np.full((hi - lo, len(self.later)), self.type_draw == "fixed_high")
+        is_high = self.u_type < self.below[lo:hi, None]
         if not self.n:
             # every path trades in period last whatever the prior, so one
             # row serves every prior
@@ -311,9 +307,9 @@ class _ClassPaths:
         return is_high, (declines * self.later - self.last) * is_high + self.last
 
     def mean_revenue(self, lo: int, hi: int):
-        """The mean revenue at each prior of m0[lo:hi] of a "prior" run:
-        v_high times the pairwise mean of the paths' revenues in units of
-        v_high, as monte_carlo takes it, bit for bit."""
+        """The mean revenue at each of the priors lo:hi: v_high times the
+        pairwise mean of the paths' revenues in units of v_high, as
+        monte_carlo takes it, bit for bit."""
         if not self.n:
             return self._class_mean
         if self.n == 1 and self.last < 0:
@@ -332,7 +328,7 @@ class _ClassPaths:
         # the v_low = 0 class 1: a high type pays v_high in period 0, 1.0 in
         # units of v_high, and a low type nothing; a type draw equal to the
         # prior is a low type's, so the count is searchsorted's left side
-        high = np.sort(self.u_type).searchsorted(self.m0)
+        high = np.sort(self.u_type).searchsorted(self.below)
         return self.v_high * (high / len(self.later))
 
 
@@ -341,19 +337,20 @@ def _play(table: CutoffTable, priors, type_draw: str, n_paths: int, seed: int):
     priors are grouped by delay class, in any order, and each class is
     played once from one _Run; yields (rows, class step, lo, hi) for chunks
     of at most PRIOR_BLOCK_SIZE (prior, path) cells, rows the chunk's
-    indices into the priors and lo:hi its slice of the class step's m0."""
+    indices into the priors and lo:hi its slice of the class step's priors."""
     _check_run(type_draw, n_paths)
     m0 = np.atleast_1d(belief(priors))
     n = table.classes(m0)
     order = np.argsort(n, kind="stable")
     m0, n = m0[order], n[order]
     z0 = prior_odds(m0)
+    below = m0 if type_draw == "prior" else np.full_like(m0, type_draw == "fixed_high")
     starts = np.flatnonzero(np.diff(n, prepend=-1))
     stops = np.append(starts[1:], len(m0))
-    run = _Run(table, type_draw, n_paths, seed, int(n.max(initial=0)))
+    run = _Run(table, int(type_draw == "prior"), n_paths, seed, int(n.max(initial=0)))
     chunk = max(1, PRIOR_BLOCK_SIZE // n_paths)
     for lo, hi in zip(starts.tolist(), stops.tolist()):
-        paths = _ClassPaths(run, m0[lo:hi], z0[lo:hi], int(n[lo]))
+        paths = _ClassPaths(run, z0[lo:hi], below[lo:hi], int(n[lo]))
         if hi == len(m0):
             del run  # every class is read: free the stream's prefix before the last read-outs
         for a in range(lo, hi, chunk):

@@ -396,9 +396,9 @@ def test_mean_revenues_plays_each_class_once(monkeypatch, market, grid):
     steps, means, gathers = [], [], []
 
     class Counted(sim._ClassPaths):
-        def __init__(self, run, m0, z0, n):
-            steps.append(table.delay_class(m0[0]))
-            super().__init__(run, m0, z0, n)
+        def __init__(self, run, z0, below, n):
+            steps.append(n)
+            super().__init__(run, z0, below, n)
 
         @functools.cached_property
         def _class_mean(self):

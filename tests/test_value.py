@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duropoly import (
     MarketParams,
@@ -261,13 +263,29 @@ def test_oracle_vhat_matches(p08, table08):
         assert oracle_vhat(p08, float(m)) == eval_R(table08, 0.0, float(m))
 
 
-@pytest.mark.parametrize("args", [(1.0, 2.0, 0.8), (0.3, 1.0, 0.9), (0.1, 1.0, 0.99)])
-def test_recipe_never_beats_the_equilibrium(args):
+def _assert_recipe_never_beats_the_equilibrium(p):
     # the paper's backward induction on a 2,000-point belief grid can only
     # fall short of the equilibrium, whose delays are not tied to a grid
-    p = MarketParams(*args)
     mu, v = recipe_revenue(p, 2000)
     assert np.max(v - seller_revenue(compute_cutoffs(p), mu)) <= 4 * UNIT_ROUNDOFF * p.v_high
+
+
+@pytest.mark.parametrize("args", [(1.0, 2.0, 0.8), (0.3, 1.0, 0.9), (0.1, 1.0, 0.99)])
+def test_recipe_never_beats_the_equilibrium(args):
+    _assert_recipe_never_beats_the_equilibrium(MarketParams(*args))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    log_ratio=st.floats(-2.0, -0.02),
+    delta=st.floats(0.05, 0.995),
+    log_v_high=st.floats(-3.0, 3.0),
+)
+def test_recipe_never_beats_the_equilibrium_on_short_chains(log_ratio, delta, log_v_high):
+    # v_low / v_high from 0.01 to 0.95 and delta from 0.05 to 0.995 keep the
+    # chain short, 5 to 126 cutoffs; v_high spans six decades
+    v_high = 10.0**log_v_high
+    _assert_recipe_never_beats_the_equilibrium(MarketParams(10.0**log_ratio * v_high, v_high, delta))
 
 
 @pytest.mark.parametrize("shift", [1e-3, -1e-3])
