@@ -220,6 +220,8 @@ def _build_config(args) -> RunConfig:
     counts = {k: _number(k, raw[k], int) for k in ("grid_n", "mc_paths", "seed") if k in raw}
     count_flags = (("grid_n", args.grid), ("mc_paths", args.paths), ("seed", args.seed))
     counts.update((k, flag) for k, flag in count_flags if flag is not None)
+    if args.command == "sweep":  # mc_paths at each prior
+        counts.setdefault("mc_paths", SWEEP_DEFAULT_PATHS)
     missing = [k for k in PARAM_KEYS if k not in pdict]
     if missing:
         raise ValueError(f"missing parameters: {', '.join(missing)}")
@@ -239,10 +241,8 @@ def _build_config(args) -> RunConfig:
     )
     # the most float64 elements one numpy array can hold
     most = np.iinfo(np.intp).max // 8
-    sweep_paths = args.sweep_paths if args.command == "sweep" else None
-    for name, count, least in (("grid", cfg.grid_n, 2), ("paths", cfg.mc_paths, 1),
-                               ("--sweep-paths", sweep_paths, 1)):
-        if count is not None and not least <= count <= most:
+    for name, count, least in (("grid", cfg.grid_n, 2), ("paths", cfg.mc_paths, 1)):
+        if not least <= count <= most:
             raise ValueError(f"{name} must be at least {least} and at most {most}, got {count}")
     if cfg.deviation_gap is not None and cfg.deviation_gap <= 0:
         raise ValueError("tolerances must be positive")
@@ -382,11 +382,11 @@ def cmd_simulate(cfg: RunConfig, table: CutoffTable, type_draw: str, paths_csv: 
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, table: CutoffTable, sweep_paths: int) -> int:
+def cmd_sweep(cfg: RunConfig, table: CutoffTable) -> int:
     out = cfg.output_dir
     priors = np.linspace(0.0, 1.0, cfg.grid_n)[:-1]
     columns = [seller_revenue(table, priors),
-               mean_revenues(table, priors, sweep_paths, cfg.seed), buyer_rent(table, priors)]
+               mean_revenues(table, priors, cfg.mc_paths, cfg.seed), buyer_rent(table, priors)]
     # the priors' text is the grid's but for its last line, mu0 = 1
     _write_csv(out / "sweep.csv", ["mu0", "analytic_revenue", "mc_revenue", "rent"],
                ",".join([F17] * 3), columns, grid_n=cfg.grid_n)
@@ -414,8 +414,9 @@ def _parser() -> argparse.ArgumentParser:
         help="points in solve's value table and sweep's priors (default 1001); "
              "verify, like simulate, reads no grid",
     )
-    common.add_argument("--paths", type=int, default=None, help="simulate's Monte Carlo paths "
-                        "(default 100000); every command checks it; sweep plays --sweep-paths")
+    common.add_argument("--paths", type=int, default=None, help="Monte Carlo paths: simulate's total "
+                        f"(default 100000), sweep's per prior (default {SWEEP_DEFAULT_PATHS}); "
+                        "solve and verify check it and play none")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     common.add_argument("--out", type=str, default=None, help="output directory (default .)")
@@ -427,9 +428,7 @@ def _parser() -> argparse.ArgumentParser:
     psim = sub.add_parser("simulate", parents=[common])
     psim.add_argument("--type-draw", choices=["prior", "fixed_low", "fixed_high"], default="prior")
     psim.add_argument("--paths-csv", type=str, default=None, help="also write one row per path")
-    psweep = sub.add_parser("sweep", parents=[common])
-    psweep.add_argument("--sweep-paths", type=int, default=None,
-                        help=f"Monte Carlo paths per prior (default {SWEEP_DEFAULT_PATHS})")
+    sub.add_parser("sweep", parents=[common])
     return parser
 
 
@@ -453,8 +452,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, table, args.type_draw, args.paths_csv)
         if args.command == "sweep":
-            sweep_paths = args.sweep_paths if args.sweep_paths is not None else SWEEP_DEFAULT_PATHS
-            return cmd_sweep(cfg, table, sweep_paths)
+            return cmd_sweep(cfg, table)
     except MemoryError as exc:  # e.g. an oversize --grid
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2

@@ -45,6 +45,7 @@ class MarketParams:
             )
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"discount factor must lie in (0, 1), got {self.delta}")
+        object.__setattr__(self, "v_low", self.v_low + 0)  # -0.0 as 0.0, as belief folds it
 
     @property
     def delta_v(self) -> float:

@@ -117,7 +117,7 @@ def test_criterion_5_full_surplus(tmp_path):
         for m0 in np.linspace(0.0, 0.99, 101)
     )
     code = cli_main(["sweep", "--v-low", "0", "--v-high", "1", "--delta", "0.9",
-                     "--mu0", "0.5", "--grid", "101", "--sweep-paths", "10",
+                     "--mu0", "0.5", "--grid", "101", "--paths", "10",
                      "--seed", "0", "--out", str(tmp_path)])
     ok &= code == 0
     with open(tmp_path / "sweep.csv") as fh:

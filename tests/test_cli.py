@@ -137,7 +137,7 @@ def test_out_of_domain_flags_exit_2(tmp_path_factory, command, v_low, v_high, de
      "--paths", 2000),
     ("verify", "--v-low", 1e-100, "--v-high", 1, "--delta", 0.999, "--mu0", 0.5, "--grid", 101),
     ("sweep", "--v-low", 1e-100, "--v-high", 1, "--delta", 0.999, "--mu0", 0.5,
-     "--grid", 21, "--sweep-paths", 20),
+     "--grid", 21, "--paths", 20),
     # class 13,069: every path is played to its trade, with no horizon
     ("simulate", "--v-low", 0.001, "--v-high", 1, "--delta", 0.99999999, "--mu0", 0.999999,
      "--paths", 3000),
@@ -305,9 +305,18 @@ def test_verify_reads_no_grid(tmp_path):
     assert (tmp_path / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
 
 
+def test_solve_at_negative_zero_v_low_matches_zero(tmp_path):
+    # v_low = -0.0 is the market v_low = 0: no artifact holds a -0
+    market = ("--v-high", 1, "--delta", 0.9, "--mu0", 0.5)
+    assert run("solve", "--v-low", "-0.0", *market, "--out", tmp_path / "neg") == 0
+    assert run("solve", "--v-low", 0, *market, "--out", tmp_path / "pos") == 0
+    for name in ("cutoffs.csv", "cutoffs.json", "mechanism.json", "value_table.csv"):
+        assert (tmp_path / "neg" / name).read_bytes() == (tmp_path / "pos" / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("args", [
-    ("sweep", "--mu0", 0.5, "--sweep-paths", 0),
-    ("sweep", "--mu0", 0.5, "--sweep-paths", -3),
+    ("sweep", "--mu0", 0.5, "--paths", 0),
+    ("sweep", "--mu0", 0.5, "--paths", -3),
     ("simulate", "--mu0", 0.5, "--seed", -1),
     ("solve", "--mu0", 1),
     ("simulate", "--mu0", 1),
@@ -341,7 +350,7 @@ def test_prior_1_allowed_where_mu0_is_unused(tmp_path):
     assert run("verify", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
                "--mu0", 1, "--grid", 101, "--out", tmp_path) == 0
     assert run("sweep", "--v-low", 1, "--v-high", 2, "--delta", 0.8,
-               "--mu0", 1, "--grid", 11, "--sweep-paths", 5, "--out", tmp_path) == 0
+               "--mu0", 1, "--grid", 11, "--paths", 5, "--out", tmp_path) == 0
 
 
 def test_simulate_fixed_high(tmp_path):
@@ -447,7 +456,7 @@ def test_sweep_mean_finite_near_float_max(tmp_path):
 
 def test_sweep_full_surplus_bit_for_bit(tmp_path):
     code = run("sweep", "--v-low", 0, "--v-high", 1, "--delta", 0.9,
-               "--mu0", 0.5, "--grid", 101, "--sweep-paths", 20,
+               "--mu0", 0.5, "--grid", 101, "--paths", 20,
                "--seed", 0, "--out", tmp_path)
     assert code == 0
     with open(tmp_path / "sweep.csv") as fh:
@@ -479,13 +488,16 @@ def test_sweep_matches_per_prior_calls(tmp_path, monkeypatch, market, grid, seed
         want = [(m0, seller_revenue(table, m0),
                  monte_carlo(table, m0, "prior", n_paths, seed).mean_revenue,
                  buyer_rent(table, m0)) for m0 in priors]
+        cfg = tmp_path / f"{n_paths}.json"
+        cfg.write_text(json.dumps({"mc_paths": n_paths}))
         for blocks in ({}, {"DRAW_BLOCK_SIZE": 64, "PRIOR_BLOCK_SIZE": 3 * n_paths}):
             for name, value in blocks.items():
                 monkeypatch.setattr(sim, name, value)
             out = tmp_path / f"{n_paths}-{len(blocks)}"
+            # the count by flag, and for the blocked run by the config's mc_paths
+            count = ("--config", cfg) if blocks else ("--paths", n_paths)
             assert run("sweep", *chain.from_iterable(flags.items()), "--mu0", 0.5,
-                       "--grid", grid, "--sweep-paths", n_paths, "--seed", seed,
-                       "--out", out) == 0
+                       "--grid", grid, *count, "--seed", seed, "--out", out) == 0
             monkeypatch.undo()
             with open(out / "sweep.csv", newline="") as fh:
                 got = [tuple(map(float, row)) for row in list(csv.reader(fh))[1:]]
@@ -510,7 +522,7 @@ def test_sweep_rows_are_monte_carlo_means(tmp_path_factory, ratio, delta, seed, 
     out = tmp_path_factory.getbasetemp() / "sweep-property"
     assert run("sweep", "--v-low", repr(ratio * v_high), "--v-high", v_high,
                "--delta", repr(delta), "--mu0", 0.5, "--grid", grid,
-               "--sweep-paths", n_paths, "--seed", seed, "--out", out) == 0
+               "--paths", n_paths, "--seed", seed, "--out", out) == 0
     with open(out / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     table = compute_cutoffs(MarketParams(ratio * v_high, v_high, delta))
@@ -521,7 +533,7 @@ def test_sweep_rows_are_monte_carlo_means(tmp_path_factory, ratio, delta, seed, 
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(bad=st.one_of(st.tuples(st.just("--sweep-paths"), st.integers(-(2**70), 0)),
+@given(bad=st.one_of(st.tuples(st.just("--paths"), st.integers(-(2**70), 0)),
                     st.tuples(st.just("--grid"), st.integers(-(2**70), 1))))
 def test_sweep_bad_count_exit_2(tmp_path_factory, bad):
     # a sweep path count below 1 or a grid below 2: exit 2 with one error line
@@ -574,7 +586,7 @@ def test_grid_text_cache(tmp_path):
     for i, grid_n in enumerate((101, 1001, 2, 101)):
         out = tmp_path / str(i)
         assert run("solve", *market, "--grid", grid_n, "--out", out) == 0
-        assert run("sweep", *market, "--grid", grid_n, "--sweep-paths", 3, "--out", out) == 0
+        assert run("sweep", *market, "--grid", grid_n, "--paths", 3, "--out", out) == 0
         grid = np.linspace(0.0, 1.0, grid_n)
         values = eval_R(table, grid, 0.6).tolist()
         want = oracle_csv(["mu_prime", "mu0", "R"],
@@ -748,7 +760,7 @@ def test_csv_artifacts_match_oracle(tmp_path):
                "--paths-csv", tmp_path / "high.csv") == 0
     assert run("simulate", *full_surplus, "--paths", 300, "--out", tmp_path,
                "--paths-csv", tmp_path / "mixed.csv") == 0
-    assert run("sweep", *full_surplus, "--grid", 101, "--sweep-paths", 20,
+    assert run("sweep", *full_surplus, "--grid", 101, "--paths", 20,
                "--out", tmp_path / "sweep") == 0
     files = [
         (tmp_path / "solve" / "cutoffs.csv", (int, float)),
@@ -890,7 +902,7 @@ def test_bad_config_value_exit_2(case):
 @pytest.mark.parametrize("value", [2**60, 2**63 - 1])
 @pytest.mark.parametrize("command, flag, key", [
     ("solve", "--grid", "grid_n"), ("sweep", "--grid", "grid_n"),
-    ("simulate", "--paths", "mc_paths"), ("sweep", "--sweep-paths", None)])
+    ("simulate", "--paths", "mc_paths"), ("sweep", "--paths", "mc_paths")])
 def test_oversize_count_exit_2(tmp_path, capsys, command, flag, key, value):
     # no float64 array holds 2^60 elements: such a count is refused with one
     # line, by flag or by config, before any run starts or any file is written
@@ -914,6 +926,9 @@ def test_oversize_count_exit_2(tmp_path, capsys, command, flag, key, value):
     [],  # no subcommand
     # argparse reads a negative number in exponent form as an option
     ["solve", "--v-low", "-1e-5", "--v-high", "2", "--delta", "0.8", "--mu0", "0.5"],
+    # sweep's per-prior count is --paths, as simulate's total is
+    ["sweep", "--v-low", "1", "--v-high", "2", "--delta", "0.8", "--mu0", "0.5",
+     "--sweep-paths", "20"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     # a usage error is bad input: one error line and exit 2, not argparse's

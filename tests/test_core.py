@@ -69,6 +69,8 @@ def test_belief_clamps_near_endpoints():
     assert belief(5e-324) == 5e-324 and belief(np.nextafter(1.0, 0.0)) < 1.0
     zero = belief(-0.0)
     assert type(zero) is float and zero == 0.0 and not np.signbit(zero)
+    # a market folds v_low = -0.0 too: cutoff 1, v_low / v_high, is never -0.0
+    assert not np.signbit(MarketParams(-0.0, 1.0, 0.9).v_low)
     priors = np.array([0.0, 0.25, 1.0])
     checked = belief(priors)
     assert checked is not priors and np.array_equal(checked, priors)
